@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 
 from convexcyclic import (ConvexPolynomial, build_cyclic_vector,
-                          density_score, family_members, materialize_subspace)
+                          density_score, materialize_subspace)
 from convexcyclic.gallery import REGISTRY, build_entry
 
 
@@ -43,7 +43,7 @@ class InflatedFamily:
     m: int
 
     def members(self):
-        return tuple(inflate(P, self.m) for P in family_members(self.base))
+        return tuple(inflate(P, self.m) for P in self.base.members())
 
 
 def run(entry_name: str, powers, epsilon: float):

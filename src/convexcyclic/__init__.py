@@ -15,7 +15,7 @@ from .operators import (BackwardShift, CesaroMeans, ConvexPolynomial, Dense,
                         DirectSum, ForwardShift, Identity, Monomials,
                         OperatorSpec, PolynomialFamily, RandomSimplex, Scale,
                         ScreenReport, SimplexGrid, apply, compose_polys,
-                        eval_poly, family_members, operator_norm_estimate,
+                        eval_poly, images, operator_norm_estimate,
                         screen_necessary_conditions, to_dense)
 from .dynamics import (BallPair, DensityReport, InvarianceResult, PairResult,
                        TargetScore, TransitivityReport, Verdict,

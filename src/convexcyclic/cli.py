@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from .config import (ExperimentConfig, config_to_dict, dumps_config,
                      entry_to_config, load_config, vector_to_dict)
-from .criteria import build_cyclic_vector, check_criterion_I, check_criterion_II
+from .criteria import (build_cyclic_vector, check_criterion_I, check_criterion_II,
+                       recovery_decay)
 from .dynamics import (Verdict, default_density_targets, density_score,
                        transitivity_search)
 from .errors import ConfigError, ConvexCyclicError, ScheduleInfeasible
@@ -163,16 +164,10 @@ def run_criterion(cfg: ExperimentConfig, which: str, out: Path) -> int:
     with (out / "decay.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["target_id", "k", "recovery_norm", "recovery_error"])
-        from .operators import eval_poly
-        from .spaces import norm as _norm
-        for y_index, y in enumerate(inst.Y):
-            for k in range(1, horizon + 1):
-                try:
-                    xk = inst.recovery_vector(y_index, k)
-                except ConvexCyclicError:
-                    continue
-                writer.writerow([y_index, k, repr(_norm(xk)),
-                                 repr(_norm(eval_poly(inst.poly(k), inst.op, xk) - y))])
+        for y_index in range(len(inst.Y)):
+            norms, errors = recovery_decay(inst, y_index, horizon)
+            for k, (nk, ek) in enumerate(zip(norms, errors), start=1):
+                writer.writerow([y_index, k, repr(nk), repr(ek)])
     lines = [f"criterion {which} at horizon {horizon}, "
              f"tol {cfg.tolerances.convergence}:",
              f"  condition 1: {'pass' if verdict.cond1.passed else 'FAIL'} "
@@ -401,3 +396,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

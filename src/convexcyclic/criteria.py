@@ -28,10 +28,11 @@ import numpy as np
 from .errors import (DimensionTooSmall, RecoveryRuleMissing,
                      ScheduleInfeasible, TruncationOverflow)
 from .dynamics import InvarianceResult, invariance_check
-from .operators import ConvexPolynomial, OperatorSpec, eval_poly
+from .operators import ConvexPolynomial, OperatorSpec, eval_poly, images
 from .spaces import (MEMBERSHIP_RTOL, BasisIndexSet, SubspaceSpec,
-                     TruncVector, distance_to_subspace, materialize_subspace,
-                     membership_tolerance, norm)
+                     TruncVector, coords_norm, distance_to_subspace,
+                     materialize_subspace, membership_tolerance, norm,
+                     off_span_norm, row_distance)
 
 
 # ---------------------------------------------------------------------------
@@ -205,28 +206,41 @@ def _settles(seq: Sequence[float], tol: float) -> bool:
     return True
 
 
+def _orbit(inst: CriterionInstance, x: TruncVector, polys) -> np.ndarray:
+    """P(T)x for each P in ``polys``, one raw row each, in one engine walk."""
+    return images(inst.op, x.coords[None], polys)[:, 0]
+
+
 def _check_cond1(inst: CriterionInstance, horizon: int, tol: float) -> Cond1Result:
     worst = 0.0
     passed = True
     for x in inst.X:
-        seq = [norm(eval_poly(inst.poly(k), inst.op, x)) for k in range(1, horizon + 1)]
+        seq = [coords_norm(w, x.p) for w in _orbit(inst, x, inst.polys[:horizon])]
         worst = max(worst, seq[-1])
         if not _settles(seq, tol):
             passed = False
     return Cond1Result(passed=passed, worst_tail_norm=worst)
 
 
+def recovery_decay(inst: CriterionInstance, y_index: int, horizon: int) -> tuple:
+    """Condition 2's sequences for target ``y_index``: the recovery norms
+    ||x_k|| and errors ||P_k(T) x_k - y|| for k = 1..horizon."""
+    y = inst.Y[y_index]
+    norms = []
+    errors = []
+    for k in range(1, horizon + 1):
+        xk = inst.recovery_vector(y_index, k)
+        norms.append(norm(xk))
+        errors.append(row_distance(_orbit(inst, xk, [inst.poly(k)])[0], xk.p, y))
+    return norms, errors
+
+
 def _check_cond2(inst: CriterionInstance, horizon: int, tol: float) -> Cond2Result:
     worst_norm = 0.0
     worst_err = 0.0
     passed = True
-    for y_index, y in enumerate(inst.Y):
-        norms = []
-        errors = []
-        for k in range(1, horizon + 1):
-            xk = inst.recovery_vector(y_index, k)
-            norms.append(norm(xk))
-            errors.append(norm(eval_poly(inst.poly(k), inst.op, xk) - y))
+    for y_index in range(len(inst.Y)):
+        norms, errors = recovery_decay(inst, y_index, horizon)
         worst_norm = max(worst_norm, norms[-1])
         worst_err = max(worst_err, errors[-1])
         if not (_settles(norms, tol) and _settles(errors, tol)):
@@ -235,9 +249,9 @@ def _check_cond2(inst: CriterionInstance, horizon: int, tol: float) -> Cond2Resu
                        worst_recovery_error=worst_err)
 
 
-def _landing_index(image: TruncVector, m: BasisIndexSet) -> Optional[int]:
-    """Index of the largest coordinate outside the span, if any."""
-    off = np.where(m.mask(), 0.0, np.abs(image.coords))
+def _landing_index(row: np.ndarray, mask: np.ndarray) -> Optional[int]:
+    """Index of the largest coordinate of an image row outside the span, if any."""
+    off = np.where(mask, 0.0, np.abs(row))
     if not np.any(off > 0):
         return None
     return int(np.argmax(off))
@@ -259,7 +273,7 @@ def check_criterion_I(inst: CriterionInstance, horizon: int,
         landing = None
         if res.violating_basis_index is not None:
             image = eval_poly(P, inst.op, TruncVector.basis(res.violating_basis_index, m.dim))
-            landing = _landing_index(image, m)
+            landing = _landing_index(image.coords, m.mask())
         details.append(Cond3Detail(k=k, passed=res.invariant,
                                    max_residual=res.max_residual,
                                    source_index=res.violating_basis_index,
@@ -275,25 +289,23 @@ def check_criterion_II(inst: CriterionInstance, horizon: int,
     weaker than invariance)."""
     if not 1 <= horizon <= len(inst.polys):
         raise ValueError(f"horizon must lie in 1..{len(inst.polys)}")
-    m = inst.materialized()
+    mask = inst.materialized().mask()
     cond1 = _check_cond1(inst, horizon, tol)
     cond2 = _check_cond2(inst, horizon, tol)
-    details = []
-    for k in range(1, horizon + 1):
-        P = inst.poly(k)
-        worst = 0.0
-        source = None
-        landing = None
-        for x_index, x in enumerate(inst.X):
-            image = eval_poly(P, inst.op, x)
-            residual = distance_to_subspace(image, m)
-            if residual > worst:
-                worst = residual
-            if source is None and residual > tol:
-                source = x_index
-                landing = _landing_index(image, m)
-        details.append(Cond3Detail(k=k, passed=source is None, max_residual=worst,
-                                   source_index=source, landing_index=landing))
+    worst = [0.0] * horizon
+    source = [None] * horizon
+    landing = [None] * horizon
+    for x_index, x in enumerate(inst.X):
+        for k, w in enumerate(_orbit(inst, x, inst.polys[:horizon])):
+            residual = off_span_norm(w, mask, x.p)
+            if residual > worst[k]:
+                worst[k] = residual
+            if source[k] is None and residual > tol:
+                source[k] = x_index
+                landing[k] = _landing_index(w, mask)
+    details = [Cond3Detail(k=k + 1, passed=source[k] is None, max_residual=worst[k],
+                           source_index=source[k], landing_index=landing[k])
+               for k in range(horizon)]
     cond3 = Cond3Result(passed=all(d.passed for d in details), details=tuple(details))
     return CriterionVerdict("II", cond1, cond2, cond3, horizon)
 
@@ -384,11 +396,11 @@ def build_cyclic_vector(inst: CriterionInstance, j_max: int, c: float = 1.0, *,
             # slip in just because it has decayed to numerical dust.
             if distance_to_subspace(xc, m) > membership_rtol * norm(xc) and norm(xc) > 0:
                 continue
-            base = norm(xc) + norm(eval_poly(P, inst.op, xc) - y)
+            base = norm(xc) + row_distance(_orbit(inst, xc, [P])[0], xc.p, y)
             worst_cross = 0.0
             for ki, xi_vec in zip(chosen_k, chosen_x):
-                cross = (norm(eval_poly(P, inst.op, xi_vec))
-                         + norm(eval_poly(inst.poly(ki), inst.op, xc)))
+                cross = (coords_norm(_orbit(inst, xi_vec, [P])[0], xi_vec.p)
+                         + coords_norm(_orbit(inst, xc, [inst.poly(ki)])[0], xc.p))
                 worst_cross = max(worst_cross, cross)
             bound = base + worst_cross
             if bound < best_bound:
@@ -414,7 +426,7 @@ def build_cyclic_vector(inst: CriterionInstance, j_max: int, c: float = 1.0, *,
     out = []
     for (j, k, xi_j, bound) in records:
         limit = j * xi_j + tail[j - 1]
-        err = norm(eval_poly(inst.poly(k), inst.op, x) - inst.Y[j - 1])
+        err = row_distance(_orbit(inst, x, [inst.poly(k)])[0], x.p, inst.Y[j - 1])
         if err > limit * (1 + 1e-9) + 1e-15:
             raise RuntimeError(
                 f"builder post-verification failed at step {j}: "

@@ -7,9 +7,15 @@ Reports therefore carry the family descriptor and sampling parameters, so
 every claim is scoped to what was actually searched.  A negative search
 result is evidence, never proof.
 
-Per-target and per-pair work is independent; when ``workers > 1`` the
-evaluations run on a thread pool and are merged back in canonical index
-order, so report payloads do not depend on scheduling.
+Every diagnostic takes its orbit points from the engine in
+``operators`` as raw row blocks of bounded size: density streams the
+family block by block, invariance applies P(T) to the span's identity
+rows, and transitivity scans each pair's (member, sample) images in
+enumeration order.  Norms and distances are taken row by row with the
+same calls ``spaces`` makes, so reports match single-vector evaluation
+bit for bit.  When ``workers > 1`` the per-target and per-pair work runs
+on a thread pool and is merged back in canonical index order, so report
+payloads do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -24,10 +30,12 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import BallCenterOutsideSubspace, TargetOutsideSubspace
+from .errors import DimensionMismatch
 from .operators import (ConvexPolynomial, OperatorSpec, PolynomialFamily,
-                        eval_poly, family_members)
+                        block_rows, image_blocks, images)
 from .spaces import (MEMBERSHIP_RTOL, BasisIndexSet, TruncVector,
-                     distance_to_subspace, membership_tolerance, norm)
+                     coords_norm, distance_to_subspace, membership_tolerance,
+                     norm, off_span_norm, row_distance)
 
 
 class Verdict(enum.Enum):
@@ -112,10 +120,15 @@ def _map_ordered(fn, count: int, workers: int):
         return [f.result() for f in futures]
 
 
+def _tolerance(row: np.ndarray, p: float, rtol: float) -> float:
+    """``membership_tolerance`` of a raw image row."""
+    return rtol * max(1.0, coords_norm(row, p))
+
+
 def orbit_segment(op: OperatorSpec, x: TruncVector,
                   family: PolynomialFamily) -> list:
     """[P(T)x for P in family], in family enumeration order."""
-    return [eval_poly(P, op, x) for P in family_members(family)]
+    return [x.with_coords(w) for w in images(op, x.coords[None], family.members())[:, 0]]
 
 
 def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
@@ -130,7 +143,8 @@ def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
     outside are excluded unless ``include_outside`` is set.  The verdict
     is DenseAtScale exactly when every best distance is <= epsilon.
     Witnesses break ties toward the first family member within 1e-12 of
-    the minimum.
+    the minimum.  The orbit is streamed in engine blocks and never held
+    whole: only the admissible members' distances are kept.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -142,30 +156,49 @@ def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
         if distance_to_subspace(y, m) > membership_tolerance(y, membership_rtol):
             raise TargetOutsideSubspace(
                 f"target {t_idx} lies outside the subspace span")
+    if x.dim != m.dim:
+        raise DimensionMismatch(f"vector dim {x.dim} != subspace dim {m.dim}")
 
-    members = family_members(family)
-    orbit = [eval_poly(P, op, x) for P in members]
-    if include_outside:
-        admissible = list(range(len(orbit)))
-    else:
-        admissible = [
-            i for i, w in enumerate(orbit)
-            if distance_to_subspace(w, m) <= membership_tolerance(w, membership_rtol)
-        ]
+    members = family.members()
+    mask = m.mask()
+    admissible = []
+    distances = [[] for _ in targets]
+    # A distance error is raised only after the whole orbit is evaluated,
+    # and for the first target in order, as when the orbit was held.
+    errors = [None] * len(targets)
+    for j0, out, fault in image_blocks(op, x.coords[None], members):
+        if fault:
+            raise next(iter(fault.values()))
+        rows = []
+        for j, w in enumerate(out[:, 0]):
+            if include_outside or off_span_norm(w, mask, x.p) <= \
+                    _tolerance(w, x.p, membership_rtol):
+                admissible.append(j0 + j)
+                rows.append(w)
 
-    def score_one(t_idx: int) -> TargetScore:
-        y = targets[t_idx]
-        distances = [norm(orbit[i] - y) for i in admissible]
-        if not distances:
-            return TargetScore(math.inf, None, None)
-        best = min(distances)
-        for pos, d in enumerate(distances):
-            if d <= best + 1e-12:
-                idx = admissible[pos]
-                return TargetScore(d, members[idx], idx)
-        raise AssertionError("unreachable: minimum must be attained")
+        def score_rows(t_idx: int):
+            try:
+                return [row_distance(w, x.p, targets[t_idx]) for w in rows], None
+            except ValueError as err:
+                return [], err
 
-    scores = _map_ordered(score_one, len(targets), workers)
+        for t_idx, (dists, err) in enumerate(_map_ordered(score_rows, len(targets),
+                                                          workers)):
+            distances[t_idx].extend(dists)
+            errors[t_idx] = errors[t_idx] or err
+    for err in errors:
+        if err is not None:
+            raise err
+
+    scores = []
+    for dists in distances:
+        if not dists:
+            scores.append(TargetScore(math.inf, None, None))
+            continue
+        best = min(dists)
+        pos = next(pos for pos, d in enumerate(dists) if d <= best + 1e-12)
+        idx = admissible[pos]
+        scores.append(TargetScore(dists[pos], members[idx], idx))
     verdict = (Verdict.DENSE_AT_SCALE
                if all(s.best_distance <= epsilon for s in scores)
                else Verdict.NOT_COVERED_AT_SCALE)
@@ -175,7 +208,7 @@ def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
         epsilon=float(epsilon),
         verdict=verdict,
         family=family,
-        orbit_size=len(orbit),
+        orbit_size=len(members),
         admissible_orbit_size=len(admissible),
     )
 
@@ -184,19 +217,25 @@ def invariance_check(P: ConvexPolynomial, op: OperatorSpec, m: BasisIndexSet,
                      *, membership_rtol: float = MEMBERSHIP_RTOL) -> InvarianceResult:
     """Does P(T) map the subspace into itself, numerically?
 
-    Applies P(T) to each basis vector of the span and measures the
-    residual outside the span.  Reports the worst residual and the first
-    violating basis index (in sorted order).
+    Applies P(T) to each basis vector of the span (its identity rows, in
+    engine blocks) and measures the residual outside the span.  Reports
+    the worst residual and the first violating basis index (in sorted
+    order).
     """
+    mask = m.mask()
     worst = 0.0
     violator = None
-    for j in m.indices:
-        image = eval_poly(P, op, TruncVector.basis(j, m.dim))
-        residual = distance_to_subspace(image, m)
-        if residual > worst:
-            worst = residual
-        if violator is None and residual > membership_tolerance(image, membership_rtol):
-            violator = j
+    step = block_rows(m.dim)
+    for r0 in range(0, len(m), step):
+        indices = m.indices[r0: r0 + step]
+        basis = np.zeros((len(indices), m.dim))
+        basis[np.arange(len(indices)), indices] = 1.0
+        for j, w in zip(indices, images(op, basis, [P])[0]):
+            residual = off_span_norm(w, mask, 2.0)
+            if residual > worst:
+                worst = residual
+            if violator is None and residual > _tolerance(w, 2.0, membership_rtol):
+                violator = j
     return InvarianceResult(invariant=violator is None, max_residual=worst,
                             violating_basis_index=violator)
 
@@ -251,21 +290,27 @@ def transitivity_search(op: OperatorSpec, m: BasisIndexSet,
                 raise BallCenterOutsideSubspace(
                     f"pair {p_idx}: {label} center lies outside the subspace span")
 
-    members = family_members(family)
+    members = family.members()
+    mask = m.mask()
 
     def search_one(p_idx: int) -> PairResult:
         pair = pairs[p_idx]
         samples = sample_ball(pair.v_center, m, pair.radius, samples_per_ball,
                               seed + 1000003 * p_idx)
-        for f_idx, P in enumerate(members):
-            for v in samples:
-                image = eval_poly(P, op, v)
-                if distance_to_subspace(image, m) > membership_tolerance(image, membership_rtol):
+        p = pair.v_center.p
+        block = np.array([v.coords for v in samples])
+        for j0, out, fault in image_blocks(op, block, members):
+            for j, r in np.ndindex(out.shape[:2]):
+                if (j, r) in fault:
+                    raise fault[j, r]
+                w = out[j, r]
+                if off_span_norm(w, mask, p) > _tolerance(w, p, membership_rtol):
                     continue
-                if norm(image - pair.u_center) <= pair.radius:
+                if row_distance(w, p, pair.u_center) <= pair.radius:
+                    P = members[j0 + j]
                     residual = invariance_check(P, op, m,
                                                 membership_rtol=membership_rtol).max_residual
-                    return PairResult(True, P, f_idx, residual)
+                    return PairResult(True, P, j0 + j, residual)
         return PairResult(False, None, None, 0.0)
 
     results = _map_ordered(search_one, len(pairs), workers)

@@ -1,12 +1,20 @@
-"""Symbolic operator specs, convex polynomials, and their action on truncations.
+"""Symbolic operator specs, convex polynomials, and the orbit engine.
 
 Operators are described symbolically (shifts, scalings, direct sums, dense
 matrices) so one spec can act at any truncation size.  Backward shifts are
 truncation-exact; forward shifts raise TruncationOverflow when nonzero mass
-would leave the truncation, unless auto-grow is requested.  Polynomial
-evaluation accumulates sum a_i T^i v in ascending degree with a running
-power vector, one operator application per degree step, which makes the
-result bit-for-bit deterministic.
+would leave the truncation.
+
+Every orbit {P(T)x : P in a family} is computed by one engine, ``images``,
+on raw row blocks (batch x dim, one row per vector).  It walks the degrees
+once in ascending order with a single running power block T^i X, adding
+a_i T^i X into each member's accumulator where a_i is nonzero: one block
+application per degree, no stored power table.  The arithmetic is the
+elementwise axpy of the single-vector recurrence, so each image is bit for
+bit what a per-member ascending-degree loop gives.  ``image_blocks``
+splits large member x row products into blocks of at most BLOCK_BYTES.
+``TruncVector`` wraps results only at the public boundary (``apply``,
+``eval_poly``).
 """
 
 from __future__ import annotations
@@ -21,8 +29,9 @@ import numpy as np
 from .errors import DimensionMismatch, TruncationOverflow
 from .spaces import TruncVector
 
-#: Hard cap for auto-grow re-embedding of forward shifts.
-GROW_CAP = 4096
+#: Upper bound on the bytes of images one engine block holds, counted at
+#: complex128 size; the running power block is no larger.
+BLOCK_BYTES = 2 * 1024 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -133,53 +142,92 @@ def _weight_array(weight, count: int, label: str) -> np.ndarray:
     return np.full(count, weight)
 
 
-def apply(op: OperatorSpec, v: TruncVector, *, grow: bool = False,
-          grow_cap: int = GROW_CAP) -> TruncVector:
+class _RowFailure(Exception):
+    """Rows of a block whose single-vector application raises ``error``."""
+
+    def __init__(self, rows: np.ndarray, error: Exception):
+        super().__init__(error)
+        self.rows = rows
+        self.error = error
+
+
+def _mul(w, X: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``w * X`` into ``out`` (cast as an assignment would cast).
+
+    Complex-by-complex products go row by row: numpy rounds them
+    differently in different loops (fused multiply-add or not), and a row
+    is what single-vector evaluation multiplied.  Every other product is
+    rounded once, whatever the loop.
+    """
+    if out is None:
+        out = np.empty(X.shape, np.result_type(w, X))
+    if np.iscomplexobj(w) and np.iscomplexobj(X):
+        for r, row in enumerate(X):
+            out[r] = w * row
+    else:
+        np.multiply(w, X, out=out, casting="unsafe")
+    return out
+
+
+def _act(op: OperatorSpec, X: np.ndarray, check: bool = True) -> np.ndarray:
+    """Act with ``op`` on every row of the block ``X`` (batch x dim).
+
+    Each row gets exactly the arithmetic of a single-vector application,
+    and results are checked wherever a single vector would have been
+    validated; rows that would have raised are reported as a _RowFailure.
+    The inner result of a Scale goes unchecked because a non-finite row
+    stays non-finite after scaling, and fails there with the same error.
+    """
+    dim = X.shape[1]
+    if isinstance(op, Identity):
+        return X
+    if isinstance(op, BackwardShift):
+        out = np.empty_like(X)
+        out[:, -1] = 0
+        if dim > 1:
+            _mul(_weight_array(op.weight, dim, "backward shift")[1:], X[:, 1:],
+                 out[:, :-1])
+    elif isinstance(op, ForwardShift):
+        top = X[:, -1] != 0
+        if top.any():
+            raise _RowFailure(top, TruncationOverflow(
+                f"forward shift would push mass past index {dim - 1}; "
+                "enlarge the truncation"))
+        out = np.empty_like(X)
+        out[:, 0] = 0
+        _mul(_weight_array(op.weight, dim - 1, "forward shift"), X[:, :-1], out[:, 1:])
+    elif isinstance(op, Scale):
+        out = _mul(op.factor, _act(op.inner, X, check=False))
+    elif isinstance(op, DirectSum):
+        if not op.split < dim:
+            raise DimensionMismatch(
+                f"direct-sum split {op.split} does not partition dimension {dim}")
+        out = np.concatenate([_act(op.left, X[:, : op.split]),
+                              _act(op.right, X[:, op.split:])], axis=1)
+    elif isinstance(op, Dense):
+        if op.matrix.shape[0] != dim:
+            raise DimensionMismatch(
+                f"dense operator dim {op.matrix.shape[0]} != vector dim {dim}")
+        out = np.array([op.matrix @ row for row in X])
+    else:
+        raise TypeError(f"unknown operator spec {type(op).__name__}")
+    if check:
+        bad = ~np.isfinite(out).all(axis=1)
+        if bad.any():
+            raise _RowFailure(bad, ValueError("coordinates must be finite"))
+    return out
+
+
+def apply(op: OperatorSpec, v: TruncVector) -> TruncVector:
     """Act with ``op`` on ``v``, exactly on the truncation.
 
     Forward shifts raise TruncationOverflow if the top coordinate is
-    nonzero; with ``grow=True`` the vector is re-embedded in a larger
-    dimension first (up to ``grow_cap``).  Growth never applies inside
-    direct-sum blocks, whose sizes are fixed by the split.
+    nonzero.
     """
-    if isinstance(op, BackwardShift):
-        out = np.zeros_like(v.coords)
-        if v.dim > 1:
-            w = _weight_array(op.weight, v.dim, "backward shift")[1:]
-            out[:-1] = w * v.coords[1:]
-        return v.with_coords(out)
-    if isinstance(op, ForwardShift):
-        if v.coords[-1] != 0:
-            if not grow:
-                raise TruncationOverflow(
-                    f"forward shift would push mass past index {v.dim - 1}; "
-                    "enlarge the truncation or enable auto-grow")
-            if v.dim >= grow_cap:
-                raise TruncationOverflow(
-                    f"forward shift hit the auto-grow cap {grow_cap}")
-            v = v.embedded(min(grow_cap, max(v.dim + 1, 2 * v.dim)))
-        out = np.zeros_like(v.coords)
-        w = _weight_array(op.weight, v.dim - 1, "forward shift")
-        out[1:] = w * v.coords[:-1]
-        return v.with_coords(out)
-    if isinstance(op, Scale):
-        inner = apply(op.inner, v, grow=grow, grow_cap=grow_cap)
-        return inner.with_coords(op.factor * inner.coords)
-    if isinstance(op, DirectSum):
-        if not op.split < v.dim:
-            raise DimensionMismatch(
-                f"direct-sum split {op.split} does not partition dimension {v.dim}")
-        left = apply(op.left, v.with_coords(v.coords[: op.split]))
-        right = apply(op.right, v.with_coords(v.coords[op.split:]))
-        return v.with_coords(np.concatenate([left.coords, right.coords]))
-    if isinstance(op, Dense):
-        if op.matrix.shape[0] != v.dim:
-            raise DimensionMismatch(
-                f"dense operator dim {op.matrix.shape[0]} != vector dim {v.dim}")
-        return v.with_coords(op.matrix @ v.coords)
-    if isinstance(op, Identity):
-        return v
-    raise TypeError(f"unknown operator spec {type(op).__name__}")
+    try:
+        return v.with_coords(_act(op, v.coords[None])[0])
+    except _RowFailure as failure:
+        raise failure.error from None
 
 
 def to_dense(op: OperatorSpec, dim: int) -> np.ndarray:
@@ -387,21 +435,101 @@ class ConvexPolynomial:
         return tuple(i for i, a in enumerate(self.coeffs) if a != 0.0)
 
 
-def eval_poly(P: ConvexPolynomial, op: OperatorSpec, v: TruncVector, *,
-              grow: bool = False, grow_cap: int = GROW_CAP) -> TruncVector:
+def _images(op: OperatorSpec, X: np.ndarray, polys: Sequence[ConvexPolynomial]):
+    """The engine walk behind ``images``; failures are returned, not raised.
+
+    Returns ``(out, fault)``: ``out[j, r]`` is P_j(T) X[r], and ``fault``
+    maps each (j, r) whose single-vector evaluation would have raised to
+    that error, in (member, row) order.  A row whose power fails at degree
+    i is zeroed and fails every member of degree >= i; an accumulator that
+    is not finite failed on an earlier, finite power.
+    """
+    degrees = np.array([P.degree for P in polys])
+    top = int(degrees.max(initial=0))
+    out = np.multiply.outer(np.array([P.coeffs[0] for P in polys]), X)
+    terms = [[] for _ in range(top + 1)]
+    for j, P in enumerate(polys):
+        for i in np.flatnonzero(P.coeffs[1:]) + 1:
+            terms[i].append((j, P.coeffs[i]))
+    live = np.ones(X.shape[0], dtype=bool)
+    failed_at = np.full(X.shape[0], top + 1)
+    errors = [None] * X.shape[0]
+    power = X
+    for i in range(1, top + 1):
+        while live.any():
+            try:
+                power = _act(op, power)
+                break
+            except _RowFailure as failure:
+                rows, error = failure.rows & live, failure.error
+            except (DimensionMismatch, ValueError, TypeError) as exc:
+                rows, error = live.copy(), exc
+            failed_at[rows] = i
+            for r in np.flatnonzero(rows):
+                errors[r] = error
+            live &= ~rows
+            power = np.where(rows[:, None], 0, power)
+        else:
+            break  # every row has failed; no member can gain a valid term
+        if power.dtype != out.dtype:
+            out = out.astype(np.result_type(out, power))
+        for j, a in terms[i]:
+            out[j] += a * power
+    nonfinite = ~np.isfinite(out).all(axis=2)
+    fault = {}
+    for j, r in zip(*np.nonzero(nonfinite | (failed_at[None, :] <= degrees[:, None]))):
+        fault[int(j), int(r)] = (ValueError("coordinates must be finite")
+                                 if nonfinite[j, r] else errors[r])
+    return out, fault
+
+
+def images(op: OperatorSpec, X: np.ndarray,
+           polys: Sequence[ConvexPolynomial]) -> np.ndarray:
+    """P(T) X for every P in ``polys``: an array (len(polys), batch, dim).
+
+    ``X`` is a raw float64 or complex128 block with one row per vector.
+    One block application per degree up to the largest member degree;
+    raises the error the first failing (member, row) evaluation raises.
+    """
+    out, fault = _images(op, X, polys)
+    if fault:
+        raise next(iter(fault.values()))
+    return out
+
+
+def block_rows(dim: int) -> int:
+    """Rows of length ``dim`` that fit in one engine block (at least one)."""
+    return max(1, BLOCK_BYTES // (dim * np.dtype(np.complex128).itemsize))
+
+
+def image_blocks(op: OperatorSpec, X: np.ndarray,
+                 polys: Sequence[ConvexPolynomial]):
+    """``_images`` over polys x rows in blocks of at most BLOCK_BYTES.
+
+    Yields ``(j0, out, fault)`` in (member, row) order, where block member
+    j is polys[j0 + j]: all rows for consecutive members, or one member's
+    rows in consecutive slices when they alone exceed the bound.  Every
+    block walks its own degrees from X.
+    """
+    batch, dim = X.shape
+    cap = block_rows(dim)
+    if batch <= cap:
+        step = cap // batch
+        for j0 in range(0, len(polys), step):
+            yield (j0,) + _images(op, X, polys[j0: j0 + step])
+    else:
+        for j0 in range(len(polys)):
+            for r0 in range(0, batch, cap):
+                yield (j0,) + _images(op, X[r0: r0 + cap], polys[j0: j0 + 1])
+
+
+def eval_poly(P: ConvexPolynomial, op: OperatorSpec, v: TruncVector) -> TruncVector:
     """sum a_i T^i v, accumulated in ascending degree with a running power.
 
     Exactly one operator application per degree step and a fixed summation
     order, so results are deterministic bit for bit.
     """
-    acc = v.with_coords(P.coeffs[0] * v.coords)
-    power = v
-    for a in P.coeffs[1:]:
-        power = apply(op, power, grow=grow, grow_cap=grow_cap)
-        if power.dim > acc.dim:
-            acc = acc.embedded(power.dim)
-        acc = acc.with_coords(acc.coords + a * power.coords)
-    return acc
+    return v.with_coords(images(op, v.coords[None], [P])[0, 0])
 
 
 def compose_polys(P: ConvexPolynomial, Q: ConvexPolynomial) -> ConvexPolynomial:
@@ -509,8 +637,3 @@ class RandomSimplex:
 
 
 PolynomialFamily = Union[Monomials, CesaroMeans, SimplexGrid, RandomSimplex]
-
-
-def family_members(family: PolynomialFamily) -> Tuple[ConvexPolynomial, ...]:
-    """Deterministic enumeration of a family's members."""
-    return family.members()

@@ -132,7 +132,17 @@ class TruncVector:
 
 def norm(v: TruncVector) -> float:
     """The l^p norm (sum |c_i|^p)^(1/p) of the truncation."""
-    return float(np.linalg.norm(v.coords, ord=v.p))
+    return coords_norm(v.coords, v.p)
+
+
+def coords_norm(coords: np.ndarray, p: float) -> float:
+    """The l^p norm of one raw coordinate row; ``norm`` without the wrapper."""
+    return float(np.linalg.norm(coords, ord=p))
+
+
+def off_span_norm(coords: np.ndarray, mask: np.ndarray, p: float) -> float:
+    """The l^p norm of one raw row's coordinates outside ``mask``."""
+    return float(np.linalg.norm(np.where(mask, 0.0, coords), ord=p))
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +362,21 @@ def distance_to_subspace(v: TruncVector, m: BasisIndexSet) -> float:
     """Norm of the residual v - project(v): zero iff v lies in the span."""
     if v.dim != m.dim:
         raise DimensionMismatch(f"vector dim {v.dim} != subspace dim {m.dim}")
-    off = np.where(m.mask(), 0.0, v.coords)
-    return float(np.linalg.norm(off, ord=v.p))
+    return off_span_norm(v.coords, m.mask(), v.p)
+
+
+def row_distance(row: np.ndarray, p: float, y: TruncVector) -> float:
+    """``norm(w - y)`` for a raw row w of exponent ``p``, with the checks
+    ``TruncVector`` subtraction makes: same dim, same p, finite result."""
+    if row.size != y.dim:
+        raise DimensionMismatch(f"dims differ: {row.size} vs {y.dim}")
+    if p != y.p:
+        raise ValueError(f"norm exponents differ: {p} vs {y.p}")
+    diff = row - y.coords
+    dist = coords_norm(diff, p)
+    if not math.isfinite(dist) and not np.all(np.isfinite(diff)):
+        raise ValueError("coordinates must be finite")
+    return dist
 
 
 def membership_tolerance(v: TruncVector, rtol: float = MEMBERSHIP_RTOL) -> float:

@@ -7,19 +7,21 @@ lines.  Tolerances and horizons are pinned here, not configurable.
 import json
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexcyclic import (BackwardShift, BasisIndexSet, ConvexPolynomial,
-                          DirectSum, Identity, IndexSet, Monomials,
-                          ParityZero, Scale, ScheduleInfeasible, TruncVector,
-                          Verdict, build_cyclic_vector, check_criterion_I,
-                          check_criterion_II, compose_polys, density_score,
-                          distance_to_subspace, eval_poly, invariance_check,
-                          materialize_subspace, norm, orbit_segment, project,
+from convexcyclic import (BackwardShift, BallPair, BasisIndexSet,
+                          ConvexPolynomial, DirectSum, Identity, IndexSet,
+                          Monomials, ParityZero, Scale, ScheduleInfeasible,
+                          TruncVector, Verdict, build_cyclic_vector,
+                          check_criterion_I, check_criterion_II,
+                          compose_polys, density_score, distance_to_subspace,
+                          eval_poly, invariance_check, materialize_subspace,
+                          norm, operators, orbit_segment, project,
                           transitivity_search, xi_schedule)
 from convexcyclic.cli import main
 from convexcyclic.config import dumps_config, entry_to_config
@@ -267,6 +269,33 @@ def test_criterion_7f_worker_determinism(seed, workers):
     for a, b in zip(serial.per_target, threaded.per_target):
         assert a.best_distance == b.best_distance
         assert a.witness_index == b.witness_index
+
+    # The same payloads whatever the engine's block bound: one image row
+    # per block, three rows per block (splitting each member's samples),
+    # and the default, which holds every image at once.
+    u, v = np.zeros((2, dim))
+    u[1:-1:2] = rng.standard_normal(dim // 2 - 1)
+    v[1::2] = rng.standard_normal(dim // 2)
+    transit = np.zeros(dim)
+    transit[2:] = u[:-2] / 4.0  # (2B)^2 carries it onto u
+    pairs = [BallPair(TruncVector(u), TruncVector(v), 1.0),
+             BallPair(TruncVector(u), TruncVector(transit), 0.5)]
+
+    def payloads():
+        d = density_score(TWO_B, x, m, Monomials(7), targets, epsilon=0.25)
+        t = transitivity_search(TWO_B, m, pairs, Monomials(7), samples_per_ball=4,
+                                seed=seed)
+        return (d.verdict, d.admissible_orbit_size,
+                [(s.best_distance, s.witness_index) for s in d.per_target],
+                [(r.found, r.witness_index, r.invariance_residual) for r in t.per_pair])
+
+    expected = payloads()
+    assert expected[3][1][0]
+    assert expected[2] == [(s.best_distance, s.witness_index) for s in serial.per_target]
+    for rows in (1, 3):
+        with mock.patch.object(operators, "BLOCK_BYTES", rows * dim * 16):
+            assert operators.block_rows(dim) == rows
+            assert payloads() == expected
 
 
 def test_criterion_7_summary():

@@ -1,6 +1,10 @@
 """Config round-trips, strict parsing, and the CLI exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +142,19 @@ class TestCliExitCodes:
         assert main(["gallery", "list"]) == 0
         out = capsys.readouterr().out
         assert "example_5_4" in out and "lemma_5_2" in out
+
+    def test_module_entry_point(self):
+        # ``python -m convexcyclic.cli`` runs the CLI, not just the import.
+        import convexcyclic
+        src = str(Path(convexcyclic.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        run = subprocess.run([sys.executable, "-m", "convexcyclic.cli", "gallery", "list"],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == sorted(REGISTRY)
+        assert len(REGISTRY) == 8
 
     def test_gallery_dump_unknown(self, capsys):
         assert main(["gallery", "dump", "missing_entry"]) == 2

@@ -12,7 +12,7 @@ from convexcyclic import (BackwardShift, BallPair, BasisIndexSet,
                           IndexSet, Monomials, ParityZero, Scale, SimplexGrid,
                           TargetOutsideSubspace, TruncVector, Verdict,
                           build_cyclic_vector, density_score, eval_poly,
-                          family_members, invariance_check,
+                          invariance_check,
                           materialize_subspace, norm, orbit_segment,
                           sample_ball, transitivity_search)
 from convexcyclic.dynamics import BallCenterOutsideSubspace
@@ -188,7 +188,7 @@ class TestTransitivity:
             idx = pairs.index(pair)
             samples = sample_ball(pair.v_center, m, pair.radius, 5,
                                   13 + 1000003 * idx)
-            for P in family_members(family):
+            for P in family.members():
                 for v in samples:
                     w = dense_eval(P, op, v)
                     off = np.where(m.mask(), 0.0, w)

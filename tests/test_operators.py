@@ -11,7 +11,7 @@ from convexcyclic import (BackwardShift, CesaroMeans, ConvexPolynomial,
                           Dense, DimensionMismatch, DirectSum, ForwardShift,
                           Identity, Monomials, RandomSimplex, Scale,
                           SimplexGrid, TruncVector, TruncationOverflow, apply,
-                          compose_polys, eval_poly, family_members, norm,
+                          compose_polys, eval_poly, norm,
                           operator_norm_estimate, screen_necessary_conditions,
                           to_dense)
 from oracles import dense_eval, random_triple
@@ -55,17 +55,6 @@ class TestApply:
         v = TruncVector(np.array([0.0, 0.0, 1.0]))
         with pytest.raises(TruncationOverflow):
             apply(ForwardShift(), v)
-
-    def test_forward_overflow_grow_mode(self):
-        v = TruncVector(np.array([0.0, 0.0, 1.0]))
-        out = apply(ForwardShift(), v, grow=True)
-        assert out.dim > 3
-        assert out.coords[3] == 1.0
-
-    def test_forward_grow_cap(self):
-        v = TruncVector(np.ones(4))
-        with pytest.raises(TruncationOverflow):
-            apply(ForwardShift(), v, grow=True, grow_cap=4)
 
     def test_dense_dimension_checked(self):
         op = Dense(np.eye(3))
@@ -224,16 +213,16 @@ class TestScreen:
 
 class TestFamilies:
     def test_monomials_include_degree_zero(self):
-        members = family_members(Monomials(3))
+        members = Monomials(3).members()
         assert members[0].coeffs == (1.0,)
         assert [P.degree for P in members] == [0, 1, 2, 3]
 
     def test_cesaro(self):
-        members = family_members(CesaroMeans(2))
+        members = CesaroMeans(2).members()
         assert members[2].coeffs == (1 / 3, 1 / 3, 1 / 3)
 
     def test_simplex_grid_counts(self):
-        members = family_members(SimplexGrid(2, 4))
+        members = SimplexGrid(2, 4).members()
         assert len(members) == math.comb(2 + 4, 2)
         for P in members:
             assert math.isclose(math.fsum(P.coeffs), 1.0, abs_tol=1e-12)
@@ -242,13 +231,13 @@ class TestFamilies:
     def test_enumeration_deterministic(self):
         for family in (Monomials(5), CesaroMeans(4), SimplexGrid(3, 3),
                        RandomSimplex(4, 12, seed=9)):
-            a = [P.coeffs for P in family_members(family)]
-            b = [P.coeffs for P in family_members(family)]
+            a = [P.coeffs for P in family.members()]
+            b = [P.coeffs for P in family.members()]
             assert a == b
 
     def test_random_simplex_seed_sensitivity(self):
-        a = [P.coeffs for P in family_members(RandomSimplex(3, 6, seed=1))]
-        b = [P.coeffs for P in family_members(RandomSimplex(3, 6, seed=2))]
+        a = [P.coeffs for P in RandomSimplex(3, 6, seed=1).members()]
+        b = [P.coeffs for P in RandomSimplex(3, 6, seed=2).members()]
         assert a != b
 
 
