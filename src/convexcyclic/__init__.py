@@ -3,9 +3,10 @@ dynamics on truncated sequence spaces."""
 
 __version__ = "0.1.0"
 
-from .errors import (BallCenterOutsideSubspace, ConfigError,
-                     ConvexCyclicError, DimensionMismatch, DimensionTooSmall,
-                     LambdaTooSmall, RecoveryRuleMissing, ScheduleInfeasible,
+from .errors import (BallCenterOutsideSubspace, BuildVerificationFailed,
+                     ConfigError, ConvexCyclicError, DimensionMismatch,
+                     DimensionTooSmall, LambdaTooSmall, NumericalOverflow,
+                     RecoveryRuleMissing, ScheduleInfeasible,
                      TargetOutsideSubspace, TruncationOverflow)
 from .spaces import (BasisIndexSet, DirectSumFactor, IndexSet, IntervalFamily,
                      ParityZero, RecursiveSpan, SubspaceSpec, TruncVector,

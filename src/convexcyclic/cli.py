@@ -2,9 +2,11 @@
 
 Exit-code contract: 0 means the property held at this scale, 1 means it
 failed at this scale, 2 means the run itself was invalid (bad config,
-missing recovery rule, dimension too small).  Report payloads are
-deterministic for a fixed config and seed; wall-clock metadata is
-segregated into ``meta.json`` so payload files are byte-reproducible.
+missing recovery rule, dimension too small, an orbit that overflows
+floating point, a builder result that fails its own post-verification).
+Report payloads are deterministic for a fixed config and seed; wall-clock
+metadata is segregated into ``meta.json`` so payload files are
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import (ExperimentConfig, config_to_dict, dumps_config,
-                     entry_to_config, load_config, vector_to_dict)
+from .config import (ExperimentConfig, _count, _positive, config_to_dict,
+                     dumps_config, entry_to_config, load_config,
+                     vector_to_dict)
 from .criteria import (build_cyclic_vector, check_criterion_I, check_criterion_II,
                        recovery_decay)
 from .dynamics import (Verdict, default_density_targets, density_score,
@@ -62,10 +65,11 @@ def _poly_payload(P) -> dict:
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
+    # Overrides obey the same ranges the config parser enforces.
     if getattr(args, "horizon", None) is not None:
-        cfg.horizon = args.horizon
+        cfg.horizon = _count(args.horizon, "--horizon")
     if getattr(args, "epsilon", None) is not None:
-        cfg.tolerances.epsilon = args.epsilon
+        cfg.tolerances.epsilon = _positive(args.epsilon, "--epsilon")
     return cfg
 
 

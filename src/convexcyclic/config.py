@@ -43,6 +43,28 @@ def _req(data: dict, key: str, context: str):
     return data[key]
 
 
+def _count(value, context: str) -> int:
+    """A config integer that must be at least 1."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{context}: expected an integer, got {value!r}") from err
+    if n < 1:
+        raise ConfigError(f"{context} must be >= 1, got {n}")
+    return n
+
+
+def _positive(value, context: str) -> float:
+    """A config real that must be finite and greater than 0."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{context}: expected a number, got {value!r}") from err
+    if not (math.isfinite(x) and x > 0):
+        raise ConfigError(f"{context} must be finite and > 0, got {x!r}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Scalars and vectors
 # ---------------------------------------------------------------------------
@@ -443,20 +465,23 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if scalar_field not in ("real", "complex"):
         raise ConfigError("config: scalar_field must be 'real' or 'complex'")
     complex_field = scalar_field == "complex"
-    dim = int(_req(data, "dim", "config"))
-    if dim < 1:
-        raise ConfigError("config: dim must be a positive integer")
-    p = float(data.get("p", 2.0))
+    dim = _count(_req(data, "dim", "config"), "config.dim")
+    p = _positive(data.get("p", 2.0), "config.p")
+    if p < 1:
+        raise ConfigError(f"config.p must be >= 1, got {p!r}")
     seed = int(data.get("seed", 0))
     horizon = data.get("horizon")
-    horizon = None if horizon is None else int(horizon)
+    horizon = None if horizon is None else _count(horizon, "config.horizon")
     tol_data = data.get("tolerances", {})
     _check_keys(tol_data, {"membership", "convergence", "epsilon"},
                 "config.tolerances")
     tolerances = Tolerances(
-        membership=float(tol_data.get("membership", 1e-9)),
-        convergence=float(tol_data.get("convergence", 1e-6)),
-        epsilon=float(tol_data.get("epsilon", 1e-2)),
+        membership=_positive(tol_data.get("membership", 1e-9),
+                             "config.tolerances.membership"),
+        convergence=_positive(tol_data.get("convergence", 1e-6),
+                              "config.tolerances.convergence"),
+        epsilon=_positive(tol_data.get("epsilon", 1e-2),
+                          "config.tolerances.epsilon"),
     )
     try:
         operator = op_from_dict(_req(data, "operator", "config"))
@@ -489,10 +514,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         density = DensityBlock(
             candidate=candidate,
             targets=targets,
-            target_count=int(block.get("target_count", 32)),
+            target_count=_count(block.get("target_count", 32),
+                                "config.density.target_count"),
             target_radius=float(block.get("target_radius", 1.0)),
             include_outside=bool(block.get("include_outside", False)),
-            workers=int(block.get("workers", 1)),
+            workers=_count(block.get("workers", 1), "config.density.workers"),
         )
     criterion = None
     if data.get("criterion") is not None:
@@ -517,20 +543,23 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             pairs.append(BallPair(
                 u_center=_vec(_req(pair, "u_center", "pair"), "pair.u_center"),
                 v_center=_vec(_req(pair, "v_center", "pair"), "pair.v_center"),
-                radius=float(_req(pair, "radius", "pair")),
+                radius=_positive(_req(pair, "radius", "pair"),
+                                 f"config.transitivity.pairs[{i}].radius"),
             ))
         transitivity = TransitivityBlock(
             pairs=tuple(pairs),
-            samples_per_ball=int(block.get("samples_per_ball", 8)),
+            samples_per_ball=_count(block.get("samples_per_ball", 8),
+                                    "config.transitivity.samples_per_ball"),
         )
     build = None
     if data.get("build") is not None:
         block = data["build"]
         _check_keys(block, {"j_max", "c", "k_step"}, "config.build")
         build = BuildBlock(
-            j_max=int(_req(block, "j_max", "config.build")),
-            c=float(block.get("c", 1.0)),
-            k_step=int(block.get("k_step", 64)),
+            j_max=_count(_req(block, "j_max", "config.build"),
+                         "config.build.j_max"),
+            c=_positive(block.get("c", 1.0), "config.build.c"),
+            k_step=_count(block.get("k_step", 64), "config.build.k_step"),
         )
     return ExperimentConfig(
         dim=dim, operator=operator, version=version, scalar_field=scalar_field,

@@ -25,8 +25,9 @@ from typing import Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import (DimensionTooSmall, RecoveryRuleMissing,
-                     ScheduleInfeasible, TruncationOverflow)
+from .errors import (BuildVerificationFailed, DimensionTooSmall,
+                     RecoveryRuleMissing, ScheduleInfeasible,
+                     TruncationOverflow)
 from .dynamics import InvarianceResult, invariance_check
 from .operators import ConvexPolynomial, OperatorSpec, eval_poly, images
 from .spaces import (MEMBERSHIP_RTOL, BasisIndexSet, SubspaceSpec,
@@ -363,7 +364,7 @@ def build_cyclic_vector(inst: CriterionInstance, j_max: int, c: float = 1.0, *,
     The result is x = sum of the selected summands.  After the last step
     every target is re-verified against the budget's telescoped limit
     j * xi_j + sum_{i>j} xi_i; a violation would mean a bookkeeping bug,
-    so it raises.  Infeasibility at any step is an explicit error carrying
+    so it raises BuildVerificationFailed.  Infeasibility at any step is an explicit error carrying
     the best bound achieved, never a silent relaxation.
     """
     if j_max < 1:
@@ -428,9 +429,7 @@ def build_cyclic_vector(inst: CriterionInstance, j_max: int, c: float = 1.0, *,
         limit = j * xi_j + tail[j - 1]
         err = row_distance(_orbit(inst, x, [inst.poly(k)])[0], x.p, inst.Y[j - 1])
         if err > limit * (1 + 1e-9) + 1e-15:
-            raise RuntimeError(
-                f"builder post-verification failed at step {j}: "
-                f"error {err:.3e} exceeds limit {limit:.3e}")
+            raise BuildVerificationFailed(step=j, error=err, limit=limit)
         out.append(BuildStep(j=j, k=k, xi=xi_j, four_term_bound=bound,
                              post_limit=limit, post_error=err))
     return BuildResult(x=x, steps=tuple(out))

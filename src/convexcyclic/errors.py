@@ -22,6 +22,21 @@ class TruncationOverflow(ConvexCyclicError):
     """
 
 
+class NumericalOverflow(ConvexCyclicError, ValueError):
+    """An orbit point stopped being finite in floating point.
+
+    ``degree`` is the degree d of the first power T^d x that was not
+    finite, or the degree of the polynomial whose sum of finite terms
+    overflowed.  It is also a ValueError, the error non-finite
+    coordinates raise everywhere else.
+    """
+
+    def __init__(self, degree: int):
+        self.degree = degree
+        super().__init__(
+            f"coordinates must be finite: the orbit overflowed at degree {degree}")
+
+
 class TargetOutsideSubspace(ConvexCyclicError):
     """A density target does not lie in the span of the chosen subspace."""
 
@@ -53,6 +68,23 @@ class ScheduleInfeasible(ConvexCyclicError):
             f"best achieved {best_bound:.3e}"
             + (f" at k={best_k}" if best_k is not None else "")
         )
+
+
+class BuildVerificationFailed(ConvexCyclicError):
+    """The built vector missed a step's error limit on re-evaluation.
+
+    Each selected summand passed its four-term bound, so this is a
+    failure of the builder's own invariant, not a property that failed
+    at this scale.  Carries the step, the measured error and the limit.
+    """
+
+    def __init__(self, step: int, error: float, limit: float):
+        self.step = step
+        self.error = error
+        self.limit = limit
+        super().__init__(
+            f"builder post-verification failed at step {step}: "
+            f"error {error:.3e} exceeds limit {limit:.3e}")
 
 
 class LambdaTooSmall(ConvexCyclicError):

@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, TruncationOverflow
+from .errors import DimensionMismatch, NumericalOverflow, TruncationOverflow
 from .spaces import TruncVector
 
 #: Upper bound on the bytes of images one engine block holds, counted at
@@ -214,7 +214,7 @@ def _act(op: OperatorSpec, X: np.ndarray, check: bool = True) -> np.ndarray:
     if check:
         bad = ~np.isfinite(out).all(axis=1)
         if bad.any():
-            raise _RowFailure(bad, ValueError("coordinates must be finite"))
+            raise _RowFailure(bad, NumericalOverflow(1))
     return out
 
 
@@ -462,6 +462,8 @@ def _images(op: OperatorSpec, X: np.ndarray, polys: Sequence[ConvexPolynomial]):
                 break
             except _RowFailure as failure:
                 rows, error = failure.rows & live, failure.error
+                if isinstance(error, NumericalOverflow):
+                    error = NumericalOverflow(i)
             except (DimensionMismatch, ValueError, TypeError) as exc:
                 rows, error = live.copy(), exc
             failed_at[rows] = i
@@ -478,7 +480,7 @@ def _images(op: OperatorSpec, X: np.ndarray, polys: Sequence[ConvexPolynomial]):
     nonfinite = ~np.isfinite(out).all(axis=2)
     fault = {}
     for j, r in zip(*np.nonzero(nonfinite | (failed_at[None, :] <= degrees[:, None]))):
-        fault[int(j), int(r)] = (ValueError("coordinates must be finite")
+        fault[int(j), int(r)] = (NumericalOverflow(int(degrees[j]))
                                  if nonfinite[j, r] else errors[r])
     return out, fault
 

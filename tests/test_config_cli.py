@@ -1,7 +1,9 @@
 """Config round-trips, strict parsing, and the CLI exit-code contract."""
 
 import json
+import math
 import os
+import types
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from convexcyclic import criteria
 from convexcyclic.cli import main
 from convexcyclic.config import (config_from_dict, config_to_dict,
                                  dumps_config, entry_to_config, loads_config,
@@ -297,3 +300,86 @@ class TestCliExitCodes:
         assert main(["density", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert len(report["per_target"]) == 8
+
+
+def _with(data: dict, path: str, value) -> dict:
+    """A copy of a config dict with the dotted field ``path`` set."""
+    data = json.loads(json.dumps(data))
+    *head, last = path.split(".")
+    node = data
+    for key in head:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[last] = value
+    return data
+
+
+def _run_invalid(tmp_path, capsys, data: dict, argv) -> str:
+    """Run the CLI on ``data``; assert exit 2 with no traceback, return stderr."""
+    cfg = write_config(tmp_path, "cfg.json", json.dumps(data))
+    code = main(argv + ["--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err
+    return err
+
+
+SCALAR_RULES = [
+    # (gallery entry, field, bad value, subcommand)
+    ("lemma_5_1", "p", 0.5, ["screen"]),
+    ("lemma_5_1", "p", math.inf, ["screen"]),
+    ("lemma_5_1", "dim", 0, ["screen"]),
+    ("lemma_5_1", "horizon", 0, ["screen"]),
+    ("lemma_5_1", "horizon", 0, ["criterion", "--which", "II"]),
+    ("lemma_5_1", "tolerances.epsilon", -1, ["screen"]),
+    ("lemma_5_1", "tolerances.epsilon", -1, ["criterion", "--which", "II"]),
+    ("lemma_5_1", "tolerances.epsilon", -1, ["build"]),
+    ("lemma_5_1", "tolerances.membership", 0, ["screen"]),
+    ("lemma_5_1", "tolerances.convergence", math.nan, ["criterion", "--which", "II"]),
+    ("lemma_5_1", "build.j_max", 0, ["build"]),
+    ("lemma_5_1", "build.k_step", 0, ["build"]),
+    ("lemma_5_1", "build.c", 0, ["build"]),
+    ("example_5_4", "density.target_count", 0, ["density"]),
+    ("example_5_4", "density.workers", 0, ["density"]),
+    ("example_5_4", "transitivity.samples_per_ball", 0, ["transitivity"]),
+    ("example_5_4", "transitivity.pairs.0.radius", 0, ["transitivity"]),
+]
+
+
+@pytest.mark.parametrize("entry,field,value,argv", SCALAR_RULES,
+                         ids=[f"{f}={v}-{a[0]}" for _, f, v, a in SCALAR_RULES])
+def test_invalid_config_scalar_exits_2(tmp_path, capsys, entry, field, value, argv):
+    data = json.loads(dumps_config(entry_to_config(build_entry(entry))))
+    err = _run_invalid(tmp_path, capsys, _with(data, field, value), argv)
+    assert f"config.{field.replace('.0.', '[0].')}" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--horizon", "0"), ("--epsilon", "-1"),
+                                        ("--epsilon", "nan")])
+def test_invalid_override_exits_2(tmp_path, capsys, flag, value):
+    data = json.loads(dumps_config(entry_to_config(build_entry("example_5_4"))))
+    err = _run_invalid(tmp_path, capsys, data, ["density", flag, value])
+    assert flag in err
+
+
+def test_numeric_overflow_exits_2(tmp_path, capsys):
+    # (2B)^d e_2047 = 2^d e_(2047-d) stops being finite at d = 1024.
+    data = {
+        "dim": 2048,
+        "operator": {"kind": "scale", "factor": 2.0,
+                     "inner": {"kind": "backward_shift", "weight": 1.0}},
+        "subspace": {"kind": "parity_zero", "parity": "even"},
+        "family": {"kind": "monomials", "max_degree": 1100},
+        "density": {"candidate": {"dim": 2048, "entries": [[2047, 1.0]]},
+                    "targets": [{"dim": 2048, "entries": [[1, 1.0]]}]},
+    }
+    err = _run_invalid(tmp_path, capsys, data, ["density"])
+    assert "NumericalOverflow" in err and "degree 1024" in err
+
+
+def test_builder_post_verification_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # A negative tail sum makes every post-verification limit unattainable.
+    fake_math = types.SimpleNamespace(**{**vars(math), "fsum": lambda xs: -1.0})
+    monkeypatch.setattr(criteria, "math", fake_math)
+    data = json.loads(dumps_config(entry_to_config(build_entry("example_5_4"))))
+    err = _run_invalid(tmp_path, capsys, data, ["build"])
+    assert "BuildVerificationFailed" in err and "step 1" in err

@@ -1,6 +1,10 @@
 """Orbits, density scoring, invariance checks and transitivity search."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from convexcyclic import (BackwardShift, BallPair, BasisIndexSet,
                           invariance_check,
                           materialize_subspace, norm, orbit_segment,
                           sample_ball, transitivity_search)
-from convexcyclic.dynamics import BallCenterOutsideSubspace
+from convexcyclic.dynamics import BallCenterOutsideSubspace, _scrambled_halton
 from convexcyclic.gallery import entry_example_5_4
 from oracles import dense_eval
 
@@ -261,3 +265,42 @@ def test_density_worker_determinism(seed, workers):
     for a, b in zip(serial.per_target, threaded.per_target):
         assert a.best_distance == b.best_distance
         assert a.witness_index == b.witness_index
+
+
+@pytest.fixture(scope="module")
+def scipy_qmc():
+    # scipy is a test-only reference implementation of the sampler.
+    return pytest.importorskip("scipy.stats.qmc")
+
+
+@given(st.integers(1, 1200), st.integers(1, 64), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 40))
+@settings(max_examples=30, deadline=None)
+def test_scrambled_halton_matches_scipy(scipy_qmc, d, n, seed, p_idx):
+    # Pair seeds as transitivity_search derives them, beyond 2**32 included.
+    for s in (seed, seed + 1000003 * p_idx):
+        expected = scipy_qmc.Halton(d=d, scramble=True, seed=s).random(n)
+        assert np.array_equal(_scrambled_halton(d, n, s), expected)
+
+
+def test_sampling_does_not_import_scipy():
+    import convexcyclic
+    src = str(Path(convexcyclic.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = (
+        "import sys\n"
+        "import convexcyclic as cc\n"
+        "entry = cc.build_entry('prop_4_8')\n"
+        "m = cc.materialize_subspace(entry.subspace, entry.dim)\n"
+        "pair = entry.pairs[0]\n"
+        "samples = cc.sample_ball(pair.v_center, m, pair.radius,\n"
+        "                         entry.samples_per_ball, entry.seed)\n"
+        "assert len(samples) == entry.samples_per_ball\n"
+        "print(sorted(k for k in sys.modules\n"
+        "             if k == 'scipy' or k.startswith('scipy.')))\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexcyclic import (BackwardShift, CesaroMeans, ConvexPolynomial,
-                          ForwardShift, Monomials, RandomSimplex, Scale,
-                          SimplexGrid, TruncationOverflow, TruncVector,
-                          eval_poly, images, operators, orbit_segment)
+                          ForwardShift, Identity, Monomials, NumericalOverflow,
+                          RandomSimplex, Scale, SimplexGrid,
+                          TruncationOverflow, TruncVector, apply, eval_poly,
+                          images, operators, orbit_segment)
 from oracles import dense_eval, loop_images, random_operator, random_vector
 
 FAMILIES = {
@@ -115,3 +116,21 @@ def test_non_finite_power_raises_value_error():
     # Members below the failing degree are unaffected.
     out = images(Scale(2.0, BackwardShift()), x, [ConvexPolynomial.identity()])
     assert np.array_equal(out[0], x)
+
+
+def test_numerical_overflow_carries_the_degree():
+    # 2B e_1100: the power T^d x = 2^d e_(1100-d) first overflows at d = 1024.
+    x = TruncVector.basis(1100, 1101)
+    with pytest.raises(NumericalOverflow) as info:
+        eval_poly(ConvexPolynomial.monomial(1030), Scale(2.0, BackwardShift()), x)
+    assert info.value.degree == 1024
+    assert isinstance(info.value, ValueError)
+    with pytest.raises(NumericalOverflow) as info:
+        apply(Scale(2.0, BackwardShift()), TruncVector(np.array([0.0, 1e308])))
+    assert info.value.degree == 1
+    # A sum of finite signed terms that overflows names the member's degree.
+    P = ConvexPolynomial((-1.0, 0.0, 0.0, 2.0), allow_signed=True)
+    out, fault = operators._images(Identity(), np.array([[1e308]]), [P])
+    assert list(fault) == [(0, 0)]
+    assert isinstance(fault[0, 0], NumericalOverflow)
+    assert fault[0, 0].degree == 3
