@@ -22,9 +22,9 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import (ExperimentConfig, _count, _positive, config_to_dict,
-                     dumps_config, entry_to_config, load_config,
-                     vector_to_dict)
+from .config import (BuildBlock, ExperimentConfig, _count, _positive,
+                     config_to_dict, dumps_config, entry_to_config,
+                     load_config, vector_to_dict)
 from .criteria import (build_cyclic_vector, check_criterion_I, check_criterion_II,
                        recovery_decay)
 from .dynamics import (Verdict, default_density_targets, density_score,
@@ -63,14 +63,21 @@ def _poly_payload(P) -> dict:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
     # Overrides obey the same ranges the config parser enforces.
+    if getattr(args, "seed", None) is not None:
+        cfg.seed = _count(args.seed, "--seed", least=0)
     if getattr(args, "horizon", None) is not None:
         cfg.horizon = _count(args.horizon, "--horizon")
     if getattr(args, "epsilon", None) is not None:
         cfg.tolerances.epsilon = _positive(args.epsilon, "--epsilon")
     return cfg
+
+
+def _build(cfg: ExperimentConfig, block: BuildBlock):
+    """The builder on the config's criterion instance, with its tolerances."""
+    return build_cyclic_vector(cfg.criterion_instance(), block.j_max, block.c,
+                               k_step=block.k_step,
+                               membership_rtol=cfg.tolerances.membership)
 
 
 def run_density(cfg: ExperimentConfig, out: Path) -> int:
@@ -80,11 +87,7 @@ def run_density(cfg: ExperimentConfig, out: Path) -> int:
         raise ConfigError("density runs need a 'density' block")
     m = materialize_subspace(cfg.subspace, cfg.dim)
     if cfg.density.candidate == "build":
-        build = build_cyclic_vector(cfg.criterion_instance(),
-                                    cfg.build.j_max if cfg.build else 4,
-                                    cfg.build.c if cfg.build else 1.0,
-                                    k_step=cfg.build.k_step if cfg.build else 64)
-        candidate = build.x
+        candidate = _build(cfg, cfg.build or BuildBlock(j_max=4)).x
     else:
         candidate = cfg.density.candidate
     if cfg.density.targets == "default":
@@ -97,7 +100,6 @@ def run_density(cfg: ExperimentConfig, out: Path) -> int:
     report = density_score(cfg.operator, candidate, m, cfg.family, targets,
                            epsilon=cfg.tolerances.epsilon,
                            membership_rtol=cfg.tolerances.membership,
-                           include_outside=cfg.density.include_outside,
                            workers=cfg.density.workers)
 
     records = []
@@ -230,13 +232,10 @@ def run_transitivity(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def run_build(cfg: ExperimentConfig, out: Path) -> int:
-    inst = cfg.criterion_instance()
     if cfg.build is None:
         raise ConfigError("build runs need a 'build' block")
     try:
-        result = build_cyclic_vector(inst, cfg.build.j_max, cfg.build.c,
-                                     k_step=cfg.build.k_step,
-                                     membership_rtol=cfg.tolerances.membership)
+        result = _build(cfg, cfg.build)
     except ScheduleInfeasible as err:
         payload = {"kind": "build_result", "feasible": False,
                    "failed_step": err.step, "required": err.required,
@@ -367,6 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Orbits and distances check finiteness themselves and report overflow as
+# NumericalOverflow; numpy's overflow warnings would only repeat it on stderr.
+@np.errstate(over="ignore")
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

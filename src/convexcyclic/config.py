@@ -43,14 +43,14 @@ def _req(data: dict, key: str, context: str):
     return data[key]
 
 
-def _count(value, context: str) -> int:
-    """A config integer that must be at least 1."""
+def _count(value, context: str, least: int = 1) -> int:
+    """A config integer that must be at least ``least``."""
     try:
         n = int(value)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{context}: expected an integer, got {value!r}") from err
-    if n < 1:
-        raise ConfigError(f"{context} must be >= 1, got {n}")
+    if n < least:
+        raise ConfigError(f"{context} must be >= {least}, got {n}")
     return n
 
 
@@ -213,7 +213,7 @@ def subspace_to_dict(spec: SubspaceSpec) -> dict:
         return {"kind": "parity_zero", "parity": spec.parity}
     if isinstance(spec, RecursiveSpan):
         return {"kind": "recursive_span", "offsets": list(spec.n_seq),
-                "depth": spec.depth, "shift_weight": spec.shift_weight}
+                "depth": spec.depth}
     if isinstance(spec, DirectSumFactor):
         out = {"kind": "direct_sum_factor", "position": spec.position,
                "split": spec.split}
@@ -239,10 +239,11 @@ def subspace_from_dict(data: dict, context: str = "subspace") -> SubspaceSpec:
             _check_keys(data, {"kind", "parity"}, context)
             return ParityZero(str(_req(data, "parity", context)))
         if kind == "recursive_span":
+            # "shift_weight" is accepted and ignored: configs written before
+            # it was removed still load.
             _check_keys(data, {"kind", "offsets", "depth", "shift_weight"}, context)
             return RecursiveSpan(tuple(int(i) for i in _req(data, "offsets", context)),
-                                 depth=int(_req(data, "depth", context)),
-                                 shift_weight=float(data.get("shift_weight", 0.5)))
+                                 depth=int(_req(data, "depth", context)))
         if kind == "direct_sum_factor":
             _check_keys(data, {"kind", "position", "split", "inner"}, context)
             inner = data.get("inner")
@@ -293,7 +294,8 @@ def family_from_dict(data: dict, context: str = "family") -> PolynomialFamily:
             _check_keys(data, {"kind", "degree", "count", "seed"}, context)
             return RandomSimplex(int(_req(data, "degree", context)),
                                  int(_req(data, "count", context)),
-                                 int(_req(data, "seed", context)))
+                                 _count(_req(data, "seed", context), f"{context}.seed",
+                                        least=0))
     except ValueError as err:
         raise ConfigError(f"{context}: {err}") from err
     raise ConfigError(f"{context}: unknown family kind {kind!r}")
@@ -383,7 +385,6 @@ class DensityBlock:
     targets: Union[Tuple[TruncVector, ...], str] = "default"
     target_count: int = 32
     target_radius: float = 1.0
-    include_outside: bool = False
     workers: int = 1
 
 
@@ -412,7 +413,6 @@ class BuildBlock:
 class ExperimentConfig:
     dim: int
     operator: OperatorSpec
-    version: int = CONFIG_VERSION
     scalar_field: str = "real"
     p: float = 2.0
     seed: int = 0
@@ -469,7 +469,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     p = _positive(data.get("p", 2.0), "config.p")
     if p < 1:
         raise ConfigError(f"config.p must be >= 1, got {p!r}")
-    seed = int(data.get("seed", 0))
+    seed = _count(data.get("seed", 0), "config.seed", least=0)
     horizon = data.get("horizon")
     horizon = None if horizon is None else _count(horizon, "config.horizon")
     tol_data = data.get("tolerances", {})
@@ -492,7 +492,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         subspace = subspace_from_dict(data["subspace"])
     family = None
     if data.get("family") is not None:
-        family = family_from_dict(data["family"])
+        family = family_from_dict(data["family"], "config.family")
     allow_signed = bool(data.get("allow_signed_coefficients", False))
 
     def _vec(obj, context):
@@ -502,8 +502,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if data.get("density") is not None:
         block = data["density"]
         _check_keys(block, {"candidate", "targets", "target_count",
-                            "target_radius", "include_outside", "workers"},
-                    "config.density")
+                            "target_radius", "workers"}, "config.density")
         cand = _req(block, "candidate", "config.density")
         candidate = cand if cand == "build" else _vec(cand, "config.density.candidate")
         targets_obj = block.get("targets", "default")
@@ -517,7 +516,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             target_count=_count(block.get("target_count", 32),
                                 "config.density.target_count"),
             target_radius=float(block.get("target_radius", 1.0)),
-            include_outside=bool(block.get("include_outside", False)),
             workers=_count(block.get("workers", 1), "config.density.workers"),
         )
     criterion = None
@@ -562,7 +560,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             k_step=_count(block.get("k_step", 64), "config.build.k_step"),
         )
     return ExperimentConfig(
-        dim=dim, operator=operator, version=version, scalar_field=scalar_field,
+        dim=dim, operator=operator, scalar_field=scalar_field,
         p=p, seed=seed, horizon=horizon, tolerances=tolerances,
         subspace=subspace, family=family,
         allow_signed_coefficients=allow_signed,
@@ -574,7 +572,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     out: dict = {
-        "version": cfg.version,
+        "version": CONFIG_VERSION,
         "scalar_field": cfg.scalar_field,
         "dim": cfg.dim,
         "p": cfg.p,
@@ -605,8 +603,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             block["target_radius"] = cfg.density.target_radius
         else:
             block["targets"] = [vector_to_dict(t) for t in cfg.density.targets]
-        if cfg.density.include_outside:
-            block["include_outside"] = True
         if cfg.density.workers != 1:
             block["workers"] = cfg.density.workers
         out["density"] = block

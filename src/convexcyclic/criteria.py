@@ -20,15 +20,15 @@ selections) and runs single-threaded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (BuildVerificationFailed, DimensionTooSmall,
                      RecoveryRuleMissing, ScheduleInfeasible,
                      TruncationOverflow)
-from .dynamics import InvarianceResult, invariance_check
+from .dynamics import invariance_check
 from .operators import ConvexPolynomial, OperatorSpec, eval_poly, images
 from .spaces import (MEMBERSHIP_RTOL, BasisIndexSet, SubspaceSpec,
                      TruncVector, coords_norm, distance_to_subspace,
@@ -97,8 +97,7 @@ class CriterionInstance:
     """One criterion-checking problem: operator, subspace, samples, polys.
 
     X and Y are finite stand-ins for the criterion's dense subsets.  The
-    recovery map may be a single rule shared by every y, a per-target
-    mapping from Y-index to rule, or None (condition 2 then raises
+    recovery rule is shared by every y, or None (condition 2 then raises
     RecoveryRuleMissing).
     """
 
@@ -108,7 +107,7 @@ class CriterionInstance:
     X: tuple
     Y: tuple
     polys: tuple
-    recovery: Optional[object] = None
+    recovery: Optional[RecoveryRule] = None
     membership_rtol: float = MEMBERSHIP_RTOL
 
     def __post_init__(self):
@@ -140,8 +139,6 @@ class CriterionInstance:
     def recovery_vector(self, y_index: int, k: int) -> TruncVector:
         """The recovery vector x_k for target Y[y_index]."""
         rule = self.recovery
-        if isinstance(rule, Mapping):
-            rule = rule.get(y_index)
         if rule is None:
             raise RecoveryRuleMissing(
                 f"no recovery rule for target index {y_index}")

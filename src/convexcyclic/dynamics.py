@@ -24,7 +24,7 @@ import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -133,13 +133,12 @@ def orbit_segment(op: OperatorSpec, x: TruncVector,
 def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
                   family: PolynomialFamily, targets: Sequence[TruncVector],
                   epsilon: float, *, membership_rtol: float = MEMBERSHIP_RTOL,
-                  include_outside: bool = False, workers: int = 1) -> DensityReport:
+                  workers: int = 1) -> DensityReport:
     """How well do admissible orbit points cover the targets?
 
     For each target y the score is min over the family of ||P(T)x - y||,
-    restricted to orbit points inside the subspace (the orbit is
-    intersected with the subspace before density is asked for); points
-    outside are excluded unless ``include_outside`` is set.  The verdict
+    restricted to orbit points inside the subspace: the orbit is
+    intersected with the subspace before density is asked for.  The verdict
     is DenseAtScale exactly when every best distance is <= epsilon.
     Witnesses break ties toward the first family member within 1e-12 of
     the minimum.  The orbit is streamed in engine blocks and never held
@@ -170,8 +169,7 @@ def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
             raise next(iter(fault.values()))
         rows = []
         for j, w in enumerate(out[:, 0]):
-            if include_outside or off_span_norm(w, mask, x.p) <= \
-                    _tolerance(w, x.p, membership_rtol):
+            if off_span_norm(w, mask, x.p) <= _tolerance(w, x.p, membership_rtol):
                 admissible.append(j0 + j)
                 rows.append(w)
 

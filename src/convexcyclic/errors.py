@@ -23,18 +23,19 @@ class TruncationOverflow(ConvexCyclicError):
 
 
 class NumericalOverflow(ConvexCyclicError, ValueError):
-    """An orbit point stopped being finite in floating point.
+    """An orbit point or a distance stopped being finite in floating point.
 
     ``degree`` is the degree d of the first power T^d x that was not
     finite, or the degree of the polynomial whose sum of finite terms
-    overflowed.  It is also a ValueError, the error non-finite
-    coordinates raise everywhere else.
+    overflowed; it is None when ``what`` overflowed outside an orbit.
+    It is also a ValueError, the error non-finite coordinates raise
+    everywhere else.
     """
 
-    def __init__(self, degree: int):
+    def __init__(self, degree: int | None, what: str = "the orbit"):
         self.degree = degree
-        super().__init__(
-            f"coordinates must be finite: the orbit overflowed at degree {degree}")
+        at = "" if degree is None else f" at degree {degree}"
+        super().__init__(f"coordinates must be finite: {what} overflowed{at}")
 
 
 class TargetOutsideSubspace(ConvexCyclicError):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -32,6 +31,10 @@ from .spaces import TruncVector
 #: Upper bound on the bytes of images one engine block holds, counted at
 #: complex128 size; the running power block is no larger.
 BLOCK_BYTES = 2 * 1024 * 1024
+
+#: The screen's growth test: some ||T^n|| estimate within the horizon
+#: must reach this value.
+GROWTH_THRESHOLD = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +366,9 @@ class ScreenReport:
         return self.norm_exceeds_one and self.growth_attained
 
 
-def screen_necessary_conditions(op: OperatorSpec, dim: int, horizon: int,
-                                growth_threshold: float = 10.0) -> ScreenReport:
-    """Check ||T|| > 1 and that ||T^n|| estimates clear a growth threshold
+def screen_necessary_conditions(op: OperatorSpec, dim: int,
+                                horizon: int) -> ScreenReport:
+    """Check ||T|| > 1 and that ||T^n|| estimates reach GROWTH_THRESHOLD
     within the horizon."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -375,8 +378,8 @@ def screen_necessary_conditions(op: OperatorSpec, dim: int, horizon: int,
         norm_estimate=nrm,
         norm_exceeds_one=nrm > 1.0 + 1e-12,
         power_norms=powers,
-        growth_threshold=growth_threshold,
-        growth_attained=max(powers) >= growth_threshold,
+        growth_threshold=GROWTH_THRESHOLD,
+        growth_attained=max(powers) >= GROWTH_THRESHOLD,
     )
 
 
@@ -627,6 +630,8 @@ class RandomSimplex:
             raise ValueError("degree must be nonnegative")
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def members(self) -> Tuple[ConvexPolynomial, ...]:
         rng = np.random.default_rng(self.seed)

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionTooSmall
+from .errors import DimensionMismatch, DimensionTooSmall, NumericalOverflow
 
 #: Default relative tolerance for membership tests: a vector counts as
 #: inside a subspace when its residual is below rtol * max(1, ||v||).
@@ -62,10 +62,6 @@ class TruncVector:
     @property
     def dim(self) -> int:
         return int(self.coords.size)
-
-    @property
-    def is_complex(self) -> bool:
-        return bool(np.iscomplexobj(self.coords))
 
     @classmethod
     def zeros(cls, dim: int, p: float = 2.0, complex_field: bool = False) -> "TruncVector":
@@ -190,13 +186,6 @@ class IntervalFamily:
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "ends", ends)
 
-    def gaps(self) -> tuple:
-        """Sizes n_{k+1} - m_k between consecutive intervals."""
-        return tuple(self.starts[k + 1] - self.ends[k] for k in range(len(self.starts) - 1))
-
-    def widths(self) -> tuple:
-        return tuple(m - n for n, m in zip(self.starts, self.ends))
-
 
 @dataclass(frozen=True)
 class ParityZero:
@@ -223,7 +212,6 @@ class RecursiveSpan:
 
     n_seq: tuple
     depth: int
-    shift_weight: float = 0.5
 
     def __post_init__(self):
         seq = tuple(int(n) for n in self.n_seq)
@@ -239,9 +227,6 @@ class RecursiveSpan:
                 )
         if not 0 <= self.depth <= len(seq) - 1:
             raise ValueError(f"depth {self.depth} outside [0, {len(seq) - 1}]")
-        w = self.shift_weight
-        if w == 0 or not math.isfinite(abs(w)):
-            raise ValueError("shift weight must be finite and nonzero")
         object.__setattr__(self, "n_seq", seq)
         object.__setattr__(self, "depth", int(self.depth))
 
@@ -367,7 +352,8 @@ def distance_to_subspace(v: TruncVector, m: BasisIndexSet) -> float:
 
 def row_distance(row: np.ndarray, p: float, y: TruncVector) -> float:
     """``norm(w - y)`` for a raw row w of exponent ``p``, with the checks
-    ``TruncVector`` subtraction makes: same dim, same p, finite result."""
+    ``TruncVector`` subtraction makes: same dim, same p, finite result.
+    A difference that overflows raises NumericalOverflow (a ValueError)."""
     if row.size != y.dim:
         raise DimensionMismatch(f"dims differ: {row.size} vs {y.dim}")
     if p != y.p:
@@ -375,7 +361,7 @@ def row_distance(row: np.ndarray, p: float, y: TruncVector) -> float:
     diff = row - y.coords
     dist = coords_norm(diff, p)
     if not math.isfinite(dist) and not np.all(np.isfinite(diff)):
-        raise ValueError("coordinates must be finite")
+        raise NumericalOverflow(None, "the distance ||w - y||")
     return dist
 
 

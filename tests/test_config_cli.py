@@ -6,12 +6,13 @@ import os
 import types
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from convexcyclic import criteria
+from convexcyclic import cli, criteria
 from convexcyclic.cli import main
 from convexcyclic.config import (config_from_dict, config_to_dict,
                                  dumps_config, entry_to_config, loads_config,
@@ -314,12 +315,17 @@ def _with(data: dict, path: str, value) -> dict:
 
 
 def _run_invalid(tmp_path, capsys, data: dict, argv) -> str:
-    """Run the CLI on ``data``; assert exit 2 with no traceback, return stderr."""
+    """Run the CLI on ``data``; assert exit 2 with no traceback and no
+    numpy warning, return stderr."""
     cfg = write_config(tmp_path, "cfg.json", json.dumps(data))
-    code = main(argv + ["--config", cfg, "--out", str(tmp_path / "o")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + ["--config", cfg, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 2, err
     assert "Traceback" not in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     return err
 
 
@@ -342,6 +348,12 @@ SCALAR_RULES = [
     ("example_5_4", "density.workers", 0, ["density"]),
     ("example_5_4", "transitivity.samples_per_ball", 0, ["transitivity"]),
     ("example_5_4", "transitivity.pairs.0.radius", 0, ["transitivity"]),
+    ("example_5_4", "seed", -1, ["transitivity"]),
+    ("example_5_4", "seed", -1, ["density"]),
+    ("example_5_4", "family",
+     {"kind": "random_simplex", "degree": 3, "count": 5, "seed": -4}, ["transitivity"]),
+    ("example_5_4", "family",
+     {"kind": "random_simplex", "degree": 3, "count": 5, "seed": -4}, ["density"]),
 ]
 
 
@@ -351,10 +363,12 @@ def test_invalid_config_scalar_exits_2(tmp_path, capsys, entry, field, value, ar
     data = json.loads(dumps_config(entry_to_config(build_entry(entry))))
     err = _run_invalid(tmp_path, capsys, _with(data, field, value), argv)
     assert f"config.{field.replace('.0.', '[0].')}" in err
+    if field == "family":
+        assert "config.family.seed" in err
 
 
 @pytest.mark.parametrize("flag,value", [("--horizon", "0"), ("--epsilon", "-1"),
-                                        ("--epsilon", "nan")])
+                                        ("--epsilon", "nan"), ("--seed", "-1")])
 def test_invalid_override_exits_2(tmp_path, capsys, flag, value):
     data = json.loads(dumps_config(entry_to_config(build_entry("example_5_4"))))
     err = _run_invalid(tmp_path, capsys, data, ["density", flag, value])
@@ -374,6 +388,60 @@ def test_numeric_overflow_exits_2(tmp_path, capsys):
     }
     err = _run_invalid(tmp_path, capsys, data, ["density"])
     assert "NumericalOverflow" in err and "degree 1024" in err
+
+
+def test_distance_overflow_exits_2(tmp_path, capsys):
+    # Both vectors are finite, but w - y = 3.4e308 e_1 is not.
+    data = {
+        "dim": 4,
+        "operator": {"kind": "identity"},
+        "subspace": {"kind": "index_set", "indices": [1]},
+        "family": {"kind": "monomials", "max_degree": 2},
+        "density": {"candidate": {"dim": 4, "entries": [[1, 1.7e308]]},
+                    "targets": [{"dim": 4, "entries": [[1, -1.7e308]]}]},
+    }
+    err = _run_invalid(tmp_path, capsys, data, ["density"])
+    assert "NumericalOverflow" in err and "distance" in err
+
+
+def test_density_and_build_call_the_builder_alike(tmp_path, monkeypatch):
+    # A candidate "build" runs the builder exactly as the build subcommand
+    # does, tolerances included.
+    calls = []
+    real = cli.build_cyclic_vector
+
+    def spy(inst, *args, **kwargs):
+        calls.append((inst.membership_rtol, args, kwargs))
+        return real(inst, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_cyclic_vector", spy)
+    data = json.loads(dumps_config(entry_to_config(build_entry("example_5_4"))))
+    data["tolerances"]["membership"] = 1e-7
+    cfg = write_config(tmp_path, "cfg.json", json.dumps(data))
+    for command in ("density", "build"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+    assert len(calls) == 2 and calls[0] == calls[1]
+    assert calls[0][0] == 1e-7 and calls[0][2]["membership_rtol"] == 1e-7
+
+
+def test_config_with_shift_weight_still_loads():
+    # A recursive_span written with the removed "shift_weight" key loads,
+    # and re-dumps without it; nothing else changes.
+    old = (Path(__file__).parent / "data" / "example_5_2_shift_weight.json").read_text()
+    new = dumps_config(loads_config(old))
+    assert "shift_weight" not in new
+    assert new == dumps_config(entry_to_config(build_entry("example_5_2")))
+    assert json.loads(new)["subspace"] == {
+        k: v for k, v in json.loads(old)["subspace"].items() if k != "shift_weight"}
+
+
+def test_density_include_outside_exits_2(tmp_path, capsys):
+    # The removed switch scored orbit points outside the subspace; ignoring
+    # it silently would change the run.
+    data = json.loads(dumps_config(entry_to_config(build_entry("example_5_4"))))
+    data["density"]["include_outside"] = True
+    err = _run_invalid(tmp_path, capsys, data, ["density"])
+    assert "config.density" in err and "include_outside" in err
 
 
 def test_builder_post_verification_failure_exits_2(tmp_path, capsys, monkeypatch):

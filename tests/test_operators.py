@@ -235,6 +235,10 @@ class TestFamilies:
             b = [P.coeffs for P in family.members()]
             assert a == b
 
+    def test_random_simplex_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            RandomSimplex(3, 6, seed=-4)
+
     def test_random_simplex_seed_sensitivity(self):
         a = [P.coeffs for P in RandomSimplex(3, 6, seed=1).members()]
         b = [P.coeffs for P in RandomSimplex(3, 6, seed=2).members()]

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from convexcyclic import (BasisIndexSet, DimensionMismatch, DimensionTooSmall,
                           DirectSumFactor, IndexSet, IntervalFamily,
-                          ParityZero, RecursiveSpan, TruncVector,
-                          distance_to_subspace, is_member,
+                          NumericalOverflow, ParityZero, RecursiveSpan,
+                          TruncVector, distance_to_subspace, is_member,
                           materialize_subspace, norm, project)
+from convexcyclic.spaces import row_distance
 
 
 def scalar_loop_norm(coords, p):
@@ -137,6 +138,13 @@ class TestProjectAndDistance:
             project(TruncVector.zeros(5), m)
         with pytest.raises(DimensionMismatch):
             distance_to_subspace(TruncVector.zeros(5), m)
+
+    def test_row_distance_overflow(self):
+        y = TruncVector(np.array([0.0, -1.7e308]))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalOverflow, match="distance") as info:
+                row_distance(np.array([0.0, 1.7e308]), 2.0, y)
+        assert isinstance(info.value, ValueError) and info.value.degree is None
 
     def test_membership_tolerance_scales(self):
         m = BasisIndexSet((0,), 2)
