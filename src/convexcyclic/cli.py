@@ -75,17 +75,28 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 def _build(cfg: ExperimentConfig, block: BuildBlock):
     """The builder on the config's criterion instance, with its tolerances."""
-    return build_cyclic_vector(cfg.criterion_instance(), block.j_max, block.c,
+    inst = cfg.criterion_instance()
+    if not inst.Y:
+        raise ConfigError("config.criterion.Y: the builder needs at least one target")
+    return build_cyclic_vector(inst, block.j_max, block.c,
                                k_step=block.k_step,
                                membership_rtol=cfg.tolerances.membership)
 
 
-def run_density(cfg: ExperimentConfig, out: Path) -> int:
+def _subspace(cfg: ExperimentConfig, command: str):
+    """The config's subspace at its dim, for the orbit diagnostics."""
     if cfg.subspace is None or cfg.family is None:
-        raise ConfigError("density runs need 'subspace' and 'family' blocks")
-    if cfg.density is None:
-        raise ConfigError("density runs need a 'density' block")
+        raise ConfigError(f"{command} runs need 'subspace' and 'family' blocks")
+    if getattr(cfg, command) is None:
+        raise ConfigError(f"{command} runs need a '{command}' block")
     m = materialize_subspace(cfg.subspace, cfg.dim)
+    if len(m) == 0:
+        raise ConfigError(f"config.subspace spans nothing at config.dim {cfg.dim}")
+    return m
+
+
+def run_density(cfg: ExperimentConfig, out: Path) -> int:
+    m = _subspace(cfg, "density")
     if cfg.density.candidate == "build":
         candidate = _build(cfg, cfg.build or BuildBlock(j_max=4)).x
     else:
@@ -99,8 +110,7 @@ def run_density(cfg: ExperimentConfig, out: Path) -> int:
         targets = list(cfg.density.targets)
     report = density_score(cfg.operator, candidate, m, cfg.family, targets,
                            epsilon=cfg.tolerances.epsilon,
-                           membership_rtol=cfg.tolerances.membership,
-                           workers=cfg.density.workers)
+                           membership_rtol=cfg.tolerances.membership)
 
     records = []
     for i, score in enumerate(report.per_target):
@@ -194,11 +204,7 @@ def run_criterion(cfg: ExperimentConfig, which: str, out: Path) -> int:
 
 
 def run_transitivity(cfg: ExperimentConfig, out: Path) -> int:
-    if cfg.subspace is None or cfg.family is None:
-        raise ConfigError("transitivity runs need 'subspace' and 'family' blocks")
-    if cfg.transitivity is None:
-        raise ConfigError("transitivity runs need a 'transitivity' block")
-    m = materialize_subspace(cfg.subspace, cfg.dim)
+    m = _subspace(cfg, "transitivity")
     report = transitivity_search(cfg.operator, m, list(cfg.transitivity.pairs),
                                  cfg.family,
                                  samples_per_ball=cfg.transitivity.samples_per_ball,

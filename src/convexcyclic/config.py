@@ -32,6 +32,8 @@ CONFIG_VERSION = 1
 
 
 def _check_keys(data: dict, allowed, context: str):
+    if not isinstance(data, dict):
+        raise ConfigError(f"{context}: expected an object, got {data!r}")
     unknown = set(data) - set(allowed)
     if unknown:
         raise ConfigError(f"{context}: unknown field(s) {sorted(unknown)}")
@@ -43,23 +45,44 @@ def _req(data: dict, key: str, context: str):
     return data[key]
 
 
-def _count(value, context: str, least: int = 1) -> int:
-    """A config integer that must be at least ``least``."""
+def _list(data: dict, key: str, context: str) -> list:
+    """A required config field that must be a JSON array."""
+    value = _req(data, key, context)
+    if not isinstance(value, list):
+        raise ConfigError(f"{context}.{key}: expected a list, got {value!r}")
+    return value
+
+
+def _real(value, context: str) -> float:
+    """A config number: a JSON integer or float, never a boolean or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{context}: expected a number, got {value!r}")
     try:
-        n = int(value)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{context}: expected an integer, got {value!r}") from err
+        return float(value)
+    except OverflowError as err:
+        raise ConfigError(f"{context}: expected a number in float range") from err
+
+
+def _count(value, context: str, least: int = 1) -> int:
+    """A config integer that must be at least ``least``.  Integral floats
+    such as 2.0 are accepted; 2.7, infinities, booleans and strings are not."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{context}: expected an integer, got {value!r}")
+    n = int(value)
     if n < least:
         raise ConfigError(f"{context} must be >= {least}, got {n}")
     return n
 
 
+def _counts(data: dict, key: str, context: str) -> tuple:
+    """A required list of config integers >= 0."""
+    return tuple(_count(i, f"{context}.{key}", least=0) for i in _list(data, key, context))
+
+
 def _positive(value, context: str) -> float:
     """A config real that must be finite and greater than 0."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{context}: expected a number, got {value!r}") from err
+    x = _real(value, context)
     if not (math.isfinite(x) and x > 0):
         raise ConfigError(f"{context} must be finite and > 0, got {x!r}")
     return x
@@ -78,11 +101,11 @@ def scalar_to_json(x):
 
 
 def scalar_from_json(obj, context: str):
-    if isinstance(obj, (int, float)):
-        return float(obj)
     if isinstance(obj, list) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
-    raise ConfigError(f"{context}: expected a number or [re, im] pair")
+        return complex(_real(obj[0], context), _real(obj[1], context))
+    if isinstance(obj, list):
+        raise ConfigError(f"{context}: expected a number or [re, im] pair")
+    return _real(obj, context)
 
 
 def vector_to_dict(v: TruncVector) -> dict:
@@ -98,29 +121,30 @@ def vector_to_dict(v: TruncVector) -> dict:
 
 def vector_from_dict(data: dict, context: str, p: float = 2.0,
                      complex_field: bool = False) -> TruncVector:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{context}: expected a vector object")
     _check_keys(data, {"dim", "entries"}, context)
-    dim = int(_req(data, "dim", context))
-    entries = _req(data, "entries", context)
+    dim = _count(_req(data, "dim", context), f"{context}.dim")
+    entries = _list(data, "entries", context)
     coords = np.zeros(dim, dtype=np.complex128 if complex_field else np.float64)
     for entry in entries:
-        if len(entry) == 2:
+        if isinstance(entry, list) and len(entry) == 2:
             i, val = entry
-            value = float(val)
-        elif len(entry) == 3:
+            value = _real(val, context)
+        elif isinstance(entry, list) and len(entry) == 3:
             i, re, im = entry
-            value = complex(float(re), float(im))
+            value = complex(_real(re, context), _real(im, context))
             if not complex_field and im != 0:
                 raise ConfigError(f"{context}: complex entry in a real experiment")
         else:
             raise ConfigError(f"{context}: vector entries are [index, value] "
                               "or [index, re, im]")
-        i = int(i)
-        if not 0 <= i < dim:
+        i = _count(i, f"{context}: entry index", least=0)
+        if i >= dim:
             raise ConfigError(f"{context}: entry index {i} outside [0, {dim})")
         coords[i] = value
-    return TruncVector(coords, p=p)
+    try:
+        return TruncVector(coords, p=p)
+    except ValueError as err:
+        raise ConfigError(f"{context}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +210,12 @@ def op_from_dict(data: dict, context: str = "operator") -> OperatorSpec:
         _check_keys(data, {"kind", "left", "right", "split"}, context)
         return DirectSum(op_from_dict(_req(data, "left", context), context + ".left"),
                          op_from_dict(_req(data, "right", context), context + ".right"),
-                         split=int(_req(data, "split", context)))
+                         split=_count(_req(data, "split", context), f"{context}.split"))
     if kind == "dense":
         _check_keys(data, {"kind", "matrix"}, context)
-        rows = _req(data, "matrix", context)
+        rows = _list(data, "matrix", context)
+        if not all(isinstance(row, list) for row in rows):
+            raise ConfigError(f"{context}.matrix: expected a list of rows")
         parsed = [[scalar_from_json(c, context) for c in row] for row in rows]
         return Dense(np.asarray(parsed))
     if kind == "identity":
@@ -230,11 +256,11 @@ def subspace_from_dict(data: dict, context: str = "subspace") -> SubspaceSpec:
     try:
         if kind == "index_set":
             _check_keys(data, {"kind", "indices"}, context)
-            return IndexSet(tuple(int(i) for i in _req(data, "indices", context)))
+            return IndexSet(_counts(data, "indices", context))
         if kind == "interval_family":
             _check_keys(data, {"kind", "starts", "ends"}, context)
-            return IntervalFamily(tuple(int(i) for i in _req(data, "starts", context)),
-                                  tuple(int(i) for i in _req(data, "ends", context)))
+            return IntervalFamily(_counts(data, "starts", context),
+                                  _counts(data, "ends", context))
         if kind == "parity_zero":
             _check_keys(data, {"kind", "parity"}, context)
             return ParityZero(str(_req(data, "parity", context)))
@@ -242,14 +268,16 @@ def subspace_from_dict(data: dict, context: str = "subspace") -> SubspaceSpec:
             # "shift_weight" is accepted and ignored: configs written before
             # it was removed still load.
             _check_keys(data, {"kind", "offsets", "depth", "shift_weight"}, context)
-            return RecursiveSpan(tuple(int(i) for i in _req(data, "offsets", context)),
-                                 depth=int(_req(data, "depth", context)))
+            return RecursiveSpan(_counts(data, "offsets", context),
+                                 depth=_count(_req(data, "depth", context),
+                                              f"{context}.depth", least=0))
         if kind == "direct_sum_factor":
             _check_keys(data, {"kind", "position", "split", "inner"}, context)
             inner = data.get("inner")
             return DirectSumFactor(
-                position=int(_req(data, "position", context)),
-                split=int(_req(data, "split", context)),
+                position=_count(_req(data, "position", context), f"{context}.position",
+                                least=0),
+                split=_count(_req(data, "split", context), f"{context}.split"),
                 inner=None if inner is None else subspace_from_dict(inner, context + ".inner"))
     except ValueError as err:
         raise ConfigError(f"{context}: {err}") from err
@@ -279,23 +307,23 @@ def family_from_dict(data: dict, context: str = "family") -> PolynomialFamily:
     if not isinstance(data, dict):
         raise ConfigError(f"{context}: expected a family object")
     kind = _req(data, "kind", context)
+
+    def integer(key, least=0):
+        return _count(_req(data, key, context), f"{context}.{key}", least)
+
     try:
         if kind == "monomials":
             _check_keys(data, {"kind", "max_degree"}, context)
-            return Monomials(int(_req(data, "max_degree", context)))
+            return Monomials(integer("max_degree"))
         if kind == "cesaro_means":
             _check_keys(data, {"kind", "max_degree"}, context)
-            return CesaroMeans(int(_req(data, "max_degree", context)))
+            return CesaroMeans(integer("max_degree"))
         if kind == "simplex_grid":
             _check_keys(data, {"kind", "degree", "resolution"}, context)
-            return SimplexGrid(int(_req(data, "degree", context)),
-                               int(_req(data, "resolution", context)))
+            return SimplexGrid(integer("degree"), integer("resolution", 1))
         if kind == "random_simplex":
             _check_keys(data, {"kind", "degree", "count", "seed"}, context)
-            return RandomSimplex(int(_req(data, "degree", context)),
-                                 int(_req(data, "count", context)),
-                                 _count(_req(data, "seed", context), f"{context}.seed",
-                                        least=0))
+            return RandomSimplex(integer("degree"), integer("count", 1), integer("seed"))
     except ValueError as err:
         raise ConfigError(f"{context}: {err}") from err
     raise ConfigError(f"{context}: unknown family kind {kind!r}")
@@ -324,13 +352,16 @@ def polys_from_dict(data: dict, context: str = "polys",
     try:
         if kind == "monomials_at":
             _check_keys(data, {"kind", "degrees"}, context)
-            return tuple(ConvexPolynomial.monomial(int(d))
-                         for d in _req(data, "degrees", context))
+            return tuple(ConvexPolynomial.monomial(d)
+                         for d in _counts(data, "degrees", context))
         if kind == "explicit":
             _check_keys(data, {"kind", "coefficients"}, context)
-            return tuple(ConvexPolynomial(tuple(float(c) for c in row),
+            rows = _list(data, "coefficients", context)
+            if not all(isinstance(row, list) for row in rows):
+                raise ConfigError(f"{context}.coefficients: expected a list of rows")
+            return tuple(ConvexPolynomial(tuple(_real(c, context) for c in row),
                                           allow_signed=allow_signed)
-                         for row in _req(data, "coefficients", context))
+                         for row in rows)
     except ValueError as err:
         raise ConfigError(f"{context}: {err}") from err
     raise ConfigError(f"{context}: unknown polynomial-sequence kind {kind!r}")
@@ -357,12 +388,16 @@ def recovery_from_dict(data, context: str, p: float,
     kind = _req(data, "kind", context)
     if kind == "shift":
         _check_keys(data, {"kind", "scale"}, context)
-        return ShiftRecovery(scalar_from_json(_req(data, "scale", context), context))
+        scale = scalar_from_json(_req(data, "scale", context), f"{context}.scale")
+        try:
+            return ShiftRecovery(scale)
+        except ValueError as err:
+            raise ConfigError(f"{context}.scale: {err}") from err
     if kind == "explicit":
         _check_keys(data, {"kind", "vectors"}, context)
         vectors = tuple(
             None if v is None else vector_from_dict(v, context, p, complex_field)
-            for v in _req(data, "vectors", context))
+            for v in _list(data, "vectors", context))
         return ExplicitRecovery(vectors)
     raise ConfigError(f"{context}: unknown recovery kind {kind!r}")
 
@@ -385,7 +420,6 @@ class DensityBlock:
     targets: Union[Tuple[TruncVector, ...], str] = "default"
     target_count: int = 32
     target_radius: float = 1.0
-    workers: int = 1
 
 
 @dataclass
@@ -436,16 +470,19 @@ class ExperimentConfig:
             raise ConfigError("this run needs a 'criterion' block")
         if self.subspace is None:
             raise ConfigError("this run needs a 'subspace' block")
-        return CriterionInstance(
-            op=self.operator,
-            subspace=self.subspace,
-            dim=self.dim,
-            X=self.criterion.X,
-            Y=self.criterion.Y,
-            polys=self.criterion.polys,
-            recovery=self.criterion.recovery,
-            membership_rtol=self.tolerances.membership,
-        )
+        try:
+            return CriterionInstance(
+                op=self.operator,
+                subspace=self.subspace,
+                dim=self.dim,
+                X=self.criterion.X,
+                Y=self.criterion.Y,
+                polys=self.criterion.polys,
+                recovery=self.criterion.recovery,
+                membership_rtol=self.tolerances.membership,
+            )
+        except ValueError as err:
+            raise ConfigError(f"config.criterion: {err}") from err
 
 
 _TOP_KEYS = {"version", "scalar_field", "dim", "p", "seed", "horizon",
@@ -458,7 +495,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config: expected a JSON object at top level")
     _check_keys(data, _TOP_KEYS, "config")
-    version = int(data.get("version", CONFIG_VERSION))
+    version = _count(data.get("version", CONFIG_VERSION), "config.version")
     if version != CONFIG_VERSION:
         raise ConfigError(f"config: unsupported version {version}")
     scalar_field = data.get("scalar_field", "real")
@@ -493,7 +530,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     family = None
     if data.get("family") is not None:
         family = family_from_dict(data["family"], "config.family")
-    allow_signed = bool(data.get("allow_signed_coefficients", False))
+    allow_signed = data.get("allow_signed_coefficients", False)
+    if not isinstance(allow_signed, bool):
+        raise ConfigError("config.allow_signed_coefficients: expected true or false, "
+                          f"got {allow_signed!r}")
+    label = data.get("label")
+    if not (label is None or isinstance(label, str)):
+        raise ConfigError(f"config.label: expected a string, got {label!r}")
 
     def _vec(obj, context):
         return vector_from_dict(obj, context, p, complex_field)
@@ -502,29 +545,34 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if data.get("density") is not None:
         block = data["density"]
         _check_keys(block, {"candidate", "targets", "target_count",
-                            "target_radius", "workers"}, "config.density")
+                            "target_radius"}, "config.density")
         cand = _req(block, "candidate", "config.density")
         candidate = cand if cand == "build" else _vec(cand, "config.density.candidate")
         targets_obj = block.get("targets", "default")
         if targets_obj == "default":
             targets = "default"
         else:
-            targets = tuple(_vec(t, "config.density.targets") for t in targets_obj)
+            targets = tuple(_vec(t, f"config.density.targets[{i}]")
+                            for i, t in enumerate(_list(block, "targets", "config.density")))
+            if not targets:
+                raise ConfigError("config.density.targets: expected at least one target")
         density = DensityBlock(
             candidate=candidate,
             targets=targets,
             target_count=_count(block.get("target_count", 32),
                                 "config.density.target_count"),
-            target_radius=float(block.get("target_radius", 1.0)),
-            workers=_count(block.get("workers", 1), "config.density.workers"),
+            target_radius=_positive(block.get("target_radius", 1.0),
+                                    "config.density.target_radius"),
         )
     criterion = None
     if data.get("criterion") is not None:
         block = data["criterion"]
         _check_keys(block, {"X", "Y", "polys", "recovery"}, "config.criterion")
         criterion = CriterionBlock(
-            X=tuple(_vec(v, "config.criterion.X") for v in _req(block, "X", "config.criterion")),
-            Y=tuple(_vec(v, "config.criterion.Y") for v in _req(block, "Y", "config.criterion")),
+            X=tuple(_vec(v, f"config.criterion.X[{i}]")
+                    for i, v in enumerate(_list(block, "X", "config.criterion"))),
+            Y=tuple(_vec(v, f"config.criterion.Y[{i}]")
+                    for i, v in enumerate(_list(block, "Y", "config.criterion"))),
             polys=polys_from_dict(_req(block, "polys", "config.criterion"),
                                   "config.criterion.polys", allow_signed),
             recovery=recovery_from_dict(block.get("recovery"),
@@ -535,14 +583,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         block = data["transitivity"]
         _check_keys(block, {"pairs", "samples_per_ball"}, "config.transitivity")
         pairs = []
-        for i, pair in enumerate(_req(block, "pairs", "config.transitivity")):
-            _check_keys(pair, {"u_center", "v_center", "radius"},
-                        f"config.transitivity.pairs[{i}]")
+        for i, pair in enumerate(_list(block, "pairs", "config.transitivity")):
+            context = f"config.transitivity.pairs[{i}]"
+            _check_keys(pair, {"u_center", "v_center", "radius"}, context)
             pairs.append(BallPair(
-                u_center=_vec(_req(pair, "u_center", "pair"), "pair.u_center"),
-                v_center=_vec(_req(pair, "v_center", "pair"), "pair.v_center"),
-                radius=_positive(_req(pair, "radius", "pair"),
-                                 f"config.transitivity.pairs[{i}].radius"),
+                u_center=_vec(_req(pair, "u_center", context), f"{context}.u_center"),
+                v_center=_vec(_req(pair, "v_center", context), f"{context}.v_center"),
+                radius=_positive(_req(pair, "radius", context), f"{context}.radius"),
             ))
         transitivity = TransitivityBlock(
             pairs=tuple(pairs),
@@ -564,7 +611,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         p=p, seed=seed, horizon=horizon, tolerances=tolerances,
         subspace=subspace, family=family,
         allow_signed_coefficients=allow_signed,
-        label=data.get("label"),
+        label=label,
         density=density, criterion=criterion, transitivity=transitivity,
         build=build,
     )
@@ -603,8 +650,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             block["target_radius"] = cfg.density.target_radius
         else:
             block["targets"] = [vector_to_dict(t) for t in cfg.density.targets]
-        if cfg.density.workers != 1:
-            block["workers"] = cfg.density.workers
         out["density"] = block
     if cfg.criterion is not None:
         out["criterion"] = {

@@ -19,6 +19,7 @@ selections) and runs single-threaded.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -54,8 +55,8 @@ class ShiftRecovery:
 
     def __post_init__(self):
         s = complex(self.scale)
-        if s == 0:
-            raise ValueError("recovery scale must be nonzero")
+        if s == 0 or not cmath.isfinite(s):
+            raise ValueError("recovery scale must be finite and nonzero")
         object.__setattr__(self, "scale", s.real if s.imag == 0 else s)
 
     def recover(self, y: TruncVector, poly: ConvexPolynomial) -> TruncVector:

@@ -13,16 +13,13 @@ family block by block, invariance applies P(T) to the span's identity
 rows, and transitivity scans each pair's (member, sample) images in
 enumeration order.  Norms and distances are taken row by row with the
 same calls ``spaces`` makes, so reports match single-vector evaluation
-bit for bit.  When ``workers > 1`` the per-target and per-pair work runs
-on a thread pool and is merged back in canonical index order, so report
-payloads do not depend on scheduling.
+bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -111,14 +108,6 @@ class InvarianceResult:
     violating_basis_index: Optional[int]
 
 
-def _map_ordered(fn, count: int, workers: int):
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, i) for i in range(count)]
-        return [f.result() for f in futures]
-
-
 def _tolerance(row: np.ndarray, p: float, rtol: float) -> float:
     """``membership_tolerance`` of a raw image row."""
     return rtol * max(1.0, coords_norm(row, p))
@@ -132,8 +121,8 @@ def orbit_segment(op: OperatorSpec, x: TruncVector,
 
 def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
                   family: PolynomialFamily, targets: Sequence[TruncVector],
-                  epsilon: float, *, membership_rtol: float = MEMBERSHIP_RTOL,
-                  workers: int = 1) -> DensityReport:
+                  epsilon: float, *,
+                  membership_rtol: float = MEMBERSHIP_RTOL) -> DensityReport:
     """How well do admissible orbit points cover the targets?
 
     For each target y the score is min over the family of ||P(T)x - y||,
@@ -172,17 +161,11 @@ def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
             if off_span_norm(w, mask, x.p) <= _tolerance(w, x.p, membership_rtol):
                 admissible.append(j0 + j)
                 rows.append(w)
-
-        def score_rows(t_idx: int):
+        for t_idx, y in enumerate(targets):
             try:
-                return [row_distance(w, x.p, targets[t_idx]) for w in rows], None
+                distances[t_idx].extend([row_distance(w, x.p, y) for w in rows])
             except ValueError as err:
-                return [], err
-
-        for t_idx, (dists, err) in enumerate(_map_ordered(score_rows, len(targets),
-                                                          workers)):
-            distances[t_idx].extend(dists)
-            errors[t_idx] = errors[t_idx] or err
+                errors[t_idx] = errors[t_idx] or err
     for err in errors:
         if err is not None:
             raise err
@@ -311,8 +294,7 @@ def sample_ball(center: TruncVector, m: BasisIndexSet, radius: float,
 def transitivity_search(op: OperatorSpec, m: BasisIndexSet,
                         pairs: Sequence[BallPair], family: PolynomialFamily,
                         samples_per_ball: int = 8, seed: int = 0, *,
-                        membership_rtol: float = MEMBERSHIP_RTOL,
-                        workers: int = 1) -> TransitivityReport:
+                        membership_rtol: float = MEMBERSHIP_RTOL) -> TransitivityReport:
     """Search for polynomials carrying part of each V-ball into each U-ball.
 
     A pair is "found" when some sampled v in the V-ball has P(T)v inside
@@ -354,10 +336,9 @@ def transitivity_search(op: OperatorSpec, m: BasisIndexSet,
                     return PairResult(True, P, j0 + j, residual)
         return PairResult(False, None, None, 0.0)
 
-    results = _map_ordered(search_one, len(pairs), workers)
     return TransitivityReport(
         pairs=tuple(pairs),
-        per_pair=tuple(results),
+        per_pair=tuple(search_one(p_idx) for p_idx in range(len(pairs))),
         family=family,
         samples_per_ball=samples_per_ball,
         seed=seed,

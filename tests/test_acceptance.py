@@ -252,9 +252,9 @@ def test_criterion_7e_density_monotone(base, extra, seed):
         small.per_target[0].best_distance + 1e-15
 
 
-@given(st.integers(0, 2 ** 30), st.integers(2, 5))
+@given(st.integers(0, 2 ** 30))
 @settings(max_examples=120, deadline=None)
-def test_criterion_7f_worker_determinism(seed, workers):
+def test_criterion_7f_block_determinism(seed):
     rng = np.random.default_rng(seed)
     dim = 10
     m = materialize_subspace(ParityZero("even"), dim)
@@ -262,13 +262,6 @@ def test_criterion_7f_worker_determinism(seed, workers):
     coords[1::2] = rng.standard_normal(dim // 2)
     x = TruncVector(coords)
     targets = [TruncVector.basis(j, dim) for j in (1, 3, 5, 7)]
-    serial = density_score(TWO_B, x, m, Monomials(7), targets, epsilon=0.25)
-    threaded = density_score(TWO_B, x, m, Monomials(7), targets, epsilon=0.25,
-                             workers=workers)
-    assert serial.verdict == threaded.verdict
-    for a, b in zip(serial.per_target, threaded.per_target):
-        assert a.best_distance == b.best_distance
-        assert a.witness_index == b.witness_index
 
     # The same payloads whatever the engine's block bound: one image row
     # per block, three rows per block (splitting each member's samples),
@@ -291,7 +284,6 @@ def test_criterion_7f_worker_determinism(seed, workers):
 
     expected = payloads()
     assert expected[3][1][0]
-    assert expected[2] == [(s.best_distance, s.witness_index) for s in serial.per_target]
     for rows in (1, 3):
         with mock.patch.object(operators, "BLOCK_BYTES", rows * dim * 16):
             assert operators.block_rows(dim) == rows

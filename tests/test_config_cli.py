@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import types
 import subprocess
 import sys
@@ -115,6 +116,12 @@ class TestStrictParsing:
         data["version"] = 99
         with pytest.raises(ConfigError, match="version"):
             config_from_dict(data)
+
+    def test_integer_beyond_float_range_rejected(self):
+        data = self.base()
+        data["p"] = 10 ** 400
+        with pytest.raises(ConfigError, match="config.p"):
+            loads_config(json.dumps(data))
 
     def test_signed_coefficients_gated_by_flag(self):
         data = self.base()
@@ -306,10 +313,10 @@ class TestCliExitCodes:
 def _with(data: dict, path: str, value) -> dict:
     """A copy of a config dict with the dotted field ``path`` set."""
     data = json.loads(json.dumps(data))
-    *head, last = path.split(".")
+    *head, last = [int(key) if key.isdigit() else key for key in path.split(".")]
     node = data
     for key in head:
-        node = node[int(key)] if isinstance(node, list) else node[key]
+        node = node[key]
     node[last] = value
     return data
 
@@ -345,7 +352,6 @@ SCALAR_RULES = [
     ("lemma_5_1", "build.k_step", 0, ["build"]),
     ("lemma_5_1", "build.c", 0, ["build"]),
     ("example_5_4", "density.target_count", 0, ["density"]),
-    ("example_5_4", "density.workers", 0, ["density"]),
     ("example_5_4", "transitivity.samples_per_ball", 0, ["transitivity"]),
     ("example_5_4", "transitivity.pairs.0.radius", 0, ["transitivity"]),
     ("example_5_4", "seed", -1, ["transitivity"]),
@@ -354,6 +360,26 @@ SCALAR_RULES = [
      {"kind": "random_simplex", "degree": 3, "count": 5, "seed": -4}, ["transitivity"]),
     ("example_5_4", "family",
      {"kind": "random_simplex", "degree": 3, "count": 5, "seed": -4}, ["density"]),
+    # Values of the wrong type or shape, and integers that are not integral.
+    ("example_5_4", "version", "x", ["density"]),
+    ("example_5_4", "density.target_radius", "abc", ["density"]),
+    ("example_5_4", "density.target_radius", -1, ["density"]),
+    ("lemma_5_1", "dim", math.inf, ["screen"]),
+    ("lemma_5_1", "horizon", math.inf, ["screen"]),
+    ("example_5_4", "family.max_degree", math.inf, ["density"]),
+    ("example_5_4", "family.max_degree", None, ["density"]),
+    ("example_5_4", "density.targets.0.dim", "x", ["density"]),
+    ("example_5_4", "density.targets.0.entries", 5, ["density"]),
+    ("example_5_4", "tolerances", 5, ["density"]),
+    ("example_5_4", "density", 5, ["density"]),
+    ("example_5_4", "transitivity.pairs.0", 5, ["transitivity"]),
+    ("example_5_4", "dim", 2.7, ["density"]),
+    ("example_5_4", "transitivity.samples_per_ball", True, ["transitivity"]),
+    ("example_5_4", "criterion.recovery.scale", math.nan, ["criterion", "--which", "I"]),
+    ("example_5_4", "criterion.Y", [], ["build"]),
+    # At dim 1 the even-parity-zero subspace spans nothing.
+    ("example_5_4", "dim", 1, ["density"]),
+    ("example_5_4", "dim", 1, ["transitivity"]),
 ]
 
 
@@ -362,7 +388,7 @@ SCALAR_RULES = [
 def test_invalid_config_scalar_exits_2(tmp_path, capsys, entry, field, value, argv):
     data = json.loads(dumps_config(entry_to_config(build_entry(entry))))
     err = _run_invalid(tmp_path, capsys, _with(data, field, value), argv)
-    assert f"config.{field.replace('.0.', '[0].')}" in err
+    assert "config." + re.sub(r"\.(\d+)(?=\.|$)", r"[\1]", field) in err
     if field == "family":
         assert "config.family.seed" in err
 
@@ -442,6 +468,14 @@ def test_density_include_outside_exits_2(tmp_path, capsys):
     data["density"]["include_outside"] = True
     err = _run_invalid(tmp_path, capsys, data, ["density"])
     assert "config.density" in err and "include_outside" in err
+
+
+def test_density_workers_exits_2(tmp_path, capsys):
+    # The thread pool the key selected is gone; the key is unknown now.
+    data = json.loads(dumps_config(entry_to_config(build_entry("example_5_4"))))
+    data["density"]["workers"] = 2
+    err = _run_invalid(tmp_path, capsys, data, ["density"])
+    assert "config.density: unknown field(s) ['workers']" in err
 
 
 def test_builder_post_verification_failure_exits_2(tmp_path, capsys, monkeypatch):

@@ -247,26 +247,6 @@ def test_density_monotone_in_family(base_degree, extra, seed):
         assert b.best_distance <= a.best_distance + 1e-15
 
 
-@given(st.integers(0, 2 ** 30), st.integers(2, 4))
-@settings(max_examples=100, deadline=None)
-def test_density_worker_determinism(seed, workers):
-    rng = np.random.default_rng(seed)
-    dim = 8
-    m = materialize_subspace(ParityZero("even"), dim)
-    coords = np.zeros(dim)
-    coords[1::2] = rng.standard_normal(dim // 2)
-    x = TruncVector(coords)
-    targets = [TruncVector.basis(1, dim), TruncVector.basis(3, dim),
-               TruncVector.basis(5, dim)]
-    serial = density_score(TWO_B, x, m, Monomials(6), targets, epsilon=0.5)
-    threaded = density_score(TWO_B, x, m, Monomials(6), targets, epsilon=0.5,
-                             workers=workers)
-    assert serial.verdict == threaded.verdict
-    for a, b in zip(serial.per_target, threaded.per_target):
-        assert a.best_distance == b.best_distance
-        assert a.witness_index == b.witness_index
-
-
 @pytest.fixture(scope="module")
 def scipy_qmc():
     # scipy is a test-only reference implementation of the sampler.
