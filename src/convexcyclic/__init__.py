@@ -10,7 +10,7 @@ from .errors import (BallCenterOutsideSubspace, BuildVerificationFailed,
                      TargetOutsideSubspace, TruncationOverflow)
 from .spaces import (BasisIndexSet, DirectSumFactor, IndexSet, IntervalFamily,
                      ParityZero, RecursiveSpan, SubspaceSpec, TruncVector,
-                     distance_to_subspace, is_member, materialize_subspace,
+                     distance_to_subspace, materialize_subspace,
                      membership_tolerance, norm, project)
 from .operators import (BackwardShift, CesaroMeans, ConvexPolynomial, Dense,
                         DirectSum, ForwardShift, Identity, Monomials,

@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import (BuildBlock, ExperimentConfig, _count, _positive,
-                     config_to_dict, dumps_config, entry_to_config,
+from .config import (MAX_DEGREE, BuildBlock, ExperimentConfig, _count,
+                     _positive, config_to_dict, dumps_config, entry_to_config,
                      load_config, vector_to_dict)
 from .criteria import (build_cyclic_vector, check_criterion_I, check_criterion_II,
                        recovery_decay)
@@ -67,7 +67,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if getattr(args, "seed", None) is not None:
         cfg.seed = _count(args.seed, "--seed", least=0)
     if getattr(args, "horizon", None) is not None:
-        cfg.horizon = _count(args.horizon, "--horizon")
+        cfg.horizon = _count(args.horizon, "--horizon", most=MAX_DEGREE)
     if getattr(args, "epsilon", None) is not None:
         cfg.tolerances.epsilon = _positive(args.epsilon, "--epsilon")
     return cfg
@@ -156,6 +156,9 @@ def run_density(cfg: ExperimentConfig, out: Path) -> int:
 def run_criterion(cfg: ExperimentConfig, which: str, out: Path) -> int:
     inst = cfg.criterion_instance()
     horizon = cfg.horizon if cfg.horizon is not None else len(inst.polys)
+    if horizon > len(inst.polys):
+        raise ConfigError(f"config.horizon {horizon} exceeds the "
+                          f"{len(inst.polys)} criterion polys")
     check = check_criterion_I if which == "I" else check_criterion_II
     verdict = check(inst, horizon, cfg.tolerances.convergence)
     payload = {

@@ -30,6 +30,15 @@ from .spaces import (DirectSumFactor, IndexSet, IntervalFamily, ParityZero,
 
 CONFIG_VERSION = 1
 
+#: Caps on the config sizes that allocate, checked when a config is parsed
+#: so that an oversized value exits 2 instead of exhausting memory.  A
+#: vector has at most MAX_DIM coordinates; polynomial degrees and the
+#: horizon are at most MAX_DEGREE; a family, a ball's samples and a
+#: default target list have at most MAX_MEMBERS members.
+MAX_DIM = 1 << 16
+MAX_DEGREE = 1 << 12
+MAX_MEMBERS = 1 << 12
+
 
 def _check_keys(data: dict, allowed, context: str):
     if not isinstance(data, dict):
@@ -63,15 +72,17 @@ def _real(value, context: str) -> float:
         raise ConfigError(f"{context}: expected a number in float range") from err
 
 
-def _count(value, context: str, least: int = 1) -> int:
-    """A config integer that must be at least ``least``.  Integral floats
-    such as 2.0 are accepted; 2.7, infinities, booleans and strings are not."""
+def _count(value, context: str, least: int = 1, most: float = math.inf) -> int:
+    """A config integer in [least, most].  Integral floats such as 2.0 are
+    accepted; 2.7, infinities, booleans and strings are not."""
     if isinstance(value, bool) or not (
             isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ConfigError(f"{context}: expected an integer, got {value!r}")
     n = int(value)
     if n < least:
         raise ConfigError(f"{context} must be >= {least}, got {n}")
+    if n > most:
+        raise ConfigError(f"{context} must be <= {most}, got {n}")
     return n
 
 
@@ -122,7 +133,7 @@ def vector_to_dict(v: TruncVector) -> dict:
 def vector_from_dict(data: dict, context: str, p: float = 2.0,
                      complex_field: bool = False) -> TruncVector:
     _check_keys(data, {"dim", "entries"}, context)
-    dim = _count(_req(data, "dim", context), f"{context}.dim")
+    dim = _count(_req(data, "dim", context), f"{context}.dim", most=MAX_DIM)
     entries = _list(data, "entries", context)
     coords = np.zeros(dim, dtype=np.complex128 if complex_field else np.float64)
     for entry in entries:
@@ -308,22 +319,29 @@ def family_from_dict(data: dict, context: str = "family") -> PolynomialFamily:
         raise ConfigError(f"{context}: expected a family object")
     kind = _req(data, "kind", context)
 
-    def integer(key, least=0):
-        return _count(_req(data, key, context), f"{context}.{key}", least)
+    def integer(key, least=0, most=math.inf):
+        return _count(_req(data, key, context), f"{context}.{key}", least, most)
 
     try:
         if kind == "monomials":
             _check_keys(data, {"kind", "max_degree"}, context)
-            return Monomials(integer("max_degree"))
+            return Monomials(integer("max_degree", most=MAX_MEMBERS - 1))
         if kind == "cesaro_means":
             _check_keys(data, {"kind", "max_degree"}, context)
-            return CesaroMeans(integer("max_degree"))
+            return CesaroMeans(integer("max_degree", most=MAX_MEMBERS - 1))
         if kind == "simplex_grid":
             _check_keys(data, {"kind", "degree", "resolution"}, context)
-            return SimplexGrid(integer("degree"), integer("resolution", 1))
+            grid = SimplexGrid(integer("degree", most=MAX_DEGREE),
+                               integer("resolution", 1))
+            members = math.comb(grid.resolution + grid.degree, grid.degree)
+            if members > MAX_MEMBERS:
+                raise ConfigError(f"{context}: the grid has {members} members, "
+                                  f"more than {MAX_MEMBERS}")
+            return grid
         if kind == "random_simplex":
             _check_keys(data, {"kind", "degree", "count", "seed"}, context)
-            return RandomSimplex(integer("degree"), integer("count", 1), integer("seed"))
+            return RandomSimplex(integer("degree", most=MAX_DEGREE),
+                                 integer("count", 1, MAX_MEMBERS), integer("seed"))
     except ValueError as err:
         raise ConfigError(f"{context}: {err}") from err
     raise ConfigError(f"{context}: unknown family kind {kind!r}")
@@ -352,8 +370,9 @@ def polys_from_dict(data: dict, context: str = "polys",
     try:
         if kind == "monomials_at":
             _check_keys(data, {"kind", "degrees"}, context)
-            return tuple(ConvexPolynomial.monomial(d)
-                         for d in _counts(data, "degrees", context))
+            return tuple(
+                ConvexPolynomial.monomial(_count(d, f"{context}.degrees[{i}]", 0, MAX_DEGREE))
+                for i, d in enumerate(_list(data, "degrees", context)))
         if kind == "explicit":
             _check_keys(data, {"kind", "coefficients"}, context)
             rows = _list(data, "coefficients", context)
@@ -379,8 +398,8 @@ def recovery_to_dict(rule) -> Optional[dict]:
     raise ConfigError(f"cannot serialize recovery rule {type(rule).__name__}")
 
 
-def recovery_from_dict(data, context: str, p: float,
-                       complex_field: bool):
+def recovery_from_dict(data, context: str, vec):
+    """The recovery rule of ``data``; ``vec(obj, context)`` parses a vector."""
     if data is None:
         return None
     if not isinstance(data, dict):
@@ -396,8 +415,8 @@ def recovery_from_dict(data, context: str, p: float,
     if kind == "explicit":
         _check_keys(data, {"kind", "vectors"}, context)
         vectors = tuple(
-            None if v is None else vector_from_dict(v, context, p, complex_field)
-            for v in _list(data, "vectors", context))
+            None if v is None else vec(v, f"{context}.vectors[{i}]")
+            for i, v in enumerate(_list(data, "vectors", context)))
         return ExplicitRecovery(vectors)
     raise ConfigError(f"{context}: unknown recovery kind {kind!r}")
 
@@ -502,13 +521,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if scalar_field not in ("real", "complex"):
         raise ConfigError("config: scalar_field must be 'real' or 'complex'")
     complex_field = scalar_field == "complex"
-    dim = _count(_req(data, "dim", "config"), "config.dim")
+    dim = _count(_req(data, "dim", "config"), "config.dim", most=MAX_DIM)
     p = _positive(data.get("p", 2.0), "config.p")
     if p < 1:
         raise ConfigError(f"config.p must be >= 1, got {p!r}")
     seed = _count(data.get("seed", 0), "config.seed", least=0)
     horizon = data.get("horizon")
-    horizon = None if horizon is None else _count(horizon, "config.horizon")
+    horizon = None if horizon is None else _count(horizon, "config.horizon",
+                                                  most=MAX_DEGREE)
     tol_data = data.get("tolerances", {})
     _check_keys(tol_data, {"membership", "convergence", "epsilon"},
                 "config.tolerances")
@@ -539,7 +559,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"config.label: expected a string, got {label!r}")
 
     def _vec(obj, context):
-        return vector_from_dict(obj, context, p, complex_field)
+        v = vector_from_dict(obj, context, p, complex_field)
+        if v.dim != dim:
+            raise ConfigError(f"{context}.dim must equal config.dim {dim}, got {v.dim}")
+        return v
 
     density = None
     if data.get("density") is not None:
@@ -560,7 +583,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             candidate=candidate,
             targets=targets,
             target_count=_count(block.get("target_count", 32),
-                                "config.density.target_count"),
+                                "config.density.target_count", most=MAX_MEMBERS),
             target_radius=_positive(block.get("target_radius", 1.0),
                                     "config.density.target_radius"),
         )
@@ -576,7 +599,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             polys=polys_from_dict(_req(block, "polys", "config.criterion"),
                                   "config.criterion.polys", allow_signed),
             recovery=recovery_from_dict(block.get("recovery"),
-                                        "config.criterion.recovery", p, complex_field),
+                                        "config.criterion.recovery", _vec),
         )
     transitivity = None
     if data.get("transitivity") is not None:
@@ -594,7 +617,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         transitivity = TransitivityBlock(
             pairs=tuple(pairs),
             samples_per_ball=_count(block.get("samples_per_ball", 8),
-                                    "config.transitivity.samples_per_ball"),
+                                    "config.transitivity.samples_per_ball",
+                                    most=MAX_MEMBERS),
         )
     build = None
     if data.get("build") is not None:

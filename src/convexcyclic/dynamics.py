@@ -220,65 +220,21 @@ def invariance_check(P: ConvexPolynomial, op: OperatorSpec, m: BasisIndexSet,
                             violating_basis_index=violator)
 
 
-def _first_primes(count: int) -> list:
-    """The first ``count`` primes, from a sieve doubled until it holds them."""
-    limit = 16
-    while True:
-        sieve = np.ones(limit, dtype=bool)
-        sieve[:2] = False
-        for i in range(2, math.isqrt(limit) + 1):
-            if sieve[i]:
-                sieve[i * i::i] = False
-        primes = np.flatnonzero(sieve)
-        if len(primes) >= count:
-            return primes[:count].tolist()
-        limit *= 2
-
-
-def _scrambled_halton(d: int, n: int, seed: int) -> np.ndarray:
-    """The first n points (n x d) of Owen's scrambled Halton sequence.
-
-    Coordinate k is a van der Corput sequence in the k-th prime base b,
-    scrambled by ceil(54 / log2 b) - 1 random permutations of the digits
-    0..b-1, one per digit position: point i is the sum over positions j of
-    perm_j[digit_j(i)] * b^-(j+1).  The permutations are drawn base by
-    base, row by row, from one ``default_rng(seed)``, which reproduces
-    ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed).random(n)`` bit
-    for bit (checked against scipy in the tests).
-    """
-    rng = np.random.default_rng(seed)
-    out = np.empty((n, d))
-    for k, b in enumerate(_first_primes(d)):
-        rows = math.ceil(54 / math.log2(b)) - 1
-        perms = rng.permuted(np.broadcast_to(np.arange(b), (rows, b)), axis=1)
-        q = np.arange(n)
-        scale = 1.0 / b
-        val = np.zeros(n)
-        for perm in perms:
-            val += perm[q % b] * scale
-            q //= b
-            scale /= b
-        out[:, k] = val
-    return out
-
-
 def sample_ball(center: TruncVector, m: BasisIndexSet, radius: float,
                 count: int, seed: int) -> list:
-    """Deterministic low-discrepancy points in the subspace ball.
+    """Deterministic points in the subspace ball.
 
     The center itself is always the first sample.  Remaining samples are
-    scrambled-Halton points in the coordinate cube of the span, clamped
-    into the radius.  The sampler is the package's own numpy scrambled
-    Halton (``_scrambled_halton``), bit-identical to scipy's
-    ``qmc.Halton(scramble=True)`` for the same seed.  For complex
-    experiments the sampled coefficients are real, a subset of the ball
-    that keeps sampling reproducible.
+    uniform draws from ``default_rng(seed)`` in the coordinate cube of the
+    span, clamped into the radius.  For complex experiments the sampled
+    coefficients are real, a subset of the ball that keeps sampling
+    reproducible.
     """
     samples = [center]
     extra = count - 1
     if extra <= 0 or len(m) == 0:
         return samples
-    cube = 2.0 * _scrambled_halton(len(m), extra, seed) - 1.0
+    cube = 2.0 * np.random.default_rng(seed).random((extra, len(m))) - 1.0
     idx = list(m.indices)
     for row in cube:
         coords = np.zeros(center.dim)

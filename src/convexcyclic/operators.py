@@ -327,7 +327,11 @@ def power_norm_estimate(op: OperatorSpec, n: int, dim: int) -> float:
         w = _weight_array(op.weight, max(dim - 1, 0), "forward shift")
         return _window_products(w[: max(dim - n, 0)], n) if dim > n else 0.0
     if isinstance(op, Scale):
-        return abs(op.factor) ** n * power_norm_estimate(op.inner, n, dim)
+        try:
+            factor = abs(op.factor) ** n
+        except OverflowError:
+            raise NumericalOverflow(n, "the norm estimate of T^n") from None
+        return factor * power_norm_estimate(op.inner, n, dim)
     if isinstance(op, DirectSum):
         return max(power_norm_estimate(op.left, n, op.split),
                    power_norm_estimate(op.right, n, dim - op.split))
@@ -428,10 +432,6 @@ class ConvexPolynomial:
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         return cls((0.0,) * degree + (1.0,))
-
-    def growth_bound(self, c: float) -> float:
-        """sum |a_i| c^i, the norm amplification bound at operator norm c."""
-        return math.fsum(abs(a) * c ** i for i, a in enumerate(self.coeffs))
 
     def degree_profile(self) -> tuple:
         """Degrees carrying nonzero coefficients."""

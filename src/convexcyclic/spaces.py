@@ -81,16 +81,6 @@ class TruncVector:
     def with_coords(self, coords) -> "TruncVector":
         return TruncVector(coords, p=self.p)
 
-    def embedded(self, dim: int) -> "TruncVector":
-        """Zero-pad up to a larger ambient dimension."""
-        if dim < self.dim:
-            raise DimensionMismatch(f"cannot embed dim {self.dim} into dim {dim}")
-        if dim == self.dim:
-            return self
-        out = np.zeros(dim, dtype=self.coords.dtype)
-        out[: self.dim] = self.coords
-        return TruncVector(out, p=self.p)
-
     def _check_same_space(self, other: "TruncVector"):
         if self.dim != other.dim:
             raise DimensionMismatch(f"dims differ: {self.dim} vs {other.dim}")
@@ -113,10 +103,6 @@ class TruncVector:
     def __neg__(self) -> "TruncVector":
         return TruncVector(-self.coords, p=self.p)
 
-    def allclose(self, other: "TruncVector", atol: float = 0.0, rtol: float = 1e-12) -> bool:
-        self._check_same_space(other)
-        return bool(np.allclose(self.coords, other.coords, atol=atol, rtol=rtol))
-
     def __repr__(self):
         nonzero = np.flatnonzero(np.abs(self.coords) > 0)
         if nonzero.size > 6:
@@ -132,13 +118,23 @@ def norm(v: TruncVector) -> float:
 
 
 def coords_norm(coords: np.ndarray, p: float) -> float:
-    """The l^p norm of one raw coordinate row; ``norm`` without the wrapper."""
-    return float(np.linalg.norm(coords, ord=p))
+    """The l^p norm of one raw coordinate row; ``norm`` without the wrapper.
+
+    The plain sum of |c_i|^p overflows for finite entries above about
+    1.3e154 (p = 2); such a row is measured again as max|c| * ||c / max|c|||,
+    the scaling of LAPACK's dnrm2, so its norm is inf only when the norm
+    itself exceeds the float range.  Every finite norm keeps its bits.
+    """
+    result = float(np.linalg.norm(coords, ord=p))
+    if math.isinf(result) and np.all(np.isfinite(coords)):
+        top = float(np.max(np.abs(coords)))
+        result = top * float(np.linalg.norm(coords / top, ord=p))
+    return result
 
 
 def off_span_norm(coords: np.ndarray, mask: np.ndarray, p: float) -> float:
     """The l^p norm of one raw row's coordinates outside ``mask``."""
-    return float(np.linalg.norm(np.where(mask, 0.0, coords), ord=p))
+    return coords_norm(np.where(mask, 0.0, coords), p)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +310,13 @@ def materialize_subspace(spec: SubspaceSpec, dim: int) -> BasisIndexSet:
         start = 1 if spec.parity == "even" else 0
         return BasisIndexSet(tuple(range(start, dim, 2)), dim)
     if isinstance(spec, RecursiveSpan):
-        indices = spec.stage_indices(spec.depth)
-        if indices[-1] >= dim:
+        # The stage's largest index is the sum of its offsets; checking it
+        # first keeps a deep stage (2^depth indices) from being built at all.
+        top = sum(spec.n_seq[1: spec.depth + 1])
+        if top >= dim:
             raise DimensionTooSmall(
-                f"stage-{spec.depth} index {indices[-1]} does not fit in dimension {dim}")
-        return BasisIndexSet(indices, dim)
+                f"stage-{spec.depth} index {top} does not fit in dimension {dim}")
+        return BasisIndexSet(spec.stage_indices(spec.depth), dim)
     if isinstance(spec, DirectSumFactor):
         if spec.split >= dim:
             raise DimensionTooSmall(f"split {spec.split} does not fit in dimension {dim}")
@@ -368,7 +366,3 @@ def row_distance(row: np.ndarray, p: float, y: TruncVector) -> float:
 def membership_tolerance(v: TruncVector, rtol: float = MEMBERSHIP_RTOL) -> float:
     """Scale-invariant zero threshold: rtol * max(1, ||v||)."""
     return rtol * max(1.0, norm(v))
-
-
-def is_member(v: TruncVector, m: BasisIndexSet, rtol: float = MEMBERSHIP_RTOL) -> bool:
-    return distance_to_subspace(v, m) <= membership_tolerance(v, rtol)

@@ -5,8 +5,8 @@ five subcommands run.  One key or list index, leaf or container, gets a
 value from a small set of pathological JSON values; a drawn subcommand then
 runs in process.  Whatever the value, the run must end in exit 0, 1 or 2
 with no exception escaping ``main``, and a second run must write the same
-payload bytes.  No large finite values are drawn: those are valid sizes
-that would only make the run allocate at will.
+payload bytes.  The one large finite value, 10**15, must be rejected
+before anything of that size is allocated.
 """
 
 import contextlib
@@ -24,7 +24,8 @@ from convexcyclic.config import dumps_config, entry_to_config
 from convexcyclic.gallery import build_entry
 
 BASE = json.loads(dumps_config(entry_to_config(build_entry("example_5_4"))))
-VALUES = [None, True, "x", [], {}, 5, -1, 0, 0.5, 2.7, math.nan, math.inf, -math.inf]
+VALUES = [None, True, "x", [], {}, 5, -1, 0, 0.5, 2.7, 10 ** 15, math.nan, math.inf,
+          -math.inf]
 COMMANDS = [["density"], ["criterion", "--which", "I"], ["criterion", "--which", "II"],
             ["transitivity"], ["build"], ["screen"]]
 

@@ -377,6 +377,17 @@ SCALAR_RULES = [
     ("example_5_4", "transitivity.samples_per_ball", True, ["transitivity"]),
     ("example_5_4", "criterion.recovery.scale", math.nan, ["criterion", "--which", "I"]),
     ("example_5_4", "criterion.Y", [], ["build"]),
+    # Sizes that allocate are capped, and vectors live at config.dim.
+    ("example_5_4", "dim", 10 ** 15, ["screen"]),
+    ("example_5_4", "density.targets.0.dim", 10 ** 15, ["density"]),
+    ("example_5_4", "density.targets.0.dim", 32, ["density"]),
+    ("example_5_4", "criterion.X.0.dim", 128, ["criterion", "--which", "I"]),
+    ("example_5_4", "family.max_degree", 10 ** 15, ["density"]),
+    ("example_5_4", "criterion.polys.degrees.0", 10 ** 15, ["criterion", "--which", "I"]),
+    ("example_5_4", "horizon", 10 ** 15, ["screen"]),
+    ("example_5_4", "horizon", 29, ["criterion", "--which", "I"]),
+    ("example_5_4", "transitivity.samples_per_ball", 10 ** 15, ["transitivity"]),
+    ("example_5_4", "density.target_count", 10 ** 15, ["density"]),
     # At dim 1 the even-parity-zero subspace spans nothing.
     ("example_5_4", "dim", 1, ["density"]),
     ("example_5_4", "dim", 1, ["transitivity"]),
@@ -393,7 +404,21 @@ def test_invalid_config_scalar_exits_2(tmp_path, capsys, entry, field, value, ar
         assert "config.family.seed" in err
 
 
-@pytest.mark.parametrize("flag,value", [("--horizon", "0"), ("--epsilon", "-1"),
+@pytest.mark.parametrize("family,field", [
+    ({"kind": "simplex_grid", "degree": 40, "resolution": 40}, "config.family:"),
+    ({"kind": "random_simplex", "degree": 3, "count": 10 ** 15, "seed": 0},
+     "config.family.count"),
+    ({"kind": "random_simplex", "degree": 10 ** 15, "count": 1, "seed": 0},
+     "config.family.degree"),
+])
+def test_oversized_family_exits_2(tmp_path, capsys, family, field):
+    data = json.loads(dumps_config(entry_to_config(build_entry("example_5_4"))))
+    data["family"] = family
+    assert field in _run_invalid(tmp_path, capsys, data, ["density"])
+
+
+@pytest.mark.parametrize("flag,value", [("--horizon", "0"), ("--horizon", "100000"),
+                                        ("--epsilon", "-1"),
                                         ("--epsilon", "nan"), ("--seed", "-1")])
 def test_invalid_override_exits_2(tmp_path, capsys, flag, value):
     data = json.loads(dumps_config(entry_to_config(build_entry("example_5_4"))))
@@ -428,6 +453,14 @@ def test_distance_overflow_exits_2(tmp_path, capsys):
     }
     err = _run_invalid(tmp_path, capsys, data, ["density"])
     assert "NumericalOverflow" in err and "distance" in err
+
+
+def test_screen_norm_overflow_exits_2(tmp_path, capsys):
+    # The estimate of ||(2B)^n|| is 2^n, past the float range at n = 1024.
+    data = json.loads(dumps_config(entry_to_config(build_entry("example_5_4"))))
+    data["horizon"] = 1100
+    err = _run_invalid(tmp_path, capsys, data, ["screen"])
+    assert "NumericalOverflow" in err and "degree 1024" in err
 
 
 def test_density_and_build_call_the_builder_alike(tmp_path, monkeypatch):

@@ -1,10 +1,6 @@
 """Orbits, density scoring, invariance checks and transitivity search."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +11,11 @@ from convexcyclic import (BackwardShift, BallPair, BasisIndexSet,
                           ConvexPolynomial, Dense, DirectSum, Identity,
                           IndexSet, Monomials, ParityZero, Scale, SimplexGrid,
                           TargetOutsideSubspace, TruncVector, Verdict,
-                          build_cyclic_vector, density_score, eval_poly,
-                          invariance_check,
+                          build_cyclic_vector, density_score,
+                          distance_to_subspace, eval_poly, invariance_check,
                           materialize_subspace, norm, orbit_segment,
                           sample_ball, transitivity_search)
-from convexcyclic.dynamics import BallCenterOutsideSubspace, _scrambled_halton
+from convexcyclic.dynamics import BallCenterOutsideSubspace
 from convexcyclic.gallery import entry_example_5_4
 from oracles import dense_eval
 
@@ -90,6 +86,18 @@ class TestDensity:
         assert inside.per_target[0].witness.degree == 2
         assert inside.admissible_orbit_size < inside.orbit_size
 
+    def test_huge_finite_orbit_points_are_not_admissible(self):
+        # (2B)^d e_2047 = 2^d e_(2047-d) lies in the span exactly for even d.
+        # From d = 513 on, 2^d overflows the plain sum of squares; an inf
+        # norm must not make the odd degrees 513..599 look admissible.
+        m = materialize_subspace(ParityZero("even"), 2048)
+        with np.errstate(over="ignore"):
+            report = density_score(TWO_B, TruncVector.basis(2047, 2048), m,
+                                   Monomials(600), [TruncVector.basis(1, 2048)],
+                                   epsilon=1e-2)
+        assert report.orbit_size == 601
+        assert report.admissible_orbit_size == 301
+
     def test_built_vector_covers_small_sample(self):
         # Builder-made candidate over the even-zero subspace: both targets
         # approximated within 1e-3 using even monomials of order <= 8.
@@ -159,6 +167,18 @@ class TestTransitivity:
         assert report.per_pair[0].found
         assert report.per_pair[0].witness.degree == 0
         assert report.per_pair[0].invariance_residual >= 0.0
+
+    def test_hit_needs_a_sample_beyond_the_center(self):
+        # P(T)0 = 0 is 1 away from e_1, outside U; only a V-ball sample other
+        # than the center can land within 0.9 of e_1.
+        m = materialize_subspace(ParityZero("even"), 8)
+        pair = BallPair(TruncVector.basis(1, 8), TruncVector.zeros(8), 0.9)
+        center_only = transitivity_search(TWO_B, m, [pair], Monomials(3),
+                                          samples_per_ball=1)
+        assert not center_only.per_pair[0].found
+        sampled = transitivity_search(TWO_B, m, [pair], Monomials(3),
+                                      samples_per_ball=8)
+        assert sampled.per_pair[0].found
 
     def test_center_outside_subspace_rejected(self):
         m = materialize_subspace(ParityZero("even"), 8)
@@ -247,40 +267,24 @@ def test_density_monotone_in_family(base_degree, extra, seed):
         assert b.best_distance <= a.best_distance + 1e-15
 
 
-@pytest.fixture(scope="module")
-def scipy_qmc():
-    # scipy is a test-only reference implementation of the sampler.
-    return pytest.importorskip("scipy.stats.qmc")
-
-
-@given(st.integers(1, 1200), st.integers(1, 64), st.integers(0, 2 ** 32 - 1),
-       st.integers(0, 40))
-@settings(max_examples=30, deadline=None)
-def test_scrambled_halton_matches_scipy(scipy_qmc, d, n, seed, p_idx):
+@given(st.integers(1, 64), st.data(), st.integers(1, 16),
+       st.floats(0.1, 1e3), st.sampled_from([1.0, 2.0, 3.0]),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 40))
+@settings(max_examples=100, deadline=None)
+def test_sample_ball_properties(dim, data, count, radius, p, seed, p_idx):
+    indices = data.draw(st.sets(st.integers(0, dim - 1), min_size=1), label="span")
+    m = BasisIndexSet(tuple(indices), dim)
+    coords = np.zeros(dim)
+    coords[list(m.indices)] = data.draw(
+        st.lists(st.floats(-1, 1), min_size=len(m), max_size=len(m)), label="center")
+    center = TruncVector(coords, p=p)
     # Pair seeds as transitivity_search derives them, beyond 2**32 included.
-    for s in (seed, seed + 1000003 * p_idx):
-        expected = scipy_qmc.Halton(d=d, scramble=True, seed=s).random(n)
-        assert np.array_equal(_scrambled_halton(d, n, s), expected)
-
-
-def test_sampling_does_not_import_scipy():
-    import convexcyclic
-    src = str(Path(convexcyclic.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = (
-        "import sys\n"
-        "import convexcyclic as cc\n"
-        "entry = cc.build_entry('prop_4_8')\n"
-        "m = cc.materialize_subspace(entry.subspace, entry.dim)\n"
-        "pair = entry.pairs[0]\n"
-        "samples = cc.sample_ball(pair.v_center, m, pair.radius,\n"
-        "                         entry.samples_per_ball, entry.seed)\n"
-        "assert len(samples) == entry.samples_per_ball\n"
-        "print(sorted(k for k in sys.modules\n"
-        "             if k == 'scipy' or k.startswith('scipy.')))\n")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    pair_seed = seed + 1000003 * p_idx
+    samples = sample_ball(center, m, radius, count, pair_seed)
+    assert len(samples) == count
+    assert samples[0] is center
+    for v in samples:
+        assert distance_to_subspace(v, m) == 0.0
+        assert norm(v - center) <= radius * (1 + 1e-12)
+    again = sample_ball(center, m, radius, count, pair_seed)
+    assert all(np.array_equal(a.coords, b.coords) for a, b in zip(samples, again))

@@ -1,6 +1,7 @@
 """Vectors, norms, subspace materialization, projection and distances."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from convexcyclic import (BasisIndexSet, DimensionMismatch, DimensionTooSmall,
                           DirectSumFactor, IndexSet, IntervalFamily,
                           NumericalOverflow, ParityZero, RecursiveSpan,
-                          TruncVector, distance_to_subspace, is_member,
-                          materialize_subspace, norm, project)
-from convexcyclic.spaces import row_distance
+                          TruncVector, distance_to_subspace,
+                          materialize_subspace, membership_tolerance, norm,
+                          project)
+from convexcyclic.dynamics import _tolerance
+from convexcyclic.spaces import MEMBERSHIP_RTOL, off_span_norm, row_distance
 
 
 def scalar_loop_norm(coords, p):
@@ -149,8 +152,17 @@ class TestProjectAndDistance:
     def test_membership_tolerance_scales(self):
         m = BasisIndexSet((0,), 2)
         almost = TruncVector(np.array([1.0, 1e-12]))
-        assert is_member(almost, m)
-        assert not is_member(TruncVector(np.array([1.0, 1e-6])), m)
+        assert distance_to_subspace(almost, m) <= membership_tolerance(almost)
+        off = TruncVector(np.array([1.0, 1e-6]))
+        assert distance_to_subspace(off, m) > membership_tolerance(off)
+
+    def test_norm_of_huge_finite_row_is_finite(self):
+        # The plain sum of squares overflows above about 1.3e154.
+        row = np.array([3e300, 4e300])
+        with np.errstate(over="ignore"):
+            assert math.isclose(norm(TruncVector(row)), 5e300, rel_tol=1e-15)
+            assert math.isclose(off_span_norm(row, np.array([True, False]), 2.0),
+                                4e300, rel_tol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +198,34 @@ def test_pythagoras(pair):
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, lhs)
 
 
+@given(st.data(), st.sampled_from([1.0, 2.0, 3.0]))
+@settings(max_examples=200, deadline=None)
+def test_membership_verdict_survives_scaling_toward_float_max(data, p):
+    # In-span entries have magnitude >= 1, so the tolerance is rtol * ||w||;
+    # off-span entries are either far below it or far above it.  Rows are
+    # scaled up to the largest power of two at which ||w|| is still finite.
+    dim = data.draw(st.integers(2, 12), label="dim")
+    indices = data.draw(st.sets(st.integers(0, dim - 1), min_size=1,
+                                max_size=dim - 1), label="span")
+    m = BasisIndexSet(tuple(indices), dim)
+    inside = st.floats(1.0, 1e6) | st.floats(-1e6, -1.0)
+    outside = st.just(0.0) | st.floats(1e-20, 1e-13) | st.floats(0.1, 1e3)
+    row = np.array([data.draw(inside if i in m.indices else outside)
+                    for i in range(dim)])
+    top = int(math.log2(sys.float_info.max / np.linalg.norm(row, ord=p)))
+    k = data.draw(st.integers(max(0, top - 60), top) | st.integers(0, top),
+                  label="k")
+    scaled = np.ldexp(row, k)
+
+    def verdicts(w):
+        v = TruncVector(w, p=p)
+        return (distance_to_subspace(v, m) <= membership_tolerance(v),
+                off_span_norm(w, m.mask(), p) <= _tolerance(w, p, MEMBERSHIP_RTOL))
+
+    with np.errstate(over="ignore"):
+        assert verdicts(scaled) == verdicts(row)
+
+
 @given(st.integers(1, 5), st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
 def test_materialization_monotone_recursive(depth_small, extra):
@@ -203,6 +243,15 @@ def test_materialization_monotone_parity(dim, extra):
     spec = ParityZero("even")
     assert set(materialize_subspace(spec, dim).indices) <= \
         set(materialize_subspace(spec, dim + extra).indices)
+
+
+def test_deep_recursive_stage_rejected_before_it_is_built():
+    # Stage 60 would hold 2^60 indices; its largest one alone decides.
+    offsets = [0]
+    for _ in range(60):
+        offsets.append(2 * sum(offsets) + 1)
+    with pytest.raises(DimensionTooSmall, match="stage-60"):
+        materialize_subspace(RecursiveSpan(tuple(offsets), depth=60), 1 << 16)
 
 
 def test_recursive_nesting_and_gap():
