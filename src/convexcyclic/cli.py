@@ -25,8 +25,7 @@ from . import __version__
 from .config import (MAX_DEGREE, BuildBlock, ExperimentConfig, _count,
                      _positive, config_to_dict, dumps_config, entry_to_config,
                      load_config, vector_to_dict)
-from .criteria import (build_cyclic_vector, check_criterion_I, check_criterion_II,
-                       recovery_decay)
+from .criteria import build_cyclic_vector, check_criterion_I, check_criterion_II
 from .dynamics import (Verdict, default_density_targets, density_score,
                        transitivity_search)
 from .errors import ConfigError, ConvexCyclicError, ScheduleInfeasible
@@ -183,8 +182,7 @@ def run_criterion(cfg: ExperimentConfig, which: str, out: Path) -> int:
     with (out / "decay.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["target_id", "k", "recovery_norm", "recovery_error"])
-        for y_index in range(len(inst.Y)):
-            norms, errors = recovery_decay(inst, y_index, horizon)
+        for y_index, (norms, errors) in enumerate(verdict.cond2.decay):
             for k, (nk, ek) in enumerate(zip(norms, errors), start=1):
                 writer.writerow([y_index, k, repr(nk), repr(ek)])
     lines = [f"criterion {which} at horizon {horizon}, "

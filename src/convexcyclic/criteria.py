@@ -12,9 +12,16 @@ must be below tolerance AND the sequence must not increase over the last
 quarter of the horizon, which guards against non-monotone sequences
 passing on a lucky index.
 
-Condition checks over (x, k) / (y, k) grids are independent; the builder's
-step loop is inherently sequential (each step depends on the previous
-selections) and runs single-threaded.
+Each condition is one engine walk over a block of rows: X for conditions
+1 and 3 of criterion II (both read the same walk), every recovery vector
+x_k(y) for condition 2, and the span's identity rows for condition 3 of
+criterion I.  The verdicts are bit for bit those of one walk per vector,
+and so are the errors, raised in the order of the per-vector loops: the
+first failing row, then its first failing member; in condition 2 the
+recovery rule's errors, orbit faults and distance overflows interleave in
+(y, k) order.  The builder's step loop is inherently sequential (each
+step depends on the previous selections); each candidate is scored in
+two walks.
 """
 
 from __future__ import annotations
@@ -26,15 +33,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (BuildVerificationFailed, DimensionTooSmall,
-                     RecoveryRuleMissing, ScheduleInfeasible,
-                     TruncationOverflow)
-from .dynamics import invariance_check
-from .operators import ConvexPolynomial, OperatorSpec, eval_poly, images
+from .errors import (BuildVerificationFailed, DimensionMismatch,
+                     DimensionTooSmall, RecoveryRuleMissing,
+                     ScheduleInfeasible, TruncationOverflow)
+from .operators import (ConvexPolynomial, OperatorSpec, block_rows,
+                        image_blocks)
 from .spaces import (MEMBERSHIP_RTOL, BasisIndexSet, SubspaceSpec,
                      TruncVector, coords_norm, distance_to_subspace,
                      materialize_subspace, membership_tolerance, norm,
-                     off_span_norm, row_distance)
+                     off_span_norm, row_distance, row_tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +163,13 @@ class Cond1Result:
 
 @dataclass(frozen=True)
 class Cond2Result:
+    """Worst values at the horizon; ``decay[y]`` holds target y's recovery
+    norms ||x_k|| and errors ||P_k(T) x_k - y|| for k = 1..horizon."""
+
     passed: bool
     worst_tail_norm: float
     worst_recovery_error: float
+    decay: tuple
 
 
 @dataclass(frozen=True)
@@ -205,47 +216,128 @@ def _settles(seq: Sequence[float], tol: float) -> bool:
     return True
 
 
-def _orbit(inst: CriterionInstance, x: TruncVector, polys) -> np.ndarray:
-    """P(T)x for each P in ``polys``, one raw row each, in one engine walk."""
-    return images(inst.op, x.coords[None], polys)[:, 0]
+def _walk(op, rows: Sequence[np.ndarray], polys, keep) -> tuple:
+    """``keep(j, r, w)`` for every image w = P_j(T) rows[r], in engine blocks.
+
+    Returns ``(kept, faults)``, both keyed by (j, r): what ``keep`` made of
+    each image that evaluates, and the error each failing single-vector
+    evaluation would raise.  Rows walk with the rows of their own dtype and
+    length: a real row in a complex block would be promoted, and its norms
+    would change bits.
+    """
+    kept, faults = {}, {}
+    for shape in dict.fromkeys((row.dtype, row.size) for row in rows):
+        index = [r for r, row in enumerate(rows) if (row.dtype, row.size) == shape]
+        offset, prev = 0, None
+        for j0, out, fault in image_blocks(op, np.array([rows[r] for r in index]), polys):
+            # Past BLOCK_BYTES, one member's rows come in consecutive slices.
+            offset = offset if j0 == prev else 0
+            for j, r in np.ndindex(out.shape[:2]):
+                key = (j0 + j, index[offset + r])
+                if (j, r) in fault:
+                    faults[key] = fault[j, r]
+                else:
+                    kept[key] = keep(*key, out[j, r])
+            offset, prev = offset + out.shape[1], j0
+    return kept, faults
 
 
-def _check_cond1(inst: CriterionInstance, horizon: int, tol: float) -> Cond1Result:
+def _distance(w: np.ndarray, p: float, y: TruncVector):
+    """``row_distance``, or the error it raises, to be raised in loop order."""
+    try:
+        return row_distance(w, p, y)
+    except (DimensionMismatch, ValueError) as err:
+        return err
+
+
+def _value(kept: dict, faults: dict, key):
+    """``kept[key]``, or raise the error its evaluation raised."""
+    if key in faults:
+        raise faults[key]
+    if isinstance(kept[key], Exception):
+        raise kept[key]
+    return kept[key]
+
+
+def _orbit_table(inst: CriterionInstance, horizon: int, mask: np.ndarray,
+                 tol: float) -> dict:
+    """(norm, residual outside ``mask``, residual > tol, landing index) of
+    P_k(T)x for every x in X and k < horizon, keyed (k, x index), from one
+    engine walk.  Raises the first failing x's first failing member."""
+    def measure(k, r, w):
+        residual = off_span_norm(w, mask, inst.X[r].p)
+        violated = residual > tol
+        return (coords_norm(w, inst.X[r].p), residual, violated,
+                _landing_index(w, mask) if violated else None)
+
+    table, faults = _walk(inst.op, [x.coords for x in inst.X],
+                          inst.polys[:horizon], measure)
+    if faults:
+        raise faults[min(faults, key=lambda kr: kr[::-1])]
+    return table
+
+
+def _check_cond1(inst: CriterionInstance, table: dict, horizon: int,
+                 tol: float) -> Cond1Result:
     worst = 0.0
     passed = True
-    for x in inst.X:
-        seq = [coords_norm(w, x.p) for w in _orbit(inst, x, inst.polys[:horizon])]
+    for r in range(len(inst.X)):
+        seq = [table[k, r][0] for k in range(horizon)]
         worst = max(worst, seq[-1])
         if not _settles(seq, tol):
             passed = False
     return Cond1Result(passed=passed, worst_tail_norm=worst)
 
 
-def recovery_decay(inst: CriterionInstance, y_index: int, horizon: int) -> tuple:
-    """Condition 2's sequences for target ``y_index``: the recovery norms
-    ||x_k|| and errors ||P_k(T) x_k - y|| for k = 1..horizon."""
-    y = inst.Y[y_index]
-    norms = []
-    errors = []
-    for k in range(1, horizon + 1):
-        xk = inst.recovery_vector(y_index, k)
-        norms.append(norm(xk))
-        errors.append(row_distance(_orbit(inst, xk, [inst.poly(k)])[0], xk.p, y))
-    return norms, errors
-
-
 def _check_cond2(inst: CriterionInstance, horizon: int, tol: float) -> Cond2Result:
+    """Every recovery vector x_k(y) in one engine walk, reading member k of
+    row (y, k).  Row (y, k) needs member k only, so consecutive k are
+    walked in chunks of c, with |Y| c rows through c members held in one
+    block; every gallery instance needs a single chunk.  Errors come in
+    (y, k) order: the recovery rule's, then the orbit's, then the
+    distance's."""
+    count = len(inst.Y)
+    chunk = max(1, math.isqrt(block_rows(inst.dim) // max(1, count)))
+    norms, kept, faults = {}, {}, {}
+    for k0 in range(0, horizon, chunk):
+        vectors = {}
+        for k in range(k0, min(k0 + chunk, horizon)):
+            for y in range(count):
+                try:
+                    vectors[y, k] = inst.recovery_vector(y, k + 1)
+                    norms[y, k] = norm(vectors[y, k])
+                except Exception as err:  # raised in (y, k) order below
+                    norms[y, k] = err
+        rows = list(vectors)
+
+        def measure(j, r, w):
+            y, k = rows[r]
+            return _distance(w, vectors[y, k].p, inst.Y[y]) if k0 + j == k else None
+
+        got, failed = _walk(inst.op, [vectors[yk].coords for yk in rows],
+                            inst.polys[k0: k0 + chunk], measure)
+        kept.update((rows[r], v) for (j, r), v in got.items() if k0 + j == rows[r][1])
+        faults.update((rows[r], e) for (j, r), e in failed.items()
+                      if k0 + j == rows[r][1])
     worst_norm = 0.0
     worst_err = 0.0
     passed = True
-    for y_index in range(len(inst.Y)):
-        norms, errors = recovery_decay(inst, y_index, horizon)
-        worst_norm = max(worst_norm, norms[-1])
+    decay = []
+    for y in range(count):
+        seq = []
+        errors = []
+        for k in range(horizon):
+            if isinstance(norms[y, k], Exception):
+                raise norms[y, k]
+            seq.append(norms[y, k])
+            errors.append(_value(kept, faults, (y, k)))
+        decay.append((tuple(seq), tuple(errors)))
+        worst_norm = max(worst_norm, seq[-1])
         worst_err = max(worst_err, errors[-1])
-        if not (_settles(norms, tol) and _settles(errors, tol)):
+        if not (_settles(seq, tol) and _settles(errors, tol)):
             passed = False
     return Cond2Result(passed=passed, worst_tail_norm=worst_norm,
-                       worst_recovery_error=worst_err)
+                       worst_recovery_error=worst_err, decay=tuple(decay))
 
 
 def _landing_index(row: np.ndarray, mask: np.ndarray) -> Optional[int]:
@@ -256,6 +348,54 @@ def _landing_index(row: np.ndarray, mask: np.ndarray) -> Optional[int]:
     return int(np.argmax(off))
 
 
+def _cond3(horizon: int, records) -> Cond3Result:
+    """Condition 3 from (k, source, residual, violated, landing) records that
+    list each k's sources in ascending order: the worst residual per k and
+    its first violation."""
+    worst = [0.0] * horizon
+    source = [None] * horizon
+    landing = [None] * horizon
+    for k, src, residual, violated, land in records:
+        if residual > worst[k]:
+            worst[k] = residual
+        if source[k] is None and violated:
+            source[k] = src
+            landing[k] = land
+    details = tuple(Cond3Detail(k=k + 1, passed=source[k] is None,
+                                max_residual=worst[k], source_index=source[k],
+                                landing_index=landing[k])
+                    for k in range(horizon))
+    return Cond3Result(passed=all(d.passed for d in details), details=details)
+
+
+def _check_invariance(inst: CriterionInstance, horizon: int,
+                      m: BasisIndexSet) -> Cond3Result:
+    """Criterion I's condition 3: ``invariance_check`` of every P_k, k <=
+    horizon, in one engine walk over the span's identity rows, block_rows
+    // horizon rows at a time.  Raises the first failing row of the first
+    failing k."""
+    mask = m.mask()
+    records = []
+    faults = {}
+    step = max(1, block_rows(m.dim) // horizon)
+    for r0 in range(0, len(m), step):
+        indices = m.indices[r0: r0 + step]
+        basis = np.zeros((len(indices), m.dim))
+        basis[np.arange(len(indices)), indices] = 1.0
+
+        def measure(k, r, w):
+            residual = off_span_norm(w, mask, 2.0)
+            violated = residual > row_tolerance(w, 2.0, inst.membership_rtol)
+            return residual, violated, _landing_index(w, mask) if violated else None
+
+        kept, failed = _walk(inst.op, basis, inst.polys[:horizon], measure)
+        faults.update(((k, r0 + r), e) for (k, r), e in failed.items())
+        records += [(k, indices[r], *kept[k, r]) for k, r in sorted(kept)]
+    if faults:
+        raise faults[min(faults)]
+    return _cond3(horizon, records)
+
+
 def check_criterion_I(inst: CriterionInstance, horizon: int,
                       tol: float) -> CriterionVerdict:
     """First criterion: decay on X, recovery toward Y, and full invariance
@@ -263,21 +403,9 @@ def check_criterion_I(inst: CriterionInstance, horizon: int,
     if not 1 <= horizon <= len(inst.polys):
         raise ValueError(f"horizon must lie in 1..{len(inst.polys)}")
     m = inst.materialized()
-    cond1 = _check_cond1(inst, horizon, tol)
+    cond1 = _check_cond1(inst, _orbit_table(inst, horizon, m.mask(), tol), horizon, tol)
     cond2 = _check_cond2(inst, horizon, tol)
-    details = []
-    for k in range(1, horizon + 1):
-        P = inst.poly(k)
-        res = invariance_check(P, inst.op, m, membership_rtol=inst.membership_rtol)
-        landing = None
-        if res.violating_basis_index is not None:
-            image = eval_poly(P, inst.op, TruncVector.basis(res.violating_basis_index, m.dim))
-            landing = _landing_index(image.coords, m.mask())
-        details.append(Cond3Detail(k=k, passed=res.invariant,
-                                   max_residual=res.max_residual,
-                                   source_index=res.violating_basis_index,
-                                   landing_index=landing))
-    cond3 = Cond3Result(passed=all(d.passed for d in details), details=tuple(details))
+    cond3 = _check_invariance(inst, horizon, m)
     return CriterionVerdict("I", cond1, cond2, cond3, horizon)
 
 
@@ -285,27 +413,14 @@ def check_criterion_II(inst: CriterionInstance, horizon: int,
                        tol: float) -> CriterionVerdict:
     """Second criterion: as the first, but condition 3 only asks that every
     P_k(T)x for x in X stays inside the subspace (a preimage condition,
-    weaker than invariance)."""
+    weaker than invariance).  Conditions 1 and 3 read one walk of X."""
     if not 1 <= horizon <= len(inst.polys):
         raise ValueError(f"horizon must lie in 1..{len(inst.polys)}")
-    mask = inst.materialized().mask()
-    cond1 = _check_cond1(inst, horizon, tol)
+    table = _orbit_table(inst, horizon, inst.materialized().mask(), tol)
+    cond1 = _check_cond1(inst, table, horizon, tol)
     cond2 = _check_cond2(inst, horizon, tol)
-    worst = [0.0] * horizon
-    source = [None] * horizon
-    landing = [None] * horizon
-    for x_index, x in enumerate(inst.X):
-        for k, w in enumerate(_orbit(inst, x, inst.polys[:horizon])):
-            residual = off_span_norm(w, mask, x.p)
-            if residual > worst[k]:
-                worst[k] = residual
-            if source[k] is None and residual > tol:
-                source[k] = x_index
-                landing[k] = _landing_index(w, mask)
-    details = [Cond3Detail(k=k + 1, passed=source[k] is None, max_residual=worst[k],
-                           source_index=source[k], landing_index=landing[k])
-               for k in range(horizon)]
-    cond3 = Cond3Result(passed=all(d.passed for d in details), details=tuple(details))
+    cond3 = _cond3(horizon, ((k, r, *table[k, r][1:])
+                             for r in range(len(inst.X)) for k in range(horizon)))
     return CriterionVerdict("II", cond1, cond2, cond3, horizon)
 
 
@@ -345,6 +460,29 @@ class BuildResult:
     @property
     def chosen_indices(self) -> tuple:
         return tuple(s.k for s in self.steps)
+
+
+def _four_term_bound(inst: CriterionInstance, xc: TruncVector, y: TruncVector,
+                     P: ConvexPolynomial, chosen_k: list, chosen_x: list) -> float:
+    """||xc|| + ||P(T) xc - y|| plus the worst cross term ||P(T) x_i|| +
+    ||P_{k_i}(T) xc|| over the earlier steps i, from two engine walks:
+    P(T) on xc and every earlier summand, and each earlier P_{k_i}(T) on
+    xc.  Errors come in the order of the terms."""
+    rows = [xc] + chosen_x
+
+    def measure(j, r, w):
+        return _distance(w, xc.p, y) if r == 0 else coords_norm(w, rows[r].p)
+
+    ahead, ahead_faults = _walk(inst.op, [v.coords for v in rows], [P], measure)
+    back, back_faults = _walk(inst.op, [xc.coords], [inst.poly(k) for k in chosen_k],
+                              lambda j, r, w: coords_norm(w, xc.p))
+    base = norm(xc) + _value(ahead, ahead_faults, (0, 0))
+    worst_cross = 0.0
+    for i in range(len(chosen_k)):
+        cross = (_value(ahead, ahead_faults, (0, i + 1))
+                 + _value(back, back_faults, (i, 0)))
+        worst_cross = max(worst_cross, cross)
+    return base + worst_cross
 
 
 def build_cyclic_vector(inst: CriterionInstance, j_max: int, c: float = 1.0, *,
@@ -395,13 +533,7 @@ def build_cyclic_vector(inst: CriterionInstance, j_max: int, c: float = 1.0, *,
             # slip in just because it has decayed to numerical dust.
             if distance_to_subspace(xc, m) > membership_rtol * norm(xc) and norm(xc) > 0:
                 continue
-            base = norm(xc) + row_distance(_orbit(inst, xc, [P])[0], xc.p, y)
-            worst_cross = 0.0
-            for ki, xi_vec in zip(chosen_k, chosen_x):
-                cross = (coords_norm(_orbit(inst, xi_vec, [P])[0], xi_vec.p)
-                         + coords_norm(_orbit(inst, xc, [inst.poly(ki)])[0], xc.p))
-                worst_cross = max(worst_cross, cross)
-            bound = base + worst_cross
+            bound = _four_term_bound(inst, xc, y, P, chosen_k, chosen_x)
             if bound < best_bound:
                 best_bound = bound
                 best_k = k
@@ -422,10 +554,12 @@ def build_cyclic_vector(inst: CriterionInstance, j_max: int, c: float = 1.0, *,
         x = x + xc
 
     tail = [math.fsum(xi[j:]) for j in range(1, steps + 1)]
+    kept, faults = _walk(inst.op, [x.coords], [inst.poly(k) for _, k, _, _ in records],
+                         lambda i, r, w: _distance(w, x.p, inst.Y[i]))
     out = []
-    for (j, k, xi_j, bound) in records:
+    for i, (j, k, xi_j, bound) in enumerate(records):
         limit = j * xi_j + tail[j - 1]
-        err = row_distance(_orbit(inst, x, [inst.poly(k)])[0], x.p, inst.Y[j - 1])
+        err = _value(kept, faults, (i, 0))
         if err > limit * (1 + 1e-9) + 1e-15:
             raise BuildVerificationFailed(step=j, error=err, limit=limit)
         out.append(BuildStep(j=j, k=k, xi=xi_j, four_term_bound=bound,

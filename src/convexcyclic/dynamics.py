@@ -30,8 +30,8 @@ from .errors import DimensionMismatch
 from .operators import (ConvexPolynomial, OperatorSpec, PolynomialFamily,
                         block_rows, image_blocks, images)
 from .spaces import (MEMBERSHIP_RTOL, BasisIndexSet, TruncVector,
-                     coords_norm, distance_to_subspace, membership_tolerance,
-                     norm, off_span_norm, row_distance)
+                     distance_to_subspace, membership_tolerance, norm,
+                     off_span_norm, row_distance, row_tolerance)
 
 
 class Verdict(enum.Enum):
@@ -108,11 +108,6 @@ class InvarianceResult:
     violating_basis_index: Optional[int]
 
 
-def _tolerance(row: np.ndarray, p: float, rtol: float) -> float:
-    """``membership_tolerance`` of a raw image row."""
-    return rtol * max(1.0, coords_norm(row, p))
-
-
 def orbit_segment(op: OperatorSpec, x: TruncVector,
                   family: PolynomialFamily) -> list:
     """[P(T)x for P in family], in family enumeration order."""
@@ -158,7 +153,7 @@ def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
             raise next(iter(fault.values()))
         rows = []
         for j, w in enumerate(out[:, 0]):
-            if off_span_norm(w, mask, x.p) <= _tolerance(w, x.p, membership_rtol):
+            if off_span_norm(w, mask, x.p) <= row_tolerance(w, x.p, membership_rtol):
                 admissible.append(j0 + j)
                 rows.append(w)
         for t_idx, y in enumerate(targets):
@@ -214,7 +209,7 @@ def invariance_check(P: ConvexPolynomial, op: OperatorSpec, m: BasisIndexSet,
             residual = off_span_norm(w, mask, 2.0)
             if residual > worst:
                 worst = residual
-            if violator is None and residual > _tolerance(w, 2.0, membership_rtol):
+            if violator is None and residual > row_tolerance(w, 2.0, membership_rtol):
                 violator = j
     return InvarianceResult(invariant=violator is None, max_residual=worst,
                             violating_basis_index=violator)
@@ -283,7 +278,7 @@ def transitivity_search(op: OperatorSpec, m: BasisIndexSet,
                 if (j, r) in fault:
                     raise fault[j, r]
                 w = out[j, r]
-                if off_span_norm(w, mask, p) > _tolerance(w, p, membership_rtol):
+                if off_span_norm(w, mask, p) > row_tolerance(w, p, membership_rtol):
                     continue
                 if row_distance(w, p, pair.u_center) <= pair.radius:
                     P = members[j0 + j]

@@ -172,6 +172,16 @@ def _mul(w, X: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
+def _unit(weight, X: np.ndarray) -> bool:
+    """Whether a shift's product with ``weight`` is a copy of real ``X``.
+
+    1.0 * x == x bit for bit on real rows.  Complex rows keep the multiply:
+    numpy multiplies them by 1 + 0j, which can flip the sign of a zero
+    part (-0.0 - 5j becomes 0.0 - 5j).
+    """
+    return not isinstance(weight, tuple) and weight == 1.0 and not np.iscomplexobj(X)
+
+
 def _act(op: OperatorSpec, X: np.ndarray, check: bool = True) -> np.ndarray:
     """Act with ``op`` on every row of the block ``X`` (batch x dim).
 
@@ -187,7 +197,9 @@ def _act(op: OperatorSpec, X: np.ndarray, check: bool = True) -> np.ndarray:
     if isinstance(op, BackwardShift):
         out = np.empty_like(X)
         out[:, -1] = 0
-        if dim > 1:
+        if dim > 1 and _unit(op.weight, X):
+            out[:, :-1] = X[:, 1:]
+        elif dim > 1:
             _mul(_weight_array(op.weight, dim, "backward shift")[1:], X[:, 1:],
                  out[:, :-1])
     elif isinstance(op, ForwardShift):
@@ -198,7 +210,11 @@ def _act(op: OperatorSpec, X: np.ndarray, check: bool = True) -> np.ndarray:
                 "enlarge the truncation"))
         out = np.empty_like(X)
         out[:, 0] = 0
-        _mul(_weight_array(op.weight, dim - 1, "forward shift"), X[:, :-1], out[:, 1:])
+        if _unit(op.weight, X):
+            out[:, 1:] = X[:, :-1]
+        else:
+            _mul(_weight_array(op.weight, dim - 1, "forward shift"), X[:, :-1],
+                 out[:, 1:])
     elif isinstance(op, Scale):
         out = _mul(op.factor, _act(op.inner, X, check=False))
     elif isinstance(op, DirectSum):
@@ -221,6 +237,7 @@ def _act(op: OperatorSpec, X: np.ndarray, check: bool = True) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def apply(op: OperatorSpec, v: TruncVector) -> TruncVector:
     """Act with ``op`` on ``v``, exactly on the truncation.
 
@@ -316,8 +333,17 @@ def power_norm_estimate(op: OperatorSpec, n: int, dim: int) -> float:
 
     Exact for shift-built specs (weight-window products); dense blocks use
     explicit matrix powers.  Always the truncation's value, which lower
-    bounds the full operator norm.
+    bounds the full operator norm.  An estimate outside the float range
+    raises NumericalOverflow.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimate = _power_norm(op, n, dim)
+    if not math.isfinite(estimate):
+        raise NumericalOverflow(n, "the norm estimate of T^n")
+    return estimate
+
+
+def _power_norm(op: OperatorSpec, n: int, dim: int) -> float:
     if n == 0:
         return 1.0
     if isinstance(op, BackwardShift):
@@ -330,11 +356,11 @@ def power_norm_estimate(op: OperatorSpec, n: int, dim: int) -> float:
         try:
             factor = abs(op.factor) ** n
         except OverflowError:
-            raise NumericalOverflow(n, "the norm estimate of T^n") from None
-        return factor * power_norm_estimate(op.inner, n, dim)
+            return math.inf
+        return factor * _power_norm(op.inner, n, dim)
     if isinstance(op, DirectSum):
-        return max(power_norm_estimate(op.left, n, op.split),
-                   power_norm_estimate(op.right, n, dim - op.split))
+        return max(_power_norm(op.left, n, op.split),
+                   _power_norm(op.right, n, dim - op.split))
     if isinstance(op, Dense):
         mat = np.linalg.matrix_power(op.matrix, n)
         return _power_iteration_norm(mat)
@@ -438,6 +464,9 @@ class ConvexPolynomial:
         return tuple(i for i, a in enumerate(self.coeffs) if a != 0.0)
 
 
+# Overflow is detected and reported as NumericalOverflow; numpy's warnings
+# would only repeat it (here and in ``apply``).
+@np.errstate(over="ignore", invalid="ignore")
 def _images(op: OperatorSpec, X: np.ndarray, polys: Sequence[ConvexPolynomial]):
     """The engine walk behind ``images``; failures are returned, not raised.
 

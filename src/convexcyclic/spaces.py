@@ -125,6 +125,12 @@ def coords_norm(coords: np.ndarray, p: float) -> float:
     the scaling of LAPACK's dnrm2, so its norm is inf only when the norm
     itself exceeds the float range.  Every finite norm keeps its bits.
     """
+    with np.errstate(over="ignore"):
+        return _norm(coords, p)
+
+
+def _norm(coords: np.ndarray, p: float) -> float:
+    """``coords_norm``; the caller silences numpy's overflow warning."""
     result = float(np.linalg.norm(coords, ord=p))
     if math.isinf(result) and np.all(np.isfinite(coords)):
         top = float(np.max(np.abs(coords)))
@@ -356,8 +362,9 @@ def row_distance(row: np.ndarray, p: float, y: TruncVector) -> float:
         raise DimensionMismatch(f"dims differ: {row.size} vs {y.dim}")
     if p != y.p:
         raise ValueError(f"norm exponents differ: {p} vs {y.p}")
-    diff = row - y.coords
-    dist = coords_norm(diff, p)
+    with np.errstate(over="ignore"):
+        diff = row - y.coords
+        dist = _norm(diff, p)
     if not math.isfinite(dist) and not np.all(np.isfinite(diff)):
         raise NumericalOverflow(None, "the distance ||w - y||")
     return dist
@@ -365,4 +372,19 @@ def row_distance(row: np.ndarray, p: float, y: TruncVector) -> float:
 
 def membership_tolerance(v: TruncVector, rtol: float = MEMBERSHIP_RTOL) -> float:
     """Scale-invariant zero threshold: rtol * max(1, ||v||)."""
-    return rtol * max(1.0, norm(v))
+    return row_tolerance(v.coords, v.p, rtol)
+
+
+def row_tolerance(coords: np.ndarray, p: float, rtol: float) -> float:
+    """``membership_tolerance`` of one raw row.
+
+    A finite row whose norm exceeds the float range is measured in units
+    of s = max|c|: its tolerance is rtol * ||c / s|| * s, which is finite
+    wherever it fits, where rtol * ||c|| would be inf and pass every
+    residual.
+    """
+    size = coords_norm(coords, p)
+    if math.isinf(size) and np.all(np.isfinite(coords)):
+        top = float(np.max(np.abs(coords)))
+        return rtol * coords_norm(coords / top, p) * top
+    return rtol * max(1.0, size)

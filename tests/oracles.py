@@ -5,14 +5,26 @@ application: it materializes the operator matrix, forms the polynomial
 matrix with explicit matrix powers and multiplies.  The loop oracle is
 the per-vector reference the engine must match bit for bit: each member
 evaluated on its own, one single-vector application per degree, every
-coefficient added in ascending order.
+coefficient added in ascending order.  The serial criterion reference
+checks the criterion conditions and runs the builder one vector at a
+time, one engine walk per (vector, polynomial list), as the checkers did
+before they batched their walks.
 """
+
+import math
 
 import numpy as np
 
-from convexcyclic import (BackwardShift, ConvexPolynomial, Dense, DirectSum,
-                          ForwardShift, Identity, Scale, TruncationOverflow,
-                          TruncVector, to_dense)
+from convexcyclic import (BackwardShift, BuildVerificationFailed,
+                          ConvexPolynomial, Dense, DirectSum, ForwardShift,
+                          Identity, Scale, ScheduleInfeasible,
+                          TruncationOverflow, TruncVector, distance_to_subspace,
+                          eval_poly, images, invariance_check, norm, to_dense,
+                          xi_schedule)
+from convexcyclic.criteria import (BuildResult, BuildStep, Cond1Result,
+                                   Cond2Result, Cond3Detail, Cond3Result,
+                                   CriterionVerdict, _landing_index, _settles)
+from convexcyclic.spaces import coords_norm, off_span_norm, row_distance
 
 
 def dense_poly_matrix(P, op, dim):
@@ -86,16 +98,20 @@ def _random_weight(rng, complex_field=False):
     return w
 
 
-def random_operator(rng, dim, complex_field=False):
+OPERATOR_KINDS = ("backward", "backward_weights", "forward", "scale",
+                  "direct_sum", "dense", "identity")
+
+
+def random_operator(rng, dim, complex_field=False, kind=None):
     """A random spec together with the forward-shift depth of each block.
 
     The depths let callers zero enough top coordinates that truncated
     forward shifts never overflow, keeping the matrix oracle faithful.
     With ``complex_field`` the weights, factors and dense entries are
-    complex.
+    complex.  ``kind`` fixes the outermost spec kind; inner ones are drawn.
     """
-    kind = rng.choice(["backward", "backward_weights", "forward", "scale",
-                       "direct_sum", "dense", "identity"])
+    if kind is None:
+        kind = rng.choice(list(OPERATOR_KINDS))
     if kind == "backward":
         return BackwardShift(_random_weight(rng, complex_field)), [(0, dim, False)]
     if kind == "backward_weights":
@@ -142,3 +158,158 @@ def random_triple(rng, dim, max_degree=6):
     P = random_convex_poly(rng, max_degree)
     v = random_vector(rng, dim, blocks, P.degree)
     return op, P, v
+
+
+# ---------------------------------------------------------------------------
+# Serial criterion reference: one vector at a time
+# ---------------------------------------------------------------------------
+
+
+def _orbit(op, x, polys):
+    return images(op, x.coords[None], polys)[:, 0]
+
+
+def _serial_cond1(inst, horizon, tol):
+    worst = 0.0
+    passed = True
+    for x in inst.X:
+        seq = [coords_norm(w, x.p) for w in _orbit(inst.op, x, inst.polys[:horizon])]
+        worst = max(worst, seq[-1])
+        if not _settles(seq, tol):
+            passed = False
+    return Cond1Result(passed=passed, worst_tail_norm=worst)
+
+
+def _serial_decay(inst, y_index, horizon):
+    y = inst.Y[y_index]
+    norms = []
+    errors = []
+    for k in range(1, horizon + 1):
+        xk = inst.recovery_vector(y_index, k)
+        norms.append(norm(xk))
+        errors.append(row_distance(_orbit(inst.op, xk, [inst.poly(k)])[0], xk.p, y))
+    return tuple(norms), tuple(errors)
+
+
+def _serial_cond2(inst, horizon, tol):
+    worst_norm = 0.0
+    worst_err = 0.0
+    passed = True
+    decay = []
+    for y_index in range(len(inst.Y)):
+        norms, errors = _serial_decay(inst, y_index, horizon)
+        decay.append((norms, errors))
+        worst_norm = max(worst_norm, norms[-1])
+        worst_err = max(worst_err, errors[-1])
+        if not (_settles(norms, tol) and _settles(errors, tol)):
+            passed = False
+    return Cond2Result(passed=passed, worst_tail_norm=worst_norm,
+                       worst_recovery_error=worst_err, decay=tuple(decay))
+
+
+def serial_criterion_I(inst, horizon, tol):
+    if not 1 <= horizon <= len(inst.polys):
+        raise ValueError(f"horizon must lie in 1..{len(inst.polys)}")
+    m = inst.materialized()
+    cond1 = _serial_cond1(inst, horizon, tol)
+    cond2 = _serial_cond2(inst, horizon, tol)
+    details = []
+    for k in range(1, horizon + 1):
+        P = inst.poly(k)
+        res = invariance_check(P, inst.op, m, membership_rtol=inst.membership_rtol)
+        landing = None
+        if res.violating_basis_index is not None:
+            image = eval_poly(P, inst.op, TruncVector.basis(res.violating_basis_index, m.dim))
+            landing = _landing_index(image.coords, m.mask())
+        details.append(Cond3Detail(k=k, passed=res.invariant,
+                                   max_residual=res.max_residual,
+                                   source_index=res.violating_basis_index,
+                                   landing_index=landing))
+    cond3 = Cond3Result(passed=all(d.passed for d in details), details=tuple(details))
+    return CriterionVerdict("I", cond1, cond2, cond3, horizon)
+
+
+def serial_criterion_II(inst, horizon, tol):
+    if not 1 <= horizon <= len(inst.polys):
+        raise ValueError(f"horizon must lie in 1..{len(inst.polys)}")
+    mask = inst.materialized().mask()
+    cond1 = _serial_cond1(inst, horizon, tol)
+    cond2 = _serial_cond2(inst, horizon, tol)
+    worst = [0.0] * horizon
+    source = [None] * horizon
+    landing = [None] * horizon
+    for x_index, x in enumerate(inst.X):
+        for k, w in enumerate(_orbit(inst.op, x, inst.polys[:horizon])):
+            residual = off_span_norm(w, mask, x.p)
+            if residual > worst[k]:
+                worst[k] = residual
+            if source[k] is None and residual > tol:
+                source[k] = x_index
+                landing[k] = _landing_index(w, mask)
+    details = [Cond3Detail(k=k + 1, passed=source[k] is None, max_residual=worst[k],
+                           source_index=source[k], landing_index=landing[k])
+               for k in range(horizon)]
+    cond3 = Cond3Result(passed=all(d.passed for d in details), details=tuple(details))
+    return CriterionVerdict("II", cond1, cond2, cond3, horizon)
+
+
+def serial_build(inst, j_max, c=1.0, *, k_step=64, membership_rtol=1e-9):
+    if j_max < 1:
+        raise ValueError("j_max must be >= 1")
+    if not inst.Y:
+        raise ValueError("the builder needs a nonempty target list")
+    m = inst.materialized()
+    steps = min(j_max, len(inst.Y))
+    xi = xi_schedule(steps, c)
+    chosen_k = []
+    chosen_x = []
+    prev_k = 0
+    records = []
+    for j in range(1, steps + 1):
+        y = inst.Y[j - 1]
+        budget = xi[j - 1]
+        best_bound = math.inf
+        best_k = None
+        picked = None
+        for k in range(prev_k + 1, min(prev_k + k_step, len(inst.polys)) + 1):
+            P = inst.poly(k)
+            try:
+                xc = inst.recovery_vector(j - 1, k)
+            except TruncationOverflow:
+                break
+            if distance_to_subspace(xc, m) > membership_rtol * norm(xc) and norm(xc) > 0:
+                continue
+            base = norm(xc) + row_distance(_orbit(inst.op, xc, [P])[0], xc.p, y)
+            worst_cross = 0.0
+            for ki, xi_vec in zip(chosen_k, chosen_x):
+                cross = (coords_norm(_orbit(inst.op, xi_vec, [P])[0], xi_vec.p)
+                         + coords_norm(_orbit(inst.op, xc, [inst.poly(ki)])[0], xc.p))
+                worst_cross = max(worst_cross, cross)
+            bound = base + worst_cross
+            if bound < best_bound:
+                best_bound = bound
+                best_k = k
+            if bound < budget:
+                picked = (k, xc, bound)
+                break
+        if picked is None:
+            raise ScheduleInfeasible(step=j, required=budget,
+                                     best_bound=best_bound, best_k=best_k)
+        k, xc, bound = picked
+        chosen_k.append(k)
+        chosen_x.append(xc)
+        prev_k = k
+        records.append((j, k, xi[j - 1], bound))
+    x = chosen_x[0]
+    for xc in chosen_x[1:]:
+        x = x + xc
+    tail = [math.fsum(xi[j:]) for j in range(1, steps + 1)]
+    out = []
+    for (j, k, xi_j, bound) in records:
+        limit = j * xi_j + tail[j - 1]
+        err = row_distance(_orbit(inst.op, x, [inst.poly(k)])[0], x.p, inst.Y[j - 1])
+        if err > limit * (1 + 1e-9) + 1e-15:
+            raise BuildVerificationFailed(step=j, error=err, limit=limit)
+        out.append(BuildStep(j=j, k=k, xi=xi_j, four_term_bound=bound,
+                             post_limit=limit, post_error=err))
+    return BuildResult(x=x, steps=tuple(out))

@@ -463,6 +463,15 @@ def test_screen_norm_overflow_exits_2(tmp_path, capsys):
     assert "NumericalOverflow" in err and "degree 1024" in err
 
 
+def test_screen_power_norm_product_overflow_exits_2(tmp_path, capsys):
+    # |2|^n * ||B(2)^n|| = 4^n leaves the float range at n = 512.
+    data = {"dim": 1024, "horizon": 600,
+            "operator": {"kind": "scale", "factor": 2.0,
+                         "inner": {"kind": "backward_shift", "weight": 2.0}}}
+    err = _run_invalid(tmp_path, capsys, data, ["screen"])
+    assert "NumericalOverflow" in err and "degree 512" in err
+
+
 def test_density_and_build_call_the_builder_alike(tmp_path, monkeypatch):
     # A candidate "build" runs the builder exactly as the build subcommand
     # does, tolerances included.

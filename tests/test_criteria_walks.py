@@ -1,0 +1,189 @@
+"""The criterion checkers and the builder walk blocks of rows through the
+engine; they must give exactly what the serial per-vector loops give:
+equal verdicts bit for bit, and the same error first."""
+
+import warnings
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from convexcyclic import (BackwardShift, ConvexPolynomial, CriterionInstance,
+                          DirectSum, ExplicitRecovery, ForwardShift, IndexSet,
+                          Scale, ShiftRecovery, TruncVector,
+                          build_cyclic_vector, check_criterion_I,
+                          check_criterion_II, operators)
+from convexcyclic.gallery import entry_lemma_5_1
+from oracles import (OPERATOR_KINDS, random_convex_poly, random_operator,
+                     serial_build, serial_criterion_I, serial_criterion_II)
+
+#: Every spec kind, unit-weight shifts (copied, not multiplied), a scale
+#: whose powers leave the float range, and a direct sum whose blocks leave
+#: it at different degrees.
+KINDS = OPERATOR_KINDS + ("unit_backward", "unit_forward", "scale_overflow",
+                          "split_overflow")
+
+
+def _operator(rng, dim, complex_field, kind):
+    if kind == "unit_backward":
+        return BackwardShift(1.0)
+    if kind == "unit_forward":
+        return ForwardShift(1.0)
+    phase = 1j if complex_field else -1.0
+    if kind == "scale_overflow":
+        return Scale(1e150 * phase, random_operator(rng, dim, complex_field)[0])
+    if kind == "split_overflow":
+        split = int(rng.integers(1, dim))
+        return DirectSum(Scale(1e110 * phase, random_operator(rng, split, complex_field)[0]),
+                         Scale(1e160, random_operator(rng, dim - split, complex_field)[0]),
+                         split)
+    return random_operator(rng, dim, complex_field, kind=kind)[0]
+
+
+def _span_vector(rng, dim, span, p, complex_field):
+    scale = float(rng.choice([1.0, 1e-3, 1e150, 1e300]))
+    coords = np.zeros(dim, dtype=complex if complex_field else float)
+    coords[span] = rng.standard_normal(len(span)) * scale
+    if complex_field:
+        coords[span] += 1j * rng.standard_normal(len(span)) * scale
+    coords[span] *= rng.random(len(span)) < 0.8
+    return TruncVector(coords, p=p)
+
+
+def _instance(seed, kind, complex_field):
+    """A small random instance; forward shifts overflow the truncation
+    whenever a vector has mass at the top index of the span."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 10))
+    p = float(rng.choice([1.0, 2.0, 3.0]))
+    span = sorted(rng.choice(dim, size=int(rng.integers(1, dim + 1)), replace=False))
+    # Targets low in the span leave shift recovery room below the top.
+    low = [i for i in span if i < dim - 4] if rng.random() < 0.5 else []
+
+    def vectors(count, field=complex_field, support=span):
+        return tuple(_span_vector(rng, dim, support, p, field) for _ in range(count))
+
+    polys = tuple(random_convex_poly(rng, 4) for _ in range(int(rng.integers(1, 5))))
+    rule = rng.choice(["shift", "explicit", "none"], p=[0.45, 0.45, 0.1])
+    if rule == "shift":
+        recovery = ShiftRecovery(complex(0, 2) if complex_field else
+                                 float(rng.choice([2.0, 0.5, -1.5])))
+    elif rule == "explicit":
+        # Mixed fields and a foreign exponent: rows of another dtype walk
+        # apart, and the distance to y raises in order.
+        entries = [None if rng.random() < 0.15 else
+                   vectors(1, complex_field and rng.random() < 0.5)[0]
+                   for _ in range(int(rng.integers(len(polys) - 1, len(polys) + 2)))]
+        if entries and entries[-1] is not None and rng.random() < 0.2:
+            entries[-1] = TruncVector(entries[-1].coords, p=p + 1.0)
+        recovery = ExplicitRecovery(tuple(entries))
+    else:
+        recovery = None
+    inst = CriterionInstance(op=_operator(rng, dim, complex_field, kind),
+                             subspace=IndexSet(tuple(int(i) for i in span)),
+                             dim=dim, X=vectors(int(rng.integers(0, 4))),
+                             Y=vectors(int(rng.integers(1, 4)), support=low or span),
+                             polys=polys,
+                             recovery=recovery)
+    knobs = {"horizon": int(rng.integers(1, len(polys) + 1)),
+             "tol": float(rng.choice([1e-9, 1e-3, 1.0, 1e300])),
+             "j_max": int(rng.integers(1, 4)),
+             "c": float(rng.choice([1.0, 1e3, 1e300])),
+             "k_step": int(rng.integers(1, 4))}
+    return inst, knobs
+
+
+def _outcome(fn, *args, **kwargs):
+    """A result as comparable bits, or the raised error's type, message
+    and attributes."""
+    try:
+        result = fn(*args, **kwargs)
+    except Exception as err:
+        return ("raised", type(err), str(err), repr(sorted(vars(err).items())))
+    if hasattr(result, "x"):
+        return ("built", result.x.coords.dtype, result.x.coords.tobytes(),
+                result.x.p, repr(result.steps))
+    return ("verdict", repr(result))
+
+
+def _run_all(checks, inst, knobs):
+    h, tol = knobs["horizon"], knobs["tol"]
+    check_I, check_II, build = checks
+    return [_outcome(check_I, inst, h, tol), _outcome(check_II, inst, h, tol),
+            _outcome(build, inst, knobs["j_max"], knobs["c"], k_step=knobs["k_step"])]
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("kind", KINDS)
+@given(seed=st.integers(0, 2 ** 32 - 1), complex_field=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_batched_checks_match_the_serial_loops(rows, kind, seed, complex_field):
+    inst, knobs = _instance(seed, kind, complex_field)
+    want = _run_all((serial_criterion_I, serial_criterion_II, serial_build), inst, knobs)
+    block = operators.BLOCK_BYTES if rows is None else rows * inst.dim * 16
+    with mock.patch.object(operators, "BLOCK_BYTES", block):
+        got = _run_all((check_criterion_I, check_criterion_II, build_cyclic_vector),
+                       inst, knobs)
+    assert got == want
+
+
+def test_criterion_II_walks_X_once_and_the_recovery_vectors_once(monkeypatch):
+    # lemma_5_1's polys have degrees 15, 56, 97 and 212; the per-vector
+    # loops cost 2 * 12 * 212 (X) + 4 * 380 (recovery) = 6,608 applications.
+    entry = entry_lemma_5_1()
+    calls = []
+    depth = [0]
+    act = operators._act
+
+    def outermost(op, X, check=True):
+        if not depth[0]:
+            calls.append(X.shape)
+        depth[0] += 1
+        try:
+            return act(op, X, check)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(operators, "_act", outermost)
+    verdict = check_criterion_II(entry.instance, entry.horizon, entry.tol)
+    assert verdict.all_passed
+    assert len(calls) == 2 * 212
+    assert sorted(set(calls)) == [(12, 512), (16, 512)]
+
+
+def test_rows_walked_past_their_degree_overflow_without_warnings():
+    # Row (y, k=1) of condition 2 walks on to degree 3 with the others; its
+    # power 4^3 * 1e307 overflows there, but it only needs degree 1.
+    dim = 8
+    top = TruncVector.basis(dim - 1, dim) * 1e307
+    inst = CriterionInstance(
+        op=Scale(4.0, BackwardShift()), subspace=IndexSet(tuple(range(dim))),
+        dim=dim, X=(), Y=(TruncVector.basis(0, dim),),
+        polys=(ConvexPolynomial.monomial(1), ConvexPolynomial.monomial(3)),
+        recovery=ExplicitRecovery((top, TruncVector.basis(3, dim) * (1 / 64))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = check_criterion_II(inst, 2, 1e-9)
+    norms, errors = verdict.cond2.decay[0]
+    assert errors[1] == 0.0 and errors[0] > 1e307
+
+
+def test_invariance_raises_the_first_failing_row_of_the_first_failing_k():
+    # Left block e_0..e_3 under 1e110 B leaves the float range at degree 3
+    # (from e_3), right block e_4..e_7 under 1e160 B at degree 2 (from e_6).
+    # k = 1 (degree 2) fails only on e_6 and e_7, which come after e_3.
+    dim = 8
+    zero = TruncVector.zeros(dim)
+    inst = CriterionInstance(
+        op=DirectSum(Scale(1e110, BackwardShift()), Scale(1e160, BackwardShift()), 4),
+        subspace=IndexSet(tuple(range(dim))), dim=dim, X=(), Y=(zero,),
+        polys=(ConvexPolynomial.monomial(2), ConvexPolynomial.monomial(3)),
+        recovery=ExplicitRecovery((zero, zero)))
+    for rows in (1, 3, None):
+        block = operators.BLOCK_BYTES if rows is None else rows * dim * 16
+        with mock.patch.object(operators, "BLOCK_BYTES", block):
+            got = _outcome(check_criterion_I, inst, 2, 1e-9)
+        assert got == _outcome(serial_criterion_I, inst, 2, 1e-9)
+        assert got[2].endswith("at degree 2")

@@ -11,7 +11,8 @@ from convexcyclic import (BackwardShift, CesaroMeans, ConvexPolynomial,
                           RandomSimplex, Scale, SimplexGrid,
                           TruncationOverflow, TruncVector, apply, eval_poly,
                           images, operators, orbit_segment)
-from oracles import dense_eval, loop_images, random_operator, random_vector
+from oracles import (dense_eval, loop_apply, loop_images, random_operator,
+                     random_vector)
 
 FAMILIES = {
     "monomials": lambda rng: Monomials(int(rng.integers(0, 6))),
@@ -134,3 +135,20 @@ def test_numerical_overflow_carries_the_degree():
     assert list(fault) == [(0, 0)]
     assert isinstance(fault[0, 0], NumericalOverflow)
     assert fault[0, 0].degree == 3
+
+
+@pytest.mark.parametrize("shift", [BackwardShift(1.0), ForwardShift(1.0)])
+def test_unit_weight_shifts_keep_the_loop_bits(shift):
+    # Real rows are copied; complex rows are still multiplied by 1 + 0j,
+    # which turns -0.0 - 5j into 0.0 - 5j as the loop does.
+    rng = np.random.default_rng(3)
+    real = rng.standard_normal((3, 9))
+    real[:, -1] = 0.0
+    real[0, 1] = -0.0
+    cplx = real + 1j * rng.standard_normal((3, 9))
+    cplx[:, -1] = 0.0
+    cplx[1, 2] = complex(-0.0, -5.0)
+    for X in (real, cplx):
+        got = operators._act(shift, X)
+        for r in range(len(X)):
+            assert got[r].tobytes() == loop_apply(shift, X[r]).tobytes()

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from convexcyclic import (BackwardShift, CesaroMeans, ConvexPolynomial,
                           Dense, DimensionMismatch, DirectSum, ForwardShift,
-                          Identity, Monomials, RandomSimplex, Scale,
-                          SimplexGrid, TruncVector, TruncationOverflow, apply,
+                          Identity, Monomials, NumericalOverflow,
+                          RandomSimplex, Scale, SimplexGrid, TruncVector,
+                          TruncationOverflow, apply,
                           compose_polys, eval_poly, operator_norm_estimate,
                           screen_necessary_conditions, to_dense)
 from oracles import dense_eval, random_triple
@@ -201,6 +202,15 @@ class TestScreen:
                                              horizon=5)
         assert not report.passed
         assert report.norm_estimate == 0.0
+
+    def test_power_norm_product_overflow_raises(self):
+        # |2|^n and the shift's 2^n are finite, their product 4^n is not
+        # from n = 512 on; it used to land in power_norms as inf.
+        op = Scale(2.0, BackwardShift(2.0))
+        assert screen_necessary_conditions(op, 1024, 511).power_norms[-1] == 4.0 ** 511
+        with pytest.raises(NumericalOverflow, match="norm estimate") as info:
+            screen_necessary_conditions(op, 1024, 600)
+        assert info.value.degree == 512
 
 
 class TestFamilies:

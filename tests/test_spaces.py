@@ -2,20 +2,22 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexcyclic import (BasisIndexSet, DimensionMismatch, DimensionTooSmall,
-                          DirectSumFactor, IndexSet, IntervalFamily,
+from convexcyclic import (BasisIndexSet, ConvexPolynomial, CriterionInstance,
+                          DimensionMismatch, DimensionTooSmall,
+                          DirectSumFactor, Identity, IndexSet, IntervalFamily,
                           NumericalOverflow, ParityZero, RecursiveSpan,
                           TruncVector, distance_to_subspace,
                           materialize_subspace, membership_tolerance, norm,
                           project)
-from convexcyclic.dynamics import _tolerance
-from convexcyclic.spaces import MEMBERSHIP_RTOL, off_span_norm, row_distance
+from convexcyclic.spaces import (MEMBERSHIP_RTOL, off_span_norm, row_distance,
+                               row_tolerance)
 
 
 def scalar_loop_norm(coords, p):
@@ -156,6 +158,27 @@ class TestProjectAndDistance:
         off = TruncVector(np.array([1.0, 1e-6]))
         assert distance_to_subspace(off, m) > membership_tolerance(off)
 
+    def test_overflowing_norm_keeps_a_finite_tolerance(self):
+        # ||w||_1 = 2^1004 * 2^20 overflows, so rtol * ||w|| was inf and
+        # admitted the off-span entry 2^1004 = 1.7e302.
+        w = np.ldexp(np.array([767156.0, 0.0, -281419.0, 1.0]), 1004)
+        v = TruncVector(w, p=1.0)
+        m = BasisIndexSet((0, 2), 4)
+        assert math.isinf(norm(v))
+        tol = membership_tolerance(v)
+        assert math.isclose(tol, math.ldexp(MEMBERSHIP_RTOL, 1024), rel_tol=1e-12)
+        assert row_tolerance(w, 1.0, MEMBERSHIP_RTOL) == tol
+        assert distance_to_subspace(v, m) > tol
+        with pytest.raises(ValueError, match="outside the subspace"):
+            CriterionInstance(op=Identity(), subspace=IndexSet((0, 2)), dim=4,
+                              X=(v,), Y=(), polys=(ConvexPolynomial.identity(),))
+
+    def test_norm_of_overflowing_row_emits_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isclose(norm(TruncVector(np.array([3e300, 4e300]))), 5e300,
+                                rel_tol=1e-15)
+
     def test_norm_of_huge_finite_row_is_finite(self):
         # The plain sum of squares overflows above about 1.3e154.
         row = np.array([3e300, 4e300])
@@ -220,7 +243,7 @@ def test_membership_verdict_survives_scaling_toward_float_max(data, p):
     def verdicts(w):
         v = TruncVector(w, p=p)
         return (distance_to_subspace(v, m) <= membership_tolerance(v),
-                off_span_norm(w, m.mask(), p) <= _tolerance(w, p, MEMBERSHIP_RTOL))
+                off_span_norm(w, m.mask(), p) <= row_tolerance(w, p, MEMBERSHIP_RTOL))
 
     with np.errstate(over="ignore"):
         assert verdicts(scaled) == verdicts(row)
