@@ -36,12 +36,13 @@ import numpy as np
 from .errors import (BuildVerificationFailed, DimensionMismatch,
                      DimensionTooSmall, RecoveryRuleMissing,
                      ScheduleInfeasible, TruncationOverflow)
+from .dynamics import invariance_checks
 from .operators import (ConvexPolynomial, OperatorSpec, block_rows,
                         image_blocks)
 from .spaces import (MEMBERSHIP_RTOL, BasisIndexSet, SubspaceSpec,
                      TruncVector, coords_norm, distance_to_subspace,
                      materialize_subspace, membership_tolerance, norm,
-                     off_span_norm, row_distance, row_tolerance)
+                     off_span_argmax, off_span_norm, row_distance)
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +260,10 @@ def _value(kept: dict, faults: dict, key):
     return kept[key]
 
 
-def _orbit_table(inst: CriterionInstance, horizon: int, mask: np.ndarray,
-                 tol: float) -> dict:
-    """(norm, residual outside ``mask``, residual > tol, landing index) of
-    P_k(T)x for every x in X and k < horizon, keyed (k, x index), from one
-    engine walk.  Raises the first failing x's first failing member."""
-    def measure(k, r, w):
-        residual = off_span_norm(w, mask, inst.X[r].p)
-        violated = residual > tol
-        return (coords_norm(w, inst.X[r].p), residual, violated,
-                _landing_index(w, mask) if violated else None)
-
+def _orbit_table(inst: CriterionInstance, horizon: int, measure) -> dict:
+    """``measure(k, r, w)`` of w = P_k(T) X[r] for every k < horizon,
+    keyed (k, r), from one engine walk.  Raises the first failing x's first
+    failing member."""
     table, faults = _walk(inst.op, [x.coords for x in inst.X],
                           inst.polys[:horizon], measure)
     if faults:
@@ -277,12 +271,12 @@ def _orbit_table(inst: CriterionInstance, horizon: int, mask: np.ndarray,
     return table
 
 
-def _check_cond1(inst: CriterionInstance, table: dict, horizon: int,
+def _check_cond1(inst: CriterionInstance, norms: dict, horizon: int,
                  tol: float) -> Cond1Result:
     worst = 0.0
     passed = True
     for r in range(len(inst.X)):
-        seq = [table[k, r][0] for k in range(horizon)]
+        seq = [norms[k, r] for k in range(horizon)]
         worst = max(worst, seq[-1])
         if not _settles(seq, tol):
             passed = False
@@ -340,60 +334,9 @@ def _check_cond2(inst: CriterionInstance, horizon: int, tol: float) -> Cond2Resu
                        worst_recovery_error=worst_err, decay=tuple(decay))
 
 
-def _landing_index(row: np.ndarray, mask: np.ndarray) -> Optional[int]:
-    """Index of the largest coordinate of an image row outside the span, if any."""
-    off = np.where(mask, 0.0, np.abs(row))
-    if not np.any(off > 0):
-        return None
-    return int(np.argmax(off))
-
-
-def _cond3(horizon: int, records) -> Cond3Result:
-    """Condition 3 from (k, source, residual, violated, landing) records that
-    list each k's sources in ascending order: the worst residual per k and
-    its first violation."""
-    worst = [0.0] * horizon
-    source = [None] * horizon
-    landing = [None] * horizon
-    for k, src, residual, violated, land in records:
-        if residual > worst[k]:
-            worst[k] = residual
-        if source[k] is None and violated:
-            source[k] = src
-            landing[k] = land
-    details = tuple(Cond3Detail(k=k + 1, passed=source[k] is None,
-                                max_residual=worst[k], source_index=source[k],
-                                landing_index=landing[k])
-                    for k in range(horizon))
+def _cond3(details) -> Cond3Result:
+    details = tuple(details)
     return Cond3Result(passed=all(d.passed for d in details), details=details)
-
-
-def _check_invariance(inst: CriterionInstance, horizon: int,
-                      m: BasisIndexSet) -> Cond3Result:
-    """Criterion I's condition 3: ``invariance_check`` of every P_k, k <=
-    horizon, in one engine walk over the span's identity rows, block_rows
-    // horizon rows at a time.  Raises the first failing row of the first
-    failing k."""
-    mask = m.mask()
-    records = []
-    faults = {}
-    step = max(1, block_rows(m.dim) // horizon)
-    for r0 in range(0, len(m), step):
-        indices = m.indices[r0: r0 + step]
-        basis = np.zeros((len(indices), m.dim))
-        basis[np.arange(len(indices)), indices] = 1.0
-
-        def measure(k, r, w):
-            residual = off_span_norm(w, mask, 2.0)
-            violated = residual > row_tolerance(w, 2.0, inst.membership_rtol)
-            return residual, violated, _landing_index(w, mask) if violated else None
-
-        kept, failed = _walk(inst.op, basis, inst.polys[:horizon], measure)
-        faults.update(((k, r0 + r), e) for (k, r), e in failed.items())
-        records += [(k, indices[r], *kept[k, r]) for k, r in sorted(kept)]
-    if faults:
-        raise faults[min(faults)]
-    return _cond3(horizon, records)
 
 
 def check_criterion_I(inst: CriterionInstance, horizon: int,
@@ -402,10 +345,17 @@ def check_criterion_I(inst: CriterionInstance, horizon: int,
     of the subspace under every P_k(T)."""
     if not 1 <= horizon <= len(inst.polys):
         raise ValueError(f"horizon must lie in 1..{len(inst.polys)}")
-    m = inst.materialized()
-    cond1 = _check_cond1(inst, _orbit_table(inst, horizon, m.mask(), tol), horizon, tol)
+    cond1 = _check_cond1(inst, _orbit_table(inst, horizon,
+                                            lambda k, r, w: coords_norm(w, inst.X[r].p)),
+                         horizon, tol)
     cond2 = _check_cond2(inst, horizon, tol)
-    cond3 = _check_invariance(inst, horizon, m)
+    results = invariance_checks(inst.polys[:horizon], inst.op, inst.materialized(),
+                                membership_rtol=inst.membership_rtol)
+    cond3 = _cond3(Cond3Detail(k=k + 1, passed=res.invariant,
+                               max_residual=res.max_residual,
+                               source_index=res.violating_basis_index,
+                               landing_index=res.landing_index)
+                   for k, res in enumerate(results))
     return CriterionVerdict("I", cond1, cond2, cond3, horizon)
 
 
@@ -416,11 +366,28 @@ def check_criterion_II(inst: CriterionInstance, horizon: int,
     weaker than invariance).  Conditions 1 and 3 read one walk of X."""
     if not 1 <= horizon <= len(inst.polys):
         raise ValueError(f"horizon must lie in 1..{len(inst.polys)}")
-    table = _orbit_table(inst, horizon, inst.materialized().mask(), tol)
-    cond1 = _check_cond1(inst, table, horizon, tol)
+    mask = inst.materialized().mask()
+
+    def measure(k, r, w):
+        p = inst.X[r].p
+        residual = off_span_norm(w, mask, p)
+        return (coords_norm(w, p), residual,
+                off_span_argmax(w, mask) if residual > tol else None)
+
+    table = _orbit_table(inst, horizon, measure)
+    cond1 = _check_cond1(inst, {kr: v[0] for kr, v in table.items()}, horizon, tol)
     cond2 = _check_cond2(inst, horizon, tol)
-    cond3 = _cond3(horizon, ((k, r, *table[k, r][1:])
-                             for r in range(len(inst.X)) for k in range(horizon)))
+    details = []
+    for k in range(horizon):
+        worst, source, landing = 0.0, None, None
+        for r in range(len(inst.X)):
+            _, residual, land = table[k, r]
+            worst = max(worst, residual)
+            if source is None and residual > tol:
+                source, landing = r, land
+        details.append(Cond3Detail(k=k + 1, passed=source is None, max_residual=worst,
+                                   source_index=source, landing_index=landing))
+    cond3 = _cond3(details)
     return CriterionVerdict("II", cond1, cond2, cond3, horizon)
 
 

@@ -9,8 +9,8 @@ result is evidence, never proof.
 
 Every diagnostic takes its orbit points from the engine in
 ``operators`` as raw row blocks of bounded size: density streams the
-family block by block, invariance applies P(T) to the span's identity
-rows, and transitivity scans each pair's (member, sample) images in
+family block by block, invariance applies every P(T) asked for to the
+span's identity rows in one walk, and transitivity scans each pair's (member, sample) images in
 enumeration order.  Norms and distances are taken row by row with the
 same calls ``spaces`` makes, so reports match single-vector evaluation
 bit for bit.
@@ -31,7 +31,8 @@ from .operators import (ConvexPolynomial, OperatorSpec, PolynomialFamily,
                         block_rows, image_blocks, images)
 from .spaces import (MEMBERSHIP_RTOL, BasisIndexSet, TruncVector,
                      distance_to_subspace, membership_tolerance, norm,
-                     off_span_norm, row_distance, row_tolerance)
+                     off_span_argmax, off_span_norm, row_distance,
+                     row_tolerance)
 
 
 class Verdict(enum.Enum):
@@ -106,6 +107,7 @@ class InvarianceResult:
     invariant: bool
     max_residual: float
     violating_basis_index: Optional[int]
+    landing_index: Optional[int]
 
 
 def orbit_segment(op: OperatorSpec, x: TruncVector,
@@ -195,24 +197,52 @@ def invariance_check(P: ConvexPolynomial, op: OperatorSpec, m: BasisIndexSet,
     Applies P(T) to each basis vector of the span (its identity rows, in
     engine blocks) and measures the residual outside the span.  Reports
     the worst residual and the first violating basis index (in sorted
-    order).
+    order), with the index its image lands on farthest outside the span.
+    """
+    return invariance_checks((P,), op, m, membership_rtol=membership_rtol)[0]
+
+
+def invariance_checks(polys: Sequence[ConvexPolynomial], op: OperatorSpec,
+                      m: BasisIndexSet, *,
+                      membership_rtol: float = MEMBERSHIP_RTOL) -> tuple:
+    """``invariance_check`` of every P in ``polys`` from one engine walk.
+
+    The span's identity rows walk through all of ``polys`` together,
+    block_rows // len(polys) rows at a time, and each block is folded into
+    the running results before the next one is made.  Raises the error of
+    the first failing row of the first failing P.
     """
     mask = m.mask()
-    worst = 0.0
-    violator = None
-    step = block_rows(m.dim)
+    worst = [0.0] * len(polys)
+    violator = [None] * len(polys)
+    landing = [None] * len(polys)
+    first_fault = None
+    step = max(1, block_rows(m.dim) // len(polys))
     for r0 in range(0, len(m), step):
         indices = m.indices[r0: r0 + step]
         basis = np.zeros((len(indices), m.dim))
         basis[np.arange(len(indices)), indices] = 1.0
-        for j, w in zip(indices, images(op, basis, [P])[0]):
-            residual = off_span_norm(w, mask, 2.0)
-            if residual > worst:
-                worst = residual
-            if violator is None and residual > row_tolerance(w, 2.0, membership_rtol):
-                violator = j
-    return InvarianceResult(invariant=violator is None, max_residual=worst,
-                            violating_basis_index=violator)
+        # At most block_rows rows: every block holds all of them.
+        for j0, out, fault in image_blocks(op, basis, polys):
+            for j, r in np.ndindex(out.shape[:2]):
+                k = j0 + j
+                if (j, r) in fault:
+                    if first_fault is None or (k, r0 + r) < first_fault[:2]:
+                        first_fault = (k, r0 + r, fault[j, r])
+                    continue
+                w = out[j, r]
+                residual = off_span_norm(w, mask, 2.0)
+                if residual > worst[k]:
+                    worst[k] = residual
+                if violator[k] is None and residual > row_tolerance(w, 2.0, membership_rtol):
+                    violator[k] = indices[r]
+                    landing[k] = off_span_argmax(w, mask)
+    if first_fault is not None:
+        raise first_fault[2]
+    return tuple(InvarianceResult(invariant=violator[k] is None, max_residual=worst[k],
+                                  violating_basis_index=violator[k],
+                                  landing_index=landing[k])
+                 for k in range(len(polys)))
 
 
 def sample_ball(center: TruncVector, m: BasisIndexSet, radius: float,

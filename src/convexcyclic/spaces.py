@@ -143,6 +143,15 @@ def off_span_norm(coords: np.ndarray, mask: np.ndarray, p: float) -> float:
     return coords_norm(np.where(mask, 0.0, coords), p)
 
 
+def off_span_argmax(coords: np.ndarray, mask: np.ndarray) -> Optional[int]:
+    """Index of one raw row's largest coordinate outside ``mask``, or None
+    when the row vanishes there."""
+    off = np.where(mask, 0.0, np.abs(coords))
+    if not np.any(off > 0):
+        return None
+    return int(np.argmax(off))
+
+
 # ---------------------------------------------------------------------------
 # Subspace specifications
 # ---------------------------------------------------------------------------

@@ -19,12 +19,12 @@ from convexcyclic import (BackwardShift, BuildVerificationFailed,
                           ConvexPolynomial, Dense, DirectSum, ForwardShift,
                           Identity, Scale, ScheduleInfeasible,
                           TruncationOverflow, TruncVector, distance_to_subspace,
-                          eval_poly, images, invariance_check, norm, to_dense,
-                          xi_schedule)
+                          images, norm, to_dense, xi_schedule)
 from convexcyclic.criteria import (BuildResult, BuildStep, Cond1Result,
                                    Cond2Result, Cond3Detail, Cond3Result,
-                                   CriterionVerdict, _landing_index, _settles)
-from convexcyclic.spaces import coords_norm, off_span_norm, row_distance
+                                   CriterionVerdict, _settles)
+from convexcyclic.spaces import (coords_norm, off_span_argmax, off_span_norm,
+                                 row_distance, row_tolerance)
 
 
 def dense_poly_matrix(P, op, dim):
@@ -213,18 +213,18 @@ def serial_criterion_I(inst, horizon, tol):
     m = inst.materialized()
     cond1 = _serial_cond1(inst, horizon, tol)
     cond2 = _serial_cond2(inst, horizon, tol)
+    mask = m.mask()
     details = []
     for k in range(1, horizon + 1):
-        P = inst.poly(k)
-        res = invariance_check(P, inst.op, m, membership_rtol=inst.membership_rtol)
-        landing = None
-        if res.violating_basis_index is not None:
-            image = eval_poly(P, inst.op, TruncVector.basis(res.violating_basis_index, m.dim))
-            landing = _landing_index(image.coords, m.mask())
-        details.append(Cond3Detail(k=k, passed=res.invariant,
-                                   max_residual=res.max_residual,
-                                   source_index=res.violating_basis_index,
-                                   landing_index=landing))
+        worst, source, landing = 0.0, None, None
+        for j in m.indices:
+            w = _orbit(inst.op, TruncVector.basis(j, m.dim), [inst.poly(k)])[0]
+            residual = off_span_norm(w, mask, 2.0)
+            worst = max(worst, residual)
+            if source is None and residual > row_tolerance(w, 2.0, inst.membership_rtol):
+                source, landing = j, off_span_argmax(w, mask)
+        details.append(Cond3Detail(k=k, passed=source is None, max_residual=worst,
+                                   source_index=source, landing_index=landing))
     cond3 = Cond3Result(passed=all(d.passed for d in details), details=tuple(details))
     return CriterionVerdict("I", cond1, cond2, cond3, horizon)
 
@@ -245,7 +245,7 @@ def serial_criterion_II(inst, horizon, tol):
                 worst[k] = residual
             if source[k] is None and residual > tol:
                 source[k] = x_index
-                landing[k] = _landing_index(w, mask)
+                landing[k] = off_span_argmax(w, mask)
     details = [Cond3Detail(k=k + 1, passed=source[k] is None, max_residual=worst[k],
                            source_index=source[k], landing_index=landing[k])
                for k in range(horizon)]

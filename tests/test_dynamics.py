@@ -1,6 +1,7 @@
 """Orbits, density scoring, invariance checks and transitivity search."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from convexcyclic import (BackwardShift, BallPair, BasisIndexSet,
                           build_cyclic_vector, density_score,
                           distance_to_subspace, eval_poly, invariance_check,
                           materialize_subspace, norm, orbit_segment,
-                          sample_ball, transitivity_search)
-from convexcyclic.dynamics import BallCenterOutsideSubspace
+                          operators, sample_ball, transitivity_search)
+from convexcyclic.dynamics import BallCenterOutsideSubspace, invariance_checks
 from convexcyclic.gallery import entry_example_5_4
 from oracles import dense_eval
 
@@ -143,6 +144,7 @@ class TestInvariance:
         res = invariance_check(ConvexPolynomial.monomial(2), TWO_B, m)
         assert not res.invariant
         assert res.violating_basis_index == 4
+        assert res.landing_index == 2
         image = eval_poly(ConvexPolynomial.monomial(2), TWO_B,
                           TruncVector.basis(4, 8))
         assert image.coords[2] != 0.0
@@ -155,6 +157,19 @@ class TestInvariance:
         assert invariance_check(P, TWO_B, m).invariant
         assert invariance_check(Q, TWO_B, m).invariant
         assert invariance_check(compose_polys(P, Q), TWO_B, m).invariant
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_one_walk_of_many_polys_matches_one_walk_each(self, rows):
+        m = materialize_subspace(ParityZero("even"), 16)
+        polys = [ConvexPolynomial.monomial(d) for d in range(7)]
+        polys.append(ConvexPolynomial((0.5, 0.0, 0.25, 0.25)))
+        want = tuple(invariance_check(P, TWO_B, m) for P in polys)
+        block = operators.BLOCK_BYTES if rows is None else rows * m.dim * 16
+        with mock.patch.object(operators, "BLOCK_BYTES", block):
+            got = invariance_checks(polys, TWO_B, m)
+        assert got == want
+        assert [r.invariant for r in got] == [True, False] * 3 + [True, False]
+        assert got[1].violating_basis_index == 1 and got[1].landing_index == 0
 
 
 class TestTransitivity:
