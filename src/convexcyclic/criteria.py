@@ -15,13 +15,13 @@ passing on a lucky index.
 Each condition is one engine walk over a block of rows: X for conditions
 1 and 3 of criterion II (both read the same walk), every recovery vector
 x_k(y) for condition 2, and the span's identity rows for condition 3 of
-criterion I.  The verdicts are bit for bit those of one walk per vector,
-and so are the errors, raised in the order of the per-vector loops: the
-first failing row, then its first failing member; in condition 2 the
-recovery rule's errors, orbit faults and distance overflows interleave in
-(y, k) order.  The builder's step loop is inherently sequential (each
-step depends on the previous selections); each candidate is scored in
-two walks.
+criterion I (``dynamics.invariance_checks``).  The verdicts are bit for
+bit those of one walk per vector, and so are the errors, raised in the
+order of the per-vector loops: the first failing row, then its first
+failing member; in condition 2 the recovery rule's errors, orbit faults
+and distance overflows interleave in (y, k) order.  The builder's step
+loop is inherently sequential (each step depends on the previous
+selections); each candidate is scored in two walks.
 """
 
 from __future__ import annotations
