@@ -34,8 +34,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import (BuildVerificationFailed, DimensionMismatch,
-                     DimensionTooSmall, RecoveryRuleMissing,
-                     ScheduleInfeasible, TruncationOverflow)
+                     DimensionTooSmall, NumericalOverflow,
+                     RecoveryRuleMissing, ScheduleInfeasible,
+                     TruncationOverflow)
 from .dynamics import invariance_checks
 from .operators import (ConvexPolynomial, OperatorSpec, block_rows,
                         image_blocks)
@@ -57,6 +58,8 @@ class ShiftRecovery:
 
     This is the exact right inverse of a scaled backward shift: applying
     (scale * B)^d recovers y bit for bit when scale is a power of two.
+    A factor scale^(-d) or an x_k outside the float range raises
+    NumericalOverflow at degree d.
     """
 
     scale: complex
@@ -77,7 +80,15 @@ class ShiftRecovery:
                 f"shifting support by {d} leaves the truncation of size {y.dim}")
         out = np.zeros_like(y.coords)
         out[d:] = y.coords[: y.dim - d]
-        return y.with_coords(out * self.scale ** (-d))
+        try:
+            factor = self.scale ** (-d)
+        except OverflowError:
+            raise NumericalOverflow(d, "the recovery factor scale^(-d)") from None
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = out * factor
+        if not np.isfinite(out).all():
+            raise NumericalOverflow(d, "the recovery vector")
+        return y.with_coords(out)
 
 
 @dataclass(frozen=True)

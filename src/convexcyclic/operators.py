@@ -12,9 +12,11 @@ a_i T^i X into each member's accumulator where a_i is nonzero: one block
 application per degree, no stored power table.  The arithmetic is the
 elementwise axpy of the single-vector recurrence, so each image is bit for
 bit what a per-member ascending-degree loop gives.  ``image_blocks``
-splits large member x row products into blocks of at most BLOCK_BYTES.
-``TruncVector`` wraps results only at the public boundary (``apply``,
-``eval_poly``).
+splits large member x row products into blocks of at most BLOCK_BYTES and
+carries the walk from one member block to the next wherever the next
+block's terms all lie above the degree reached, so ``Monomials(D)`` costs
+D block applications however it is split.  ``TruncVector`` wraps results
+only at the public boundary (``apply``, ``eval_poly``).
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ class _RowFailure(Exception):
 
 
 def _mul(w, X: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``w * X`` into ``out`` (cast as an assignment would cast).
+    """``w * X``, into ``out`` if given (of the product's dtype or wider).
 
     Complex-by-complex products go row by row: numpy rounds them
     differently in different loops (fused multiply-add or not), and a row
@@ -168,7 +170,7 @@ def _mul(w, X: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         for r, row in enumerate(X):
             out[r] = w * row
     else:
-        np.multiply(w, X, out=out, casting="unsafe")
+        np.multiply(w, X, out=out)
     return out
 
 
@@ -195,26 +197,28 @@ def _act(op: OperatorSpec, X: np.ndarray, check: bool = True) -> np.ndarray:
     if isinstance(op, Identity):
         return X
     if isinstance(op, BackwardShift):
-        out = np.empty_like(X)
-        out[:, -1] = 0
-        if dim > 1 and _unit(op.weight, X):
+        if _unit(op.weight, X):
+            out = np.empty_like(X)
             out[:, :-1] = X[:, 1:]
-        elif dim > 1:
-            _mul(_weight_array(op.weight, dim, "backward shift")[1:], X[:, 1:],
-                 out[:, :-1])
+        else:
+            w = _weight_array(op.weight, dim, "backward shift")[1:]
+            out = np.empty(X.shape, np.result_type(w, X))
+            _mul(w, X[:, 1:], out[:, :-1])
+        out[:, -1] = 0
     elif isinstance(op, ForwardShift):
         top = X[:, -1] != 0
         if top.any():
             raise _RowFailure(top, TruncationOverflow(
                 f"forward shift would push mass past index {dim - 1}; "
                 "enlarge the truncation"))
-        out = np.empty_like(X)
-        out[:, 0] = 0
         if _unit(op.weight, X):
+            out = np.empty_like(X)
             out[:, 1:] = X[:, :-1]
         else:
-            _mul(_weight_array(op.weight, dim - 1, "forward shift"), X[:, :-1],
-                 out[:, 1:])
+            w = _weight_array(op.weight, dim - 1, "forward shift")
+            out = np.empty(X.shape, np.result_type(w, X))
+            _mul(w, X[:, :-1], out[:, 1:])
+        out[:, 0] = 0
     elif isinstance(op, Scale):
         out = _mul(op.factor, _act(op.inner, X, check=False))
     elif isinstance(op, DirectSum):
@@ -431,14 +435,16 @@ class ConvexPolynomial:
     allow_signed: bool = False
 
     def __post_init__(self):
-        cs = tuple(float(c) for c in self.coeffs)
+        cs = tuple(map(float, self.coeffs))
         if not cs:
             raise ValueError("a convex polynomial needs at least one coefficient")
-        if any(not math.isfinite(c) for c in cs):
+        if not all(map(math.isfinite, cs)):
             raise ValueError("coefficients must be finite")
-        while len(cs) > 1 and cs[-1] == 0.0:
-            cs = cs[:-1]
-        if not self.allow_signed and any(c < 0 for c in cs):
+        end = len(cs)
+        while end > 1 and cs[end - 1] == 0.0:
+            end -= 1
+        cs = cs[:end]
+        if not self.allow_signed and min(cs) < 0:
             raise ValueError("coefficients must be nonnegative (set allow_signed to relax)")
         total = math.fsum(cs)
         if abs(total - 1.0) > 1e-12:
@@ -464,10 +470,31 @@ class ConvexPolynomial:
         return tuple(i for i, a in enumerate(self.coeffs) if a != 0.0)
 
 
+class _Walk:
+    """The running state of one engine walk over the rows of ``X``.
+
+    ``power`` is T^degree X with every failed row zeroed; ``failed_at[r]``
+    is the degree at which row r failed (past every degree while it is
+    live) and ``errors[r]`` the error its single-vector evaluation raised
+    there.
+    """
+
+    def __init__(self, X: np.ndarray):
+        self.X = X
+        self.restart()
+
+    def restart(self):
+        self.power, self.degree = self.X, 0
+        self.live = np.ones(len(self.X), dtype=bool)
+        self.failed_at = np.full(len(self.X), np.iinfo(np.int64).max)
+        self.errors = [None] * len(self.X)
+
+
 # Overflow is detected and reported as NumericalOverflow; numpy's warnings
 # would only repeat it (here and in ``apply``).
 @np.errstate(over="ignore", invalid="ignore")
-def _images(op: OperatorSpec, X: np.ndarray, polys: Sequence[ConvexPolynomial]):
+def _images(op: OperatorSpec, X: np.ndarray, polys: Sequence[ConvexPolynomial],
+            walk: Optional[_Walk] = None):
     """The engine walk behind ``images``; failures are returned, not raised.
 
     Returns ``(out, fault)``: ``out[j, r]`` is P_j(T) X[r], and ``fault``
@@ -475,6 +502,11 @@ def _images(op: OperatorSpec, X: np.ndarray, polys: Sequence[ConvexPolynomial]):
     that error, in (member, row) order.  A row whose power fails at degree
     i is zeroed and fails every member of degree >= i; an accumulator that
     is not finite failed on an earlier, finite power.
+
+    ``walk``, left over ``X`` by an earlier call with the same op, resumes
+    when every nonzero coefficient of positive degree in ``polys`` lies
+    above its degree, and restarts from X otherwise; it is left at the
+    largest degree walked.
     """
     degrees = np.array([P.degree for P in polys])
     top = int(degrees.max(initial=0))
@@ -483,14 +515,15 @@ def _images(op: OperatorSpec, X: np.ndarray, polys: Sequence[ConvexPolynomial]):
     for j, P in enumerate(polys):
         for i in np.flatnonzero(P.coeffs[1:]) + 1:
             terms[i].append((j, P.coeffs[i]))
-    live = np.ones(X.shape[0], dtype=bool)
-    failed_at = np.full(X.shape[0], top + 1)
-    errors = [None] * X.shape[0]
-    power = X
-    for i in range(1, top + 1):
+    if walk is None:
+        walk = _Walk(X)
+    elif any(terms[1: walk.degree + 1]):
+        walk.restart()
+    live = walk.live
+    for i in range(walk.degree + 1, top + 1):
         while live.any():
             try:
-                power = _act(op, power)
+                walk.power = _act(op, walk.power)
                 break
             except _RowFailure as failure:
                 rows, error = failure.rows & live, failure.error
@@ -498,22 +531,24 @@ def _images(op: OperatorSpec, X: np.ndarray, polys: Sequence[ConvexPolynomial]):
                     error = NumericalOverflow(i)
             except (DimensionMismatch, ValueError, TypeError) as exc:
                 rows, error = live.copy(), exc
-            failed_at[rows] = i
+            walk.failed_at[rows] = i
             for r in np.flatnonzero(rows):
-                errors[r] = error
+                walk.errors[r] = error
             live &= ~rows
-            power = np.where(rows[:, None], 0, power)
+            walk.power = np.where(rows[:, None], 0, walk.power)
         else:
             break  # every row has failed; no member can gain a valid term
-        if power.dtype != out.dtype:
-            out = out.astype(np.result_type(out, power))
+        walk.degree = i
+        if walk.power.dtype != out.dtype:
+            out = out.astype(np.result_type(out, walk.power))
         for j, a in terms[i]:
-            out[j] += a * power
+            out[j] += a * walk.power
     nonfinite = ~np.isfinite(out).all(axis=2)
+    failed = walk.failed_at[None, :] <= degrees[:, None]
     fault = {}
-    for j, r in zip(*np.nonzero(nonfinite | (failed_at[None, :] <= degrees[:, None]))):
+    for j, r in zip(*np.nonzero(nonfinite | failed)):
         fault[int(j), int(r)] = (NumericalOverflow(int(degrees[j]))
-                                 if nonfinite[j, r] else errors[r])
+                                 if nonfinite[j, r] else walk.errors[r])
     return out, fault
 
 
@@ -542,15 +577,20 @@ def image_blocks(op: OperatorSpec, X: np.ndarray,
 
     Yields ``(j0, out, fault)`` in (member, row) order, where block member
     j is polys[j0 + j]: all rows for consecutive members, or one member's
-    rows in consecutive slices when they alone exceed the bound.  Every
-    block walks its own degrees from X.
+    rows in consecutive slices when they alone exceed the bound.  Blocks
+    of all rows share one walk: a block whose nonzero coefficients of
+    positive degree all lie above the degree reached so far resumes from
+    the running power there (every later ``Monomials`` block does, so
+    ``Monomials(D)`` costs D block applications in any number of blocks);
+    any other block walks again from X.  A row slice walks from its rows.
     """
     batch, dim = X.shape
     cap = block_rows(dim)
     if batch <= cap:
         step = cap // batch
+        walk = _Walk(X)
         for j0 in range(0, len(polys), step):
-            yield (j0,) + _images(op, X, polys[j0: j0 + step])
+            yield (j0,) + _images(op, X, polys[j0: j0 + step], walk)
     else:
         for j0 in range(len(polys)):
             for r0 in range(0, batch, cap):

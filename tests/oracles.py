@@ -51,15 +51,16 @@ def loop_apply(op, x):
     """One single-vector application of ``op`` to the 1-D array ``x``."""
     dim = x.size
     if isinstance(op, BackwardShift):
-        out = np.zeros_like(x)
-        if dim > 1:
-            out[:-1] = _loop_weights(op.weight, dim)[1:] * x[1:]
+        w = _loop_weights(op.weight, dim)[1:]
+        out = np.zeros(dim, np.result_type(w, x))
+        out[:-1] = w * x[1:]
         return out
     if isinstance(op, ForwardShift):
         if x[-1] != 0:
             raise TruncationOverflow("forward shift overflow")
-        out = np.zeros_like(x)
-        out[1:] = _loop_weights(op.weight, dim - 1) * x[:-1]
+        w = _loop_weights(op.weight, dim - 1)
+        out = np.zeros(dim, np.result_type(w, x))
+        out[1:] = w * x[:-1]
         return out
     if isinstance(op, Scale):
         return op.factor * loop_apply(op.inner, x)

@@ -441,6 +441,25 @@ def test_numeric_overflow_exits_2(tmp_path, capsys):
     assert "NumericalOverflow" in err and "degree 1024" in err
 
 
+@pytest.mark.parametrize("which", ["I", "II"])
+def test_recovery_overflow_exits_2(tmp_path, capsys, which):
+    # The shift recovery factor 0.5^(-1100) is past the float range.
+    data = {
+        "dim": 2048,
+        "horizon": 1,
+        "operator": {"kind": "scale", "factor": 0.5,
+                     "inner": {"kind": "backward_shift", "weight": 1.0}},
+        "subspace": {"kind": "parity_zero", "parity": "even"},
+        "family": {"kind": "monomials", "max_degree": 2},
+        "criterion": {"X": [{"dim": 2048, "entries": [[1, 1.0]]}],
+                      "Y": [{"dim": 2048, "entries": [[1, 1.0]]}],
+                      "polys": {"kind": "monomials_at", "degrees": [1100]},
+                      "recovery": {"kind": "shift", "scale": 0.5}},
+    }
+    err = _run_invalid(tmp_path, capsys, data, ["criterion", "--which", which])
+    assert "NumericalOverflow" in err and "degree 1100" in err
+
+
 def test_distance_overflow_exits_2(tmp_path, capsys):
     # Both vectors are finite, but w - y = 3.4e308 e_1 is not.
     data = {

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from convexcyclic import (BackwardShift, ConvexPolynomial, CriterionInstance,
-                          ExplicitRecovery, ParityZero, RecoveryRuleMissing,
+                          ExplicitRecovery, NumericalOverflow, ParityZero,
+                          RecoveryRuleMissing,
                           Scale, ScheduleInfeasible, ShiftRecovery,
                           TruncVector, build_cyclic_vector,
                           check_criterion_I, check_criterion_II, eval_poly,
@@ -128,6 +129,20 @@ class TestCriterionChecks:
         with pytest.raises(RecoveryRuleMissing):
             patched.recovery_vector(0, 2)
         assert norm(patched.recovery_vector(0, 1)) == 0.0
+
+    def test_shift_recovery_overflow_carries_the_degree(self):
+        # 0.5^(-1100) = 2^1100 is past the float range.
+        with pytest.raises(NumericalOverflow) as info:
+            ShiftRecovery(0.5).recover(TruncVector.basis(0, 2000),
+                                       ConvexPolynomial.monomial(1100))
+        assert info.value.degree == 1100
+        # A finite factor times a large coordinate overflows too.
+        y = TruncVector(np.r_[1e305, np.zeros(20)])
+        with pytest.raises(NumericalOverflow) as info:
+            ShiftRecovery(0.5).recover(y, ConvexPolynomial.monomial(20))
+        assert info.value.degree == 20
+        x = ShiftRecovery(0.5).recover(y, ConvexPolynomial.monomial(10))
+        assert x.coords[10] == 1e305 * 2.0 ** 10
 
     def test_horizon_bounds_checked(self):
         with pytest.raises(ValueError):

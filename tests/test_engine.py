@@ -72,8 +72,8 @@ def test_faults_are_the_loop_failures(seed, dim, kind, batch):
             assert np.array_equal(out[j, r], want)
 
 
-@pytest.mark.parametrize("degree", [0, 1, 7, 64])
-def test_monomials_cost_one_block_application_per_degree(degree, monkeypatch):
+def _record_acts(monkeypatch) -> list:
+    """The shapes of the blocks every later ``_act`` call is given."""
     calls = []
     act = operators._act
 
@@ -82,10 +82,85 @@ def test_monomials_cost_one_block_application_per_degree(degree, monkeypatch):
         return act(op, X, check)
 
     monkeypatch.setattr(operators, "_act", counting)
+    return calls
+
+
+@pytest.mark.parametrize("degree", [0, 1, 7, 64])
+def test_monomials_cost_one_block_application_per_degree(degree, monkeypatch):
+    calls = _record_acts(monkeypatch)
     x = np.zeros((1, 128))
     x[0, 100:] = 1.0
     images(BackwardShift(2.0), x, Monomials(degree).members())
     assert calls == [(1, 128)] * degree
+
+
+def test_monomials_cost_one_block_application_per_degree_across_blocks(monkeypatch):
+    # At dim 2048 one block holds 64 members: Monomials(400) comes in 7
+    # blocks, and each resumes where the previous one stopped.
+    calls = _record_acts(monkeypatch)
+    x = np.zeros((1, 2048))
+    x[0, 1600:] = 1.0
+    blocks = list(operators.image_blocks(BackwardShift(2.0), x, Monomials(400).members()))
+    assert [j0 for j0, _, _ in blocks] == list(range(0, 401, 64))
+    assert calls == [(1, 2048)] * 400
+
+
+def _blocks_and_whole(op, X, members, rows_per_block):
+    """image_blocks at a bound of ``rows_per_block`` rows, concatenated,
+    next to one _images call on the whole family."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "BLOCK_BYTES", 16 * X.shape[1] * rows_per_block)
+        blocks = list(operators.image_blocks(op, X, members))
+    assert len(blocks) == -(-len(members) // (rows_per_block // len(X)))
+    dtype = np.result_type(*[out for _, out, _ in blocks])
+    got = np.concatenate([out.astype(dtype) for _, out, _ in blocks])
+    faults = {(j0 + j, r): e for j0, _, fault in blocks for (j, r), e in fault.items()}
+    return (got, faults), operators._images(op, X, members)
+
+
+def _describe(faults):
+    return {key: (type(e), str(e), getattr(e, "degree", None))
+            for key, e in faults.items()}
+
+
+@given(st.integers(0, 2 ** 30), st.integers(1, 6), st.sampled_from(sorted(FAMILIES)),
+       st.integers(1, 3), st.integers(1, 3), st.booleans(),
+       st.sampled_from([1.0, 1e300]))
+@settings(max_examples=300, deadline=None)
+def test_blocks_share_one_walk_with_the_same_bits_and_faults(
+        seed, dim, kind, batch, members_per_block, complex_field, magnitude):
+    # Forward shifts get no headroom and large rows overflow, so rows fail
+    # inside one block while later blocks still read them.
+    rng = np.random.default_rng(seed)
+    op, _ = random_operator(rng, dim, complex_field)
+    members = FAMILIES[kind](rng).members()
+    X = rng.standard_normal((batch, dim))
+    if complex_field:
+        X = X + 1j * rng.standard_normal((batch, dim))
+    X *= magnitude
+    (got, faults), (want, want_faults) = _blocks_and_whole(
+        op, X, members, batch * members_per_block)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert list(faults) == list(want_faults)
+    assert _describe(faults) == _describe(want_faults)
+
+
+def test_carried_walk_keeps_a_failed_row_failed():
+    # Row 0 overflows the truncation at degree 3, inside the block of
+    # members 2 and 3; row 1 never does.  The later blocks resume the walk
+    # and still fail row 0 for every member past degree 2.
+    X = np.zeros((2, 12))
+    X[0, 9] = 1.0
+    X[1, 0] = 1.0
+    members = Monomials(9).members()
+    (got, faults), (want, want_faults) = _blocks_and_whole(
+        ForwardShift(0.5j), X, members, 4)
+    assert got.tobytes() == want.tobytes()
+    assert sorted(faults) == [(j, 0) for j in range(3, 10)]
+    assert _describe(faults) == _describe(want_faults)
+    assert all(isinstance(e, TruncationOverflow) for e in faults.values())
+    assert np.array_equal(got[9, 1], loop_images(ForwardShift(0.5j), X[1], members)[9])
 
 
 def test_forward_overflow_still_raised():

@@ -66,6 +66,21 @@ class TestApply:
         out = apply(op, TruncVector(np.array([0.0, 1.0, 1.0, 1.0])))
         assert np.array_equal(out.coords, np.array([2.0, 3.0, 4.0, 0.0]))
 
+    @pytest.mark.parametrize("kind", [BackwardShift, ForwardShift])
+    @pytest.mark.parametrize("weight", [2.0, 1j, -0.5 + 2j, (1.0, 2j, -3.0, 0.5, 4.0, 1.5),
+                                        (2.0, 3.0, -1.0, 0.5, 0.25, 1j)])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_shift_matches_dense_matrix(self, kind, weight, complex_field):
+        # A complex weight on a real row gives a complex image.
+        coords = np.array([0.5, -1.0, 2.0, 0.0, 3.0, 0.0])
+        if complex_field:
+            coords = coords + 1j * np.array([1.0, 0.0, -2.0, 1.0, 0.5, 0.0])
+        op = kind(weight)
+        got = apply(op, TruncVector(coords)).coords
+        want = to_dense(op, coords.size) @ coords
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError):
             BackwardShift(0.0)
@@ -133,6 +148,41 @@ class TestConvexPolynomial:
         P = ConvexPolynomial((1.0, 0.0, 0.0))
         assert P.coeffs == (1.0,)
         assert P.degree == 0
+
+    def test_trailing_signed_zeros_trimmed(self):
+        assert ConvexPolynomial((0.5, 0.5, -0.0, 0.0)).coeffs == (0.5, 0.5)
+        assert ConvexPolynomial((0.0, 1.0)).coeffs == (0.0, 1.0)
+
+    @pytest.mark.parametrize("coeffs,kwargs,error,message", [
+        ((), {}, ValueError, "a convex polynomial needs at least one coefficient"),
+        ((0.5, math.nan), {}, ValueError, "coefficients must be finite"),
+        ((math.inf, -math.inf), {"allow_signed": True}, ValueError,
+         "coefficients must be finite"),
+        # Finiteness is checked before signs, signs before the sum.
+        ((-1.0, math.nan), {}, ValueError, "coefficients must be finite"),
+        ((1.5, -0.5), {}, ValueError,
+         "coefficients must be nonnegative (set allow_signed to relax)"),
+        ((-0.5, 0.25), {}, ValueError,
+         "coefficients must be nonnegative (set allow_signed to relax)"),
+        ((0.5, 0.4), {}, ValueError, "coefficients must sum to 1 within 1e-12, got 0.9"),
+        ((2.0, -0.5), {"allow_signed": True}, ValueError,
+         "coefficients must sum to 1 within 1e-12, got 1.5"),
+        ((0.0,), {}, ValueError, "coefficients must sum to 1 within 1e-12, got 0.0"),
+        (("half", 0.5), {}, ValueError, "could not convert string to float: 'half'"),
+        ((None,), {}, TypeError, "float() argument must be a string or a"),
+    ])
+    def test_every_error_message(self, coeffs, kwargs, error, message):
+        with pytest.raises(error) as info:
+            ConvexPolynomial(coeffs, **kwargs)
+        assert type(info.value) is error
+        assert str(info.value).startswith(message)
+
+    def test_strings_and_booleans_convert_as_float_does(self):
+        assert ConvexPolynomial(("0.25", "0.75")).coeffs == (0.25, 0.75)
+        assert ConvexPolynomial((False, True, False)).coeffs == (0.0, 1.0)
+        assert ConvexPolynomial((True,)).coeffs == (1.0,)
+        with pytest.raises(ValueError, match="sum to 1"):
+            ConvexPolynomial((True, True))
 
     def test_degree_profile(self):
         assert ConvexPolynomial((0.5, 0.0, 0.5)).degree_profile() == (0, 2)
