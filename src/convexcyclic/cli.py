@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .config import (MAX_DEGREE, BuildBlock, ExperimentConfig, _count,
-                     _positive, config_to_dict, dumps_config, entry_to_config,
+                     _positive, dumps_config, entry_to_config, family_to_dict,
                      load_config, vector_to_dict)
 from .criteria import build_cyclic_vector, check_criterion_I, check_criterion_II
 from .dynamics import (Verdict, default_density_targets, density_score,
@@ -123,7 +123,7 @@ def run_density(cfg: ExperimentConfig, out: Path) -> int:
         "kind": "density_report",
         "verdict": report.verdict.value,
         "epsilon": report.epsilon,
-        "family": config_to_dict(cfg)["family"],
+        "family": family_to_dict(cfg.family),
         "orbit_size": report.orbit_size,
         "admissible_orbit_size": report.admissible_orbit_size,
         "per_target": records,

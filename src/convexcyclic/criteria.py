@@ -15,7 +15,9 @@ passing on a lucky index.
 Each condition is one engine walk over a block of rows: X for conditions
 1 and 3 of criterion II (both read the same walk), every recovery vector
 x_k(y) for condition 2, and the span's identity rows for condition 3 of
-criterion I (``dynamics.invariance_checks``).  The verdicts are bit for
+criterion I (``dynamics.invariance_checks``).  A walk is read from
+``operators.image_stream`` into one table that holds each image's value
+or the error its evaluation raised.  The verdicts are bit for
 bit those of one walk per vector, and so are the errors, raised in the
 order of the per-vector loops: the first failing row, then its first
 failing member; in condition 2 the recovery rule's errors, orbit faults
@@ -39,7 +41,7 @@ from .errors import (BuildVerificationFailed, DimensionMismatch,
                      TruncationOverflow)
 from .dynamics import invariance_checks
 from .operators import (ConvexPolynomial, OperatorSpec, block_rows,
-                        image_blocks)
+                        image_stream)
 from .spaces import (MEMBERSHIP_RTOL, BasisIndexSet, SubspaceSpec,
                      TruncVector, coords_norm, distance_to_subspace,
                      materialize_subspace, membership_tolerance, norm,
@@ -228,30 +230,23 @@ def _settles(seq: Sequence[float], tol: float) -> bool:
     return True
 
 
-def _walk(op, rows: Sequence[np.ndarray], polys, keep) -> tuple:
-    """``keep(j, r, w)`` for every image w = P_j(T) rows[r], in engine blocks.
+def _walk(op, rows: Sequence[np.ndarray], polys, keep) -> dict:
+    """``keep(j, r, w)`` for every image w = P_j(T) rows[r] that evaluates.
 
-    Returns ``(kept, faults)``, both keyed by (j, r): what ``keep`` made of
-    each image that evaluates, and the error each failing single-vector
-    evaluation would raise.  Rows walk with the rows of their own dtype and
+    Returns a table keyed by (j, r) holding what ``keep`` made of each
+    image, or the error its single-vector evaluation would raise; read it
+    with ``_value``.  Rows walk with the rows of their own dtype and
     length: a real row in a complex block would be promoted, and its norms
     would change bits.
     """
-    kept, faults = {}, {}
+    table = {}
     for shape in dict.fromkeys((row.dtype, row.size) for row in rows):
         index = [r for r, row in enumerate(rows) if (row.dtype, row.size) == shape]
-        offset, prev = 0, None
-        for j0, out, fault in image_blocks(op, np.array([rows[r] for r in index]), polys):
-            # Past BLOCK_BYTES, one member's rows come in consecutive slices.
-            offset = offset if j0 == prev else 0
-            for j, r in np.ndindex(out.shape[:2]):
-                key = (j0 + j, index[offset + r])
-                if (j, r) in fault:
-                    faults[key] = fault[j, r]
-                else:
-                    kept[key] = keep(*key, out[j, r])
-            offset, prev = offset + out.shape[1], j0
-    return kept, faults
+        block = np.array([rows[r] for r in index])
+        for j, r, w, error in image_stream(op, block, polys):
+            key = (j, index[r])
+            table[key] = keep(*key, w) if error is None else error
+    return table
 
 
 def _distance(w: np.ndarray, p: float, y: TruncVector):
@@ -262,32 +257,21 @@ def _distance(w: np.ndarray, p: float, y: TruncVector):
         return err
 
 
-def _value(kept: dict, faults: dict, key):
-    """``kept[key]``, or raise the error its evaluation raised."""
-    if key in faults:
-        raise faults[key]
-    if isinstance(kept[key], Exception):
-        raise kept[key]
-    return kept[key]
+def _value(table: dict, key):
+    """``table[key]``, or raise the error its evaluation raised."""
+    if isinstance(table[key], Exception):
+        raise table[key]
+    return table[key]
 
 
-def _orbit_table(inst: CriterionInstance, horizon: int, measure) -> dict:
-    """``measure(k, r, w)`` of w = P_k(T) X[r] for every k < horizon,
-    keyed (k, r), from one engine walk.  Raises the first failing x's first
-    failing member."""
-    table, faults = _walk(inst.op, [x.coords for x in inst.X],
-                          inst.polys[:horizon], measure)
-    if faults:
-        raise faults[min(faults, key=lambda kr: kr[::-1])]
-    return table
-
-
-def _check_cond1(inst: CriterionInstance, norms: dict, horizon: int,
-                 tol: float) -> Cond1Result:
+def _check_cond1(inst: CriterionInstance, norm_at, horizon: int,
+                  tol: float) -> Cond1Result:
+    """Reads ``norm_at(k, r)`` = ||P_k(T) X[r]|| x by x, so the first
+    failing x's first failing member raises first."""
     worst = 0.0
     passed = True
     for r in range(len(inst.X)):
-        seq = [norms[k, r] for k in range(horizon)]
+        seq = [norm_at(k, r) for k in range(horizon)]
         worst = max(worst, seq[-1])
         if not _settles(seq, tol):
             passed = False
@@ -303,7 +287,7 @@ def _check_cond2(inst: CriterionInstance, horizon: int, tol: float) -> Cond2Resu
     distance's."""
     count = len(inst.Y)
     chunk = max(1, math.isqrt(block_rows(inst.dim) // max(1, count)))
-    norms, kept, faults = {}, {}, {}
+    norms, distances = {}, {}
     for k0 in range(0, horizon, chunk):
         vectors = {}
         for k in range(k0, min(k0 + chunk, horizon)):
@@ -319,11 +303,10 @@ def _check_cond2(inst: CriterionInstance, horizon: int, tol: float) -> Cond2Resu
             y, k = rows[r]
             return _distance(w, vectors[y, k].p, inst.Y[y]) if k0 + j == k else None
 
-        got, failed = _walk(inst.op, [vectors[yk].coords for yk in rows],
-                            inst.polys[k0: k0 + chunk], measure)
-        kept.update((rows[r], v) for (j, r), v in got.items() if k0 + j == rows[r][1])
-        faults.update((rows[r], e) for (j, r), e in failed.items()
-                      if k0 + j == rows[r][1])
+        table = _walk(inst.op, [vectors[yk].coords for yk in rows],
+                      inst.polys[k0: k0 + chunk], measure)
+        distances.update((rows[r], v) for (j, r), v in table.items()
+                         if k0 + j == rows[r][1])
     worst_norm = 0.0
     worst_err = 0.0
     passed = True
@@ -332,10 +315,8 @@ def _check_cond2(inst: CriterionInstance, horizon: int, tol: float) -> Cond2Resu
         seq = []
         errors = []
         for k in range(horizon):
-            if isinstance(norms[y, k], Exception):
-                raise norms[y, k]
-            seq.append(norms[y, k])
-            errors.append(_value(kept, faults, (y, k)))
+            seq.append(_value(norms, (y, k)))
+            errors.append(_value(distances, (y, k)))
         decay.append((tuple(seq), tuple(errors)))
         worst_norm = max(worst_norm, seq[-1])
         worst_err = max(worst_err, errors[-1])
@@ -356,9 +337,9 @@ def check_criterion_I(inst: CriterionInstance, horizon: int,
     of the subspace under every P_k(T)."""
     if not 1 <= horizon <= len(inst.polys):
         raise ValueError(f"horizon must lie in 1..{len(inst.polys)}")
-    cond1 = _check_cond1(inst, _orbit_table(inst, horizon,
-                                            lambda k, r, w: coords_norm(w, inst.X[r].p)),
-                         horizon, tol)
+    table = _walk(inst.op, [x.coords for x in inst.X], inst.polys[:horizon],
+                  lambda k, r, w: coords_norm(w, inst.X[r].p))
+    cond1 = _check_cond1(inst, lambda k, r: _value(table, (k, r)), horizon, tol)
     cond2 = _check_cond2(inst, horizon, tol)
     results = invariance_checks(inst.polys[:horizon], inst.op, inst.materialized(),
                                 membership_rtol=inst.membership_rtol)
@@ -385,8 +366,8 @@ def check_criterion_II(inst: CriterionInstance, horizon: int,
         return (coords_norm(w, p), residual,
                 off_span_argmax(w, mask) if residual > tol else None)
 
-    table = _orbit_table(inst, horizon, measure)
-    cond1 = _check_cond1(inst, {kr: v[0] for kr, v in table.items()}, horizon, tol)
+    table = _walk(inst.op, [x.coords for x in inst.X], inst.polys[:horizon], measure)
+    cond1 = _check_cond1(inst, lambda k, r: _value(table, (k, r))[0], horizon, tol)
     cond2 = _check_cond2(inst, horizon, tol)
     details = []
     for k in range(horizon):
@@ -451,14 +432,13 @@ def _four_term_bound(inst: CriterionInstance, xc: TruncVector, y: TruncVector,
     def measure(j, r, w):
         return _distance(w, xc.p, y) if r == 0 else coords_norm(w, rows[r].p)
 
-    ahead, ahead_faults = _walk(inst.op, [v.coords for v in rows], [P], measure)
-    back, back_faults = _walk(inst.op, [xc.coords], [inst.poly(k) for k in chosen_k],
-                              lambda j, r, w: coords_norm(w, xc.p))
-    base = norm(xc) + _value(ahead, ahead_faults, (0, 0))
+    ahead = _walk(inst.op, [v.coords for v in rows], [P], measure)
+    back = _walk(inst.op, [xc.coords], [inst.poly(k) for k in chosen_k],
+                 lambda j, r, w: coords_norm(w, xc.p))
+    base = norm(xc) + _value(ahead, (0, 0))
     worst_cross = 0.0
     for i in range(len(chosen_k)):
-        cross = (_value(ahead, ahead_faults, (0, i + 1))
-                 + _value(back, back_faults, (i, 0)))
+        cross = _value(ahead, (0, i + 1)) + _value(back, (i, 0))
         worst_cross = max(worst_cross, cross)
     return base + worst_cross
 
@@ -532,12 +512,12 @@ def build_cyclic_vector(inst: CriterionInstance, j_max: int, c: float = 1.0, *,
         x = x + xc
 
     tail = [math.fsum(xi[j:]) for j in range(1, steps + 1)]
-    kept, faults = _walk(inst.op, [x.coords], [inst.poly(k) for _, k, _, _ in records],
-                         lambda i, r, w: _distance(w, x.p, inst.Y[i]))
+    table = _walk(inst.op, [x.coords], [inst.poly(k) for _, k, _, _ in records],
+                  lambda i, r, w: _distance(w, x.p, inst.Y[i]))
     out = []
     for i, (j, k, xi_j, bound) in enumerate(records):
         limit = j * xi_j + tail[j - 1]
-        err = _value(kept, faults, (i, 0))
+        err = _value(table, (i, 0))
         if err > limit * (1 + 1e-9) + 1e-15:
             raise BuildVerificationFailed(step=j, error=err, limit=limit)
         out.append(BuildStep(j=j, k=k, xi=xi_j, four_term_bound=bound,

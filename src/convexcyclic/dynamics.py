@@ -7,10 +7,11 @@ Reports therefore carry the family descriptor and sampling parameters, so
 every claim is scoped to what was actually searched.  A negative search
 result is evidence, never proof.
 
-Every diagnostic takes its orbit points from the engine in
-``operators`` as raw row blocks of bounded size: density streams the
-family block by block, invariance applies every P(T) asked for to the
-span's identity rows in one walk, and transitivity scans each pair's (member, sample) images in
+Every diagnostic reads its orbit points from ``operators.image_stream``,
+one raw row per image with its member index, row index and error, and
+never sees an engine block: density scores the family's images in order,
+invariance applies every P(T) asked for to the span's identity rows in one
+walk, and transitivity scans each pair's (member, sample) images in
 enumeration order.  Norms and distances are taken row by row with the
 same calls ``spaces`` makes, so reports match single-vector evaluation
 bit for bit.
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import BallCenterOutsideSubspace, TargetOutsideSubspace
 from .errors import DimensionMismatch
 from .operators import (ConvexPolynomial, OperatorSpec, PolynomialFamily,
-                        block_rows, image_blocks, images)
+                        block_rows, image_stream, images)
 from .spaces import (MEMBERSHIP_RTOL, BasisIndexSet, TruncVector,
                      distance_to_subspace, membership_tolerance, norm,
                      off_span_argmax, off_span_norm, row_distance,
@@ -127,8 +128,8 @@ def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
     intersected with the subspace before density is asked for.  The verdict
     is DenseAtScale exactly when every best distance is <= epsilon.
     Witnesses break ties toward the first family member within 1e-12 of
-    the minimum.  The orbit is streamed in engine blocks and never held
-    whole: only the admissible members' distances are kept.
+    the minimum.  The orbit is streamed and never held whole: only the
+    admissible members' distances are kept.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -150,17 +151,15 @@ def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
     # A distance error is raised only after the whole orbit is evaluated,
     # and for the first target in order, as when the orbit was held.
     errors = [None] * len(targets)
-    for j0, out, fault in image_blocks(op, x.coords[None], members):
-        if fault:
-            raise next(iter(fault.values()))
-        rows = []
-        for j, w in enumerate(out[:, 0]):
-            if off_span_norm(w, mask, x.p) <= row_tolerance(w, x.p, membership_rtol):
-                admissible.append(j0 + j)
-                rows.append(w)
+    for j, _, w, error in image_stream(op, x.coords[None], members):
+        if error is not None:
+            raise error
+        if off_span_norm(w, mask, x.p) > row_tolerance(w, x.p, membership_rtol):
+            continue
+        admissible.append(j)
         for t_idx, y in enumerate(targets):
             try:
-                distances[t_idx].extend([row_distance(w, x.p, y) for w in rows])
+                distances[t_idx].append(row_distance(w, x.p, y))
             except ValueError as err:
                 errors[t_idx] = errors[t_idx] or err
     for err in errors:
@@ -222,21 +221,17 @@ def invariance_checks(polys: Sequence[ConvexPolynomial], op: OperatorSpec,
         indices = m.indices[r0: r0 + step]
         basis = np.zeros((len(indices), m.dim))
         basis[np.arange(len(indices)), indices] = 1.0
-        # At most block_rows rows: every block holds all of them.
-        for j0, out, fault in image_blocks(op, basis, polys):
-            for j, r in np.ndindex(out.shape[:2]):
-                k = j0 + j
-                if (j, r) in fault:
-                    if first_fault is None or (k, r0 + r) < first_fault[:2]:
-                        first_fault = (k, r0 + r, fault[j, r])
-                    continue
-                w = out[j, r]
-                residual = off_span_norm(w, mask, 2.0)
-                if residual > worst[k]:
-                    worst[k] = residual
-                if violator[k] is None and residual > row_tolerance(w, 2.0, membership_rtol):
-                    violator[k] = indices[r]
-                    landing[k] = off_span_argmax(w, mask)
+        for k, r, w, error in image_stream(op, basis, polys):
+            if error is not None:
+                if first_fault is None or (k, r0 + r) < first_fault[:2]:
+                    first_fault = (k, r0 + r, error)
+                continue
+            residual = off_span_norm(w, mask, 2.0)
+            if residual > worst[k]:
+                worst[k] = residual
+            if violator[k] is None and residual > row_tolerance(w, 2.0, membership_rtol):
+                violator[k] = indices[r]
+                landing[k] = off_span_argmax(w, mask)
     if first_fault is not None:
         raise first_fault[2]
     return tuple(InvarianceResult(invariant=violator[k] is None, max_residual=worst[k],
@@ -303,18 +298,15 @@ def transitivity_search(op: OperatorSpec, m: BasisIndexSet,
                               seed + 1000003 * p_idx)
         p = pair.v_center.p
         block = np.array([v.coords for v in samples])
-        for j0, out, fault in image_blocks(op, block, members):
-            for j, r in np.ndindex(out.shape[:2]):
-                if (j, r) in fault:
-                    raise fault[j, r]
-                w = out[j, r]
-                if off_span_norm(w, mask, p) > row_tolerance(w, p, membership_rtol):
-                    continue
-                if row_distance(w, p, pair.u_center) <= pair.radius:
-                    P = members[j0 + j]
-                    residual = invariance_check(P, op, m,
-                                                membership_rtol=membership_rtol).max_residual
-                    return PairResult(True, P, j0 + j, residual)
+        for j, _, w, error in image_stream(op, block, members):
+            if error is not None:
+                raise error
+            if off_span_norm(w, mask, p) > row_tolerance(w, p, membership_rtol):
+                continue
+            if row_distance(w, p, pair.u_center) <= pair.radius:
+                residual = invariance_check(members[j], op, m,
+                                            membership_rtol=membership_rtol).max_residual
+                return PairResult(True, members[j], j, residual)
         return PairResult(False, None, None, 0.0)
 
     return TransitivityReport(

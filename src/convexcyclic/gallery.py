@@ -68,7 +68,6 @@ class GalleryEntry:
     c: float = 1.0
     samples_per_ball: int = 8
     seed: int = 7
-    provenance: str = ""
     notes: dict = field(default_factory=dict)
 
 
@@ -119,7 +118,6 @@ def entry_direct_sum(dim: int = 8) -> GalleryEntry:
         family=family,
         pairs=(),
         expected=ExpectedVerdicts(),
-        provenance="direct_sum",
         notes={"split": split, "candidate": candidate,
                "standalone_op": Scale(2.0, BackwardShift())},
     )
@@ -236,7 +234,6 @@ def entry_lemma_5_1(k_count: int = 4, dim: int = 512, *,
             horizon=4,
             tol=1e-6,
             j_max=3,
-            provenance="lemma_5_1",
             notes={"degrees": degrees, "starts": starts, "ends": ends},
         )
 
@@ -271,7 +268,6 @@ def entry_lemma_5_1(k_count: int = 4, dim: int = 512, *,
             horizon=1,
             tol=1e-6,
             j_max=0,
-            provenance="lemma_5_1",
             notes={"degrees": (24,), "starts": tuple(starts), "ends": tuple(ends)},
         )
 
@@ -295,7 +291,6 @@ def entry_lemma_5_1(k_count: int = 4, dim: int = 512, *,
         horizon=min(len(degrees), k_count),
         tol=1e-6,
         j_max=3,
-        provenance="lemma_5_1",
         notes={"degrees": degrees, "starts": tuple(starts),
                "ends": tuple(ends), "placements": placements},
     )
@@ -361,7 +356,6 @@ def entry_lemma_5_2(gap: int = 16, max_degree: int = 8,
         family=Monomials(max_degree),
         pairs=pairs,
         expected=ExpectedVerdicts(pair_found=found),
-        provenance="lemma_5_2",
         notes={"gap": gap, "max_degree": max_degree,
                "starts": tuple(starts), "ends": tuple(ends)},
     )
@@ -402,7 +396,6 @@ def entry_prop_4_8(dim: int = 1024) -> GalleryEntry:
         horizon=len(degrees),
         tol=1e-6,
         j_max=2,
-        provenance="prop_4_8",
         notes={"degrees": degrees, "starts": tuple(starts),
                "ends": tuple(ends), "placements": placements},
     )
@@ -471,7 +464,6 @@ def entry_example_5_2(depth: int = 3, dim: int = 64) -> GalleryEntry:
         expected=ExpectedVerdicts(criterion_II=(True, True, cond3)),
         horizon=len(poly_degrees),
         tol=1e-6,
-        provenance="example_5_2",
         notes={"materialized": stage_sets[-1], "poly_degrees": poly_degrees},
     )
 
@@ -555,7 +547,6 @@ def entry_example_5_4(lam: complex = 2.0, dim: int = 64) -> GalleryEntry:
         tol=1e-6,
         epsilon=1e-2,
         j_max=6,
-        provenance="example_5_4",
         notes={"lam": lam, "sample_scale": scale, "support_max": support_max},
     )
 

@@ -11,12 +11,15 @@ once in ascending order with a single running power block T^i X, adding
 a_i T^i X into each member's accumulator where a_i is nonzero: one block
 application per degree, no stored power table.  The arithmetic is the
 elementwise axpy of the single-vector recurrence, so each image is bit for
-bit what a per-member ascending-degree loop gives.  ``image_blocks``
-splits large member x row products into blocks of at most BLOCK_BYTES and
-carries the walk from one member block to the next wherever the next
-block's terms all lie above the degree reached, so ``Monomials(D)`` costs
-D block applications however it is split.  ``TruncVector`` wraps results
-only at the public boundary (``apply``, ``eval_poly``).
+bit what a per-member ascending-degree loop gives.  ``image_stream``
+is the one loop over engine blocks that the diagnostics read: it splits
+large member x row products into blocks of at most BLOCK_BYTES, carries
+the walk from one member block to the next wherever the next block's
+terms all lie above the degree reached (so ``Monomials(D)`` costs D block
+applications however it is split), and yields each image with its global
+member and row index and the error its single-vector evaluation would
+raise, so no caller sees a block.  ``TruncVector`` wraps results only at
+the public boundary (``apply``, ``eval_poly``).
 """
 
 from __future__ import annotations
@@ -305,11 +308,8 @@ def _window_products(weights: np.ndarray, n: int) -> float:
         return 1.0
     if len(weights) < n:
         return 0.0
-    mags = np.abs(weights)
-    best = 0.0
-    for j in range(len(weights) - n + 1):
-        best = max(best, float(np.prod(mags[j: j + n])))
-    return best
+    windows = np.lib.stride_tricks.sliding_window_view(np.abs(weights), n)
+    return float(np.prod(windows, axis=1).max())
 
 
 def _power_iteration_norm(mat: np.ndarray, iters: int = 200) -> float:
@@ -355,7 +355,7 @@ def _power_norm(op: OperatorSpec, n: int, dim: int) -> float:
         return _window_products(w, n)
     if isinstance(op, ForwardShift):
         w = _weight_array(op.weight, max(dim - 1, 0), "forward shift")
-        return _window_products(w[: max(dim - n, 0)], n) if dim > n else 0.0
+        return _window_products(w, n)
     if isinstance(op, Scale):
         try:
             factor = abs(op.factor) ** n
@@ -407,7 +407,7 @@ def screen_necessary_conditions(op: OperatorSpec, dim: int,
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     nrm = operator_norm_estimate(op, dim)
-    powers = tuple(power_norm_estimate(op, n, dim) for n in range(1, horizon + 1))
+    powers = (nrm,) + tuple(power_norm_estimate(op, n, dim) for n in range(2, horizon + 1))
     return ScreenReport(
         norm_estimate=nrm,
         norm_exceeds_one=nrm > 1.0 + 1e-12,
@@ -571,30 +571,31 @@ def block_rows(dim: int) -> int:
     return max(1, BLOCK_BYTES // (dim * np.dtype(np.complex128).itemsize))
 
 
-def image_blocks(op: OperatorSpec, X: np.ndarray,
+def image_stream(op: OperatorSpec, X: np.ndarray,
                  polys: Sequence[ConvexPolynomial]):
-    """``_images`` over polys x rows in blocks of at most BLOCK_BYTES.
+    """Every image P_j(T) X[r] as ``(j, r, w, error)``, in (member, row) order.
 
-    Yields ``(j0, out, fault)`` in (member, row) order, where block member
-    j is polys[j0 + j]: all rows for consecutive members, or one member's
-    rows in consecutive slices when they alone exceed the bound.  Blocks
-    of all rows share one walk: a block whose nonzero coefficients of
-    positive degree all lie above the degree reached so far resumes from
-    the running power there (every later ``Monomials`` block does, so
-    ``Monomials(D)`` costs D block applications in any number of blocks);
-    any other block walks again from X.  A row slice walks from its rows.
+    ``error`` is None, or the error the single-vector evaluation of
+    (j, r) would raise, and ``w`` is then not its image.  The images are
+    made in engine blocks of at most BLOCK_BYTES: member blocks x row
+    slices, where a row slice holds every row if they fit in one block and
+    otherwise one member is walked over consecutive slices of its rows.
+    Member blocks of all rows share one walk: a block whose nonzero
+    coefficients of positive degree all lie above the degree reached so
+    far resumes from the running power there (every later ``Monomials``
+    block does, so ``Monomials(D)`` costs D block applications in any
+    number of blocks); any other block walks again from X.  A row slice
+    walks from its rows.
     """
     batch, dim = X.shape
     cap = block_rows(dim)
-    if batch <= cap:
-        step = cap // batch
-        walk = _Walk(X)
-        for j0 in range(0, len(polys), step):
-            yield (j0,) + _images(op, X, polys[j0: j0 + step], walk)
-    else:
-        for j0 in range(len(polys)):
-            for r0 in range(0, batch, cap):
-                yield (j0,) + _images(op, X[r0: r0 + cap], polys[j0: j0 + 1])
+    walk = _Walk(X) if batch <= cap else None
+    step = max(1, cap // batch)
+    for j0 in range(0, len(polys), step):
+        for r0 in range(0, batch, cap):
+            out, fault = _images(op, X[r0: r0 + cap], polys[j0: j0 + step], walk)
+            for j, r in np.ndindex(out.shape[:2]):
+                yield j0 + j, r0 + r, out[j, r], fault.get((j, r))
 
 
 def eval_poly(P: ConvexPolynomial, op: OperatorSpec, v: TruncVector) -> TruncVector:

@@ -288,9 +288,6 @@ class BasisIndexSet:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "dim", int(self.dim))
 
-    def __contains__(self, index: int) -> bool:
-        return index in set(self.indices)
-
     def __len__(self) -> int:
         return len(self.indices)
 

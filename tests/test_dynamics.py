@@ -12,7 +12,8 @@ from convexcyclic import (BackwardShift, BallPair, BasisIndexSet,
                           ConvexPolynomial, Dense, DirectSum, Identity,
                           IndexSet, Monomials, ParityZero, Scale, SimplexGrid,
                           TargetOutsideSubspace, TruncVector, Verdict,
-                          build_cyclic_vector, density_score,
+                          build_cyclic_vector, default_density_targets,
+                          density_score,
                           distance_to_subspace, eval_poly, invariance_check,
                           materialize_subspace, norm, orbit_segment,
                           operators, sample_ball, transitivity_search)
@@ -122,6 +123,46 @@ class TestDensity:
         for target, score in zip(targets, report.per_target):
             replay = norm(eval_poly(score.witness, TWO_B, x) - target)
             assert abs(replay - score.best_distance) <= 1e-10
+
+
+class TestDefaultDensityTargets:
+    M = BasisIndexSet((7, 1, 5, 3), 10)
+
+    @pytest.mark.parametrize("count", [0, 1, 3, 4])
+    def test_basis_vectors_in_index_order(self, count):
+        targets = default_density_targets(self.M, count=count, p=1.5)
+        assert len(targets) == count
+        for j, t in zip((1, 3, 5, 7), targets):
+            assert t.p == 1.5
+            assert t.coords.dtype == np.float64
+            assert np.array_equal(t.coords, TruncVector.basis(j, 10).coords)
+
+    def test_ball_samples_top_up_inside_the_span(self):
+        targets = default_density_targets(self.M, count=9, seed=11, radius=0.5, p=3.0)
+        assert len(targets) == 9
+        for j, t in zip((1, 3, 5, 7), targets):
+            assert np.array_equal(t.coords, TruncVector.basis(j, 10).coords)
+        extra = targets[4:]
+        off_span = np.ones(10, dtype=bool)
+        off_span[list(self.M.indices)] = False
+        for t in extra:
+            assert t.p == 3.0
+            assert not t.coords[off_span].any()
+            assert norm(t) <= 0.5 * (1 + 1e-12)
+        assert len({t.coords.tobytes() for t in extra}) == len(extra)
+        again = default_density_targets(self.M, count=9, seed=11, radius=0.5, p=3.0)
+        assert [t.coords.tobytes() for t in again] == [t.coords.tobytes() for t in targets]
+        other = default_density_targets(self.M, count=9, seed=12, radius=0.5, p=3.0)
+        assert [t.coords.tobytes() for t in other[4:]] != [t.coords.tobytes() for t in extra]
+
+    def test_complex_field_sets_the_dtype(self):
+        targets = default_density_targets(self.M, count=6, complex_field=True)
+        assert [t.coords.dtype for t in targets] == [np.complex128] * 6
+        # The same draw; the complex norm may round differently.
+        real = default_density_targets(self.M, count=6)
+        for c, r in zip(targets, real):
+            assert not c.coords.imag.any()
+            assert np.allclose(c.coords.real, r.coords, rtol=1e-12, atol=0)
 
 
 class TestInvariance:

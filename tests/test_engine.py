@@ -94,27 +94,46 @@ def test_monomials_cost_one_block_application_per_degree(degree, monkeypatch):
     assert calls == [(1, 128)] * degree
 
 
+def _record_blocks(mp) -> list:
+    """The number of members in every later engine block."""
+    blocks = []
+    engine = operators._images
+
+    def counting(op, X, polys, walk=None):
+        blocks.append(len(polys))
+        return engine(op, X, polys, walk)
+
+    mp.setattr(operators, "_images", counting)
+    return blocks
+
+
 def test_monomials_cost_one_block_application_per_degree_across_blocks(monkeypatch):
     # At dim 2048 one block holds 64 members: Monomials(400) comes in 7
     # blocks, and each resumes where the previous one stopped.
     calls = _record_acts(monkeypatch)
+    blocks = _record_blocks(monkeypatch)
     x = np.zeros((1, 2048))
     x[0, 1600:] = 1.0
-    blocks = list(operators.image_blocks(BackwardShift(2.0), x, Monomials(400).members()))
-    assert [j0 for j0, _, _ in blocks] == list(range(0, 401, 64))
+    stream = list(operators.image_stream(BackwardShift(2.0), x, Monomials(400).members()))
+    assert [(j, r) for j, r, _, _ in stream] == [(j, 0) for j in range(401)]
+    assert blocks == [64] * 6 + [17]
     assert calls == [(1, 2048)] * 400
 
 
-def _blocks_and_whole(op, X, members, rows_per_block):
-    """image_blocks at a bound of ``rows_per_block`` rows, concatenated,
-    next to one _images call on the whole family."""
+def _stream_and_whole(op, X, members, rows_per_block):
+    """image_stream at a bound of ``rows_per_block`` rows, gathered into
+    one array and a fault table, next to one _images call on the whole
+    family."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operators, "BLOCK_BYTES", 16 * X.shape[1] * rows_per_block)
-        blocks = list(operators.image_blocks(op, X, members))
+        blocks = _record_blocks(mp)
+        stream = list(operators.image_stream(op, X, members))
     assert len(blocks) == -(-len(members) // (rows_per_block // len(X)))
-    dtype = np.result_type(*[out for _, out, _ in blocks])
-    got = np.concatenate([out.astype(dtype) for _, out, _ in blocks])
-    faults = {(j0 + j, r): e for j0, _, fault in blocks for (j, r), e in fault.items()}
+    assert [(j, r) for j, r, _, _ in stream] == list(np.ndindex(len(members), len(X)))
+    got = np.array([w for _, _, w, _ in stream],
+                   dtype=np.result_type(*{w.dtype for _, _, w, _ in stream}))
+    faults = {(j, r): e for j, r, _, e in stream if e is not None}
+    got = got.reshape((len(members),) + X.shape)
     return (got, faults), operators._images(op, X, members)
 
 
@@ -138,7 +157,7 @@ def test_blocks_share_one_walk_with_the_same_bits_and_faults(
     if complex_field:
         X = X + 1j * rng.standard_normal((batch, dim))
     X *= magnitude
-    (got, faults), (want, want_faults) = _blocks_and_whole(
+    (got, faults), (want, want_faults) = _stream_and_whole(
         op, X, members, batch * members_per_block)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
@@ -154,7 +173,7 @@ def test_carried_walk_keeps_a_failed_row_failed():
     X[0, 9] = 1.0
     X[1, 0] = 1.0
     members = Monomials(9).members()
-    (got, faults), (want, want_faults) = _blocks_and_whole(
+    (got, faults), (want, want_faults) = _stream_and_whole(
         ForwardShift(0.5j), X, members, 4)
     assert got.tobytes() == want.tobytes()
     assert sorted(faults) == [(j, 0) for j in range(3, 10)]

@@ -14,6 +14,7 @@ from convexcyclic import (BackwardShift, CesaroMeans, ConvexPolynomial,
                           TruncationOverflow, apply,
                           compose_polys, eval_poly, operator_norm_estimate,
                           screen_necessary_conditions, to_dense)
+from convexcyclic.operators import power_norm_estimate
 from oracles import dense_eval, random_triple
 
 TWO_B = Scale(2.0, BackwardShift())
@@ -229,6 +230,20 @@ class TestNormEstimates:
     def test_weighted_shift_windows(self):
         op = BackwardShift((1.0, 0.5, 3.0, 0.25, 2.0))
         assert operator_norm_estimate(op, 5) == 3.0
+
+    @pytest.mark.parametrize("op, dim", [
+        (ForwardShift((1, 1, 5, 1)), 4),
+        (BackwardShift((1, 1, 5, 1)), 4),
+        (ForwardShift(tuple(np.random.default_rng(5).uniform(0.2, 3.0, 8))), 9),
+        (BackwardShift(tuple(np.random.default_rng(6).uniform(0.2, 3.0, 9))), 9),
+        (Scale(-1.5j, ForwardShift((2.0, 0.5, 4.0, 1.0, 0.25))), 6),
+    ])
+    def test_per_index_weight_powers_match_the_dense_oracle(self, op, dim):
+        # Every window of n consecutive weights counts, the last ones too:
+        # ForwardShift((1, 1, 5, 1)) keeps ||T^n|| = 5 up to n = 3.
+        for n in range(dim + 2):
+            want = np.linalg.norm(np.linalg.matrix_power(to_dense(op, dim), n), 2)
+            assert math.isclose(power_norm_estimate(op, n, dim), want, rel_tol=1e-12)
 
 
 class TestScreen:
