@@ -22,8 +22,9 @@ import csv
 import sys
 from dataclasses import dataclass
 
-from convexcyclic import (ConvexPolynomial, build_cyclic_vector,
-                          density_score, materialize_subspace)
+from convexcyclic import (ConvexCyclicError, ConvexPolynomial,
+                          build_cyclic_vector, density_score,
+                          materialize_subspace)
 from convexcyclic.gallery import REGISTRY, build_entry
 
 
@@ -60,7 +61,7 @@ def run(entry_name: str, powers, epsilon: float):
         try:
             report = density_score(entry.op, candidate, m_set, family,
                                    targets, epsilon=epsilon)
-        except Exception as err:  # degree inflation can outgrow the truncation
+        except ConvexCyclicError as err:  # degree inflation can outgrow the truncation
             rows.append((m, "error", str(err)))
             continue
         worst = max(report.best_distances())

@@ -16,6 +16,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -50,6 +51,28 @@ def _write_meta(out: Path, command: str) -> None:
     })
 
 
+def _finish(out: Path, lines: list, held: bool) -> int:
+    """Write ``summary.txt``, print its lines and return the exit code."""
+    text = "\n".join(lines)
+    (out / "summary.txt").write_text(text + "\n")
+    print(text)
+    return EXIT_HELD if held else EXIT_FAILED
+
+
+def _write_csv(path: Path, header: list, rows) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_records(out: Path, records: list, summary: dict) -> None:
+    """``records.jsonl``: one line per record, then the summary record."""
+    with (out / "records.jsonl").open("w") as fh:
+        for rec in records + [{"record": "summary", **summary}]:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
 def _prepare_out(arg: Optional[str], command: str) -> Path:
     out = Path(arg) if arg else Path("runs") / command
     out.mkdir(parents=True, exist_ok=True)
@@ -77,9 +100,7 @@ def _build(cfg: ExperimentConfig, block: BuildBlock):
     inst = cfg.criterion_instance()
     if not inst.Y:
         raise ConfigError("config.criterion.Y: the builder needs at least one target")
-    return build_cyclic_vector(inst, block.j_max, block.c,
-                               k_step=block.k_step,
-                               membership_rtol=cfg.tolerances.membership)
+    return build_cyclic_vector(inst, block.j_max, block.c, k_step=block.k_step)
 
 
 def _subspace(cfg: ExperimentConfig, command: str):
@@ -111,14 +132,10 @@ def run_density(cfg: ExperimentConfig, out: Path) -> int:
                            epsilon=cfg.tolerances.epsilon,
                            membership_rtol=cfg.tolerances.membership)
 
-    records = []
-    for i, score in enumerate(report.per_target):
-        records.append({
-            "target_id": i,
-            "best_distance": score.best_distance,
-            "witness_index": score.witness_index,
-            "witness": None if score.witness is None else _poly_payload(score.witness),
-        })
+    records = [{"target_id": i, "best_distance": score.best_distance,
+                "witness_index": score.witness_index,
+                "witness": None if score.witness is None else _poly_payload(score.witness)}
+               for i, score in enumerate(report.per_target)]
     payload = {
         "kind": "density_report",
         "verdict": report.verdict.value,
@@ -129,27 +146,19 @@ def run_density(cfg: ExperimentConfig, out: Path) -> int:
         "per_target": records,
     }
     _write_json(out / "report.json", payload)
-    with (out / "records.jsonl").open("w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        summary_rec = {"record": "summary", "verdict": report.verdict.value,
-                       "epsilon": report.epsilon,
-                       "worst_distance": max(r["best_distance"] for r in records)}
-        fh.write(json.dumps(summary_rec, sort_keys=True) + "\n")
-    with (out / "table.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["target_id", "best_distance", "witness_degree_profile"])
-        for rec in records:
-            profile = "" if rec["witness"] is None else \
-                ";".join(str(d) for d in rec["witness"]["degree_profile"])
-            writer.writerow([rec["target_id"], repr(rec["best_distance"]), profile])
-    held = report.verdict == Verdict.DENSE_AT_SCALE
+    _write_records(out, records, {
+        "verdict": report.verdict.value, "epsilon": report.epsilon,
+        "worst_distance": max(r["best_distance"] for r in records)})
+    _write_csv(out / "table.csv",
+               ["target_id", "best_distance", "witness_degree_profile"],
+               ([rec["target_id"], repr(rec["best_distance"]),
+                 "" if rec["witness"] is None else
+                 ";".join(str(d) for d in rec["witness"]["degree_profile"])]
+                for rec in records))
     lines = [f"density verdict: {report.verdict.value} at epsilon {report.epsilon}",
              f"targets: {len(records)}, orbit {report.orbit_size} "
              f"({report.admissible_orbit_size} inside the subspace)"]
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    return EXIT_HELD if held else EXIT_FAILED
+    return _finish(out, lines, report.verdict == Verdict.DENSE_AT_SCALE)
 
 
 def run_criterion(cfg: ExperimentConfig, which: str, out: Path) -> int:
@@ -165,26 +174,19 @@ def run_criterion(cfg: ExperimentConfig, which: str, out: Path) -> int:
         "which": verdict.which,
         "horizon": verdict.horizon,
         "tolerance": cfg.tolerances.convergence,
-        "cond1": {"passed": verdict.cond1.passed,
-                  "worst_tail_norm": verdict.cond1.worst_tail_norm},
+        "cond1": asdict(verdict.cond1),
         "cond2": {"passed": verdict.cond2.passed,
                   "worst_tail_norm": verdict.cond2.worst_tail_norm,
                   "worst_recovery_error": verdict.cond2.worst_recovery_error},
         "cond3": {"passed": verdict.cond3.passed,
-                  "details": [{"k": d.k, "passed": d.passed,
-                               "max_residual": d.max_residual,
-                               "source_index": d.source_index,
-                               "landing_index": d.landing_index}
-                              for d in verdict.cond3.details]},
+                  "details": [asdict(d) for d in verdict.cond3.details]},
         "all_passed": verdict.all_passed,
     }
     _write_json(out / "verdict.json", payload)
-    with (out / "decay.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["target_id", "k", "recovery_norm", "recovery_error"])
-        for y_index, (norms, errors) in enumerate(verdict.cond2.decay):
-            for k, (nk, ek) in enumerate(zip(norms, errors), start=1):
-                writer.writerow([y_index, k, repr(nk), repr(ek)])
+    _write_csv(out / "decay.csv", ["target_id", "k", "recovery_norm", "recovery_error"],
+               ([y_index, k, repr(nk), repr(ek)]
+                for y_index, (norms, errors) in enumerate(verdict.cond2.decay)
+                for k, (nk, ek) in enumerate(zip(norms, errors), start=1)))
     lines = [f"criterion {which} at horizon {horizon}, "
              f"tol {cfg.tolerances.convergence}:",
              f"  condition 1: {'pass' if verdict.cond1.passed else 'FAIL'} "
@@ -193,15 +195,12 @@ def run_criterion(cfg: ExperimentConfig, which: str, out: Path) -> int:
              f"(worst tail {verdict.cond2.worst_tail_norm:.3e}, "
              f"worst recovery {verdict.cond2.worst_recovery_error:.3e})",
              f"  condition 3: {'pass' if verdict.cond3.passed else 'FAIL'}"]
-    for d in verdict.cond3.details:
-        if not d.passed:
-            lines.append(f"    first violation at k={d.k}: residual "
-                         f"{d.max_residual:.3e}, source {d.source_index}, "
-                         f"landing index {d.landing_index}")
-            break
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    return EXIT_HELD if verdict.all_passed else EXIT_FAILED
+    d = next((d for d in verdict.cond3.details if not d.passed), None)
+    if d is not None:
+        lines.append(f"    first violation at k={d.k}: residual "
+                     f"{d.max_residual:.3e}, source {d.source_index}, "
+                     f"landing index {d.landing_index}")
+    return _finish(out, lines, verdict.all_passed)
 
 
 def run_transitivity(cfg: ExperimentConfig, out: Path) -> int:
@@ -211,31 +210,20 @@ def run_transitivity(cfg: ExperimentConfig, out: Path) -> int:
                                  samples_per_ball=cfg.transitivity.samples_per_ball,
                                  seed=cfg.seed,
                                  membership_rtol=cfg.tolerances.membership)
-    records = []
-    for i, res in enumerate(report.per_pair):
-        records.append({
-            "pair_id": i,
-            "found": res.found,
-            "witness_index": res.witness_index,
-            "witness": None if res.witness is None else _poly_payload(res.witness),
-            "invariance_residual": res.invariance_residual,
-        })
+    records = [{"pair_id": i, "found": res.found, "witness_index": res.witness_index,
+                "witness": None if res.witness is None else _poly_payload(res.witness),
+                "invariance_residual": res.invariance_residual}
+               for i, res in enumerate(report.per_pair)]
     payload = {"kind": "transitivity_report",
                "all_found": report.all_found(),
                "samples_per_ball": report.samples_per_ball,
                "seed": report.seed,
                "per_pair": records}
     _write_json(out / "report.json", payload)
-    with (out / "records.jsonl").open("w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        fh.write(json.dumps({"record": "summary",
-                             "all_found": report.all_found()}, sort_keys=True) + "\n")
+    _write_records(out, records, {"all_found": report.all_found()})
     found = sum(1 for r in report.per_pair if r.found)
     lines = [f"transitivity: {found}/{len(records)} pairs found witnesses"]
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    return EXIT_HELD if report.all_found() else EXIT_FAILED
+    return _finish(out, lines, report.all_found())
 
 
 def run_build(cfg: ExperimentConfig, out: Path) -> int:
@@ -250,29 +238,17 @@ def run_build(cfg: ExperimentConfig, out: Path) -> int:
         _write_json(out / "trace.json", payload)
         lines = [f"builder infeasible at step {err.step}: required "
                  f"< {err.required:.3e}, best achieved {err.best_bound:.3e}"]
-        (out / "summary.txt").write_text("\n".join(lines) + "\n")
-        print("\n".join(lines))
-        return EXIT_FAILED
-    steps = [{"j": s.j, "k": s.k, "xi": s.xi,
-              "four_term_bound": s.four_term_bound,
-              "post_limit": s.post_limit, "post_error": s.post_error}
-             for s in result.steps]
+        return _finish(out, lines, False)
+    steps = [asdict(s) for s in result.steps]
     _write_json(out / "vector.json", vector_to_dict(result.x))
     _write_json(out / "trace.json", {"kind": "build_result", "feasible": True,
                                      "steps": steps})
-    with (out / "trace.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "k", "xi", "four_term_bound", "post_limit",
-                         "post_error"])
-        for s in steps:
-            writer.writerow([s["j"], s["k"], repr(s["xi"]),
-                             repr(s["four_term_bound"]), repr(s["post_limit"]),
-                             repr(s["post_error"])])
+    columns = ["xi", "four_term_bound", "post_limit", "post_error"]
+    _write_csv(out / "trace.csv", ["j", "k"] + columns,
+               ([s["j"], s["k"]] + [repr(s[c]) for c in columns] for s in steps))
     lines = [f"builder succeeded: {len(steps)} steps, indices "
              f"{[s['k'] for s in steps]}"]
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    return EXIT_HELD
+    return _finish(out, lines, True)
 
 
 def run_screen(cfg: ExperimentConfig, out: Path) -> int:
@@ -292,9 +268,7 @@ def run_screen(cfg: ExperimentConfig, out: Path) -> int:
              f"within horizon {horizon}",
              f"screen {'passed' if report.passed else 'failed'} "
              "(necessary conditions only; passing proves nothing)"]
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    return EXIT_HELD if report.passed else EXIT_FAILED
+    return _finish(out, lines, report.passed)
 
 
 def run_gallery(args) -> int:

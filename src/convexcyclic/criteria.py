@@ -17,8 +17,10 @@ Each condition is one engine walk over a block of rows: X for conditions
 x_k(y) for condition 2, and the span's identity rows for condition 3 of
 criterion I (``dynamics.invariance_checks``).  A walk is read from
 ``operators.image_stream`` into one table that holds each image's value
-or the error its evaluation raised.  The verdicts are bit for
-bit those of one walk per vector, and so are the errors, raised in the
+or the error its evaluation raised.  Real and complex rows of the
+instance's dim walk as one block (``spaces`` gives a promoted real row
+the same norm bits).  The verdicts are bit for bit those of one walk
+per vector, and so are the errors, raised in the
 order of the per-vector loops: the first failing row, then its first
 failing member; in condition 2 the recovery rule's errors, orbit faults
 and distance overflows interleave in (y, k) order.  The builder's step
@@ -148,6 +150,11 @@ class CriterionInstance:
                         f"{label}[{i}] has dim {v.dim}, instance dim is {self.dim}")
                 if distance_to_subspace(v, m) > membership_tolerance(v, self.membership_rtol):
                     raise ValueError(f"{label}[{i}] lies outside the subspace span")
+        if isinstance(self.recovery, ExplicitRecovery):
+            for k, v in enumerate(self.recovery.vectors, start=1):
+                if v is not None and v.dim != self.dim:
+                    raise DimensionTooSmall(
+                        f"recovery vector x_{k} has dim {v.dim}, instance dim is {self.dim}")
 
     def materialized(self) -> BasisIndexSet:
         return materialize_subspace(self.subspace, self.dim)
@@ -235,18 +242,13 @@ def _walk(op, rows: Sequence[np.ndarray], polys, keep) -> dict:
 
     Returns a table keyed by (j, r) holding what ``keep`` made of each
     image, or the error its single-vector evaluation would raise; read it
-    with ``_value``.  Rows walk with the rows of their own dtype and
-    length: a real row in a complex block would be promoted, and its norms
-    would change bits.
+    with ``_value``.  The rows walk as one block: a real row among complex
+    ones is promoted, which keeps its norm bits (``spaces.coords_norm``).
     """
-    table = {}
-    for shape in dict.fromkeys((row.dtype, row.size) for row in rows):
-        index = [r for r, row in enumerate(rows) if (row.dtype, row.size) == shape]
-        block = np.array([rows[r] for r in index])
-        for j, r, w, error in image_stream(op, block, polys):
-            key = (j, index[r])
-            table[key] = keep(*key, w) if error is None else error
-    return table
+    if not rows:
+        return {}
+    return {(j, r): keep(j, r, w) if error is None else error
+            for j, r, w, error in image_stream(op, np.array(rows), polys)}
 
 
 def _distance(w: np.ndarray, p: float, y: TruncVector):
@@ -444,12 +446,12 @@ def _four_term_bound(inst: CriterionInstance, xc: TruncVector, y: TruncVector,
 
 
 def build_cyclic_vector(inst: CriterionInstance, j_max: int, c: float = 1.0, *,
-                        k_step: int = 64,
-                        membership_rtol: float = MEMBERSHIP_RTOL) -> BuildResult:
+                        k_step: int = 64) -> BuildResult:
     """Greedy summand selection for a cyclic-vector candidate.
 
     Step j picks the first index k in (k_{j-1}, k_{j-1} + k_step] whose
-    recovery summand x_j lies in the subspace and satisfies, against every
+    recovery summand x_j lies in the subspace (its residual at most
+    ``inst.membership_rtol`` * ||x_j||) and satisfies, against every
     earlier step i, the four-term budget
 
         ||x_j|| + ||P_{k_j}(T) x_i|| + ||P_{k_i}(T) x_j||
@@ -489,7 +491,7 @@ def build_cyclic_vector(inst: CriterionInstance, j_max: int, c: float = 1.0, *,
             # is compared against the candidate's own norm, not the global
             # membership floor, so a structurally misaligned summand cannot
             # slip in just because it has decayed to numerical dust.
-            if distance_to_subspace(xc, m) > membership_rtol * norm(xc) and norm(xc) > 0:
+            if distance_to_subspace(xc, m) > inst.membership_rtol * norm(xc) and norm(xc) > 0:
                 continue
             bound = _four_term_bound(inst, xc, y, P, chosen_k, chosen_x)
             if bound < best_bound:

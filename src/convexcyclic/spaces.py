@@ -120,10 +120,13 @@ def norm(v: TruncVector) -> float:
 def coords_norm(coords: np.ndarray, p: float) -> float:
     """The l^p norm of one raw coordinate row; ``norm`` without the wrapper.
 
-    The plain sum of |c_i|^p overflows for finite entries above about
-    1.3e154 (p = 2); such a row is measured again as max|c| * ||c / max|c|||,
-    the scaling of LAPACK's dnrm2, so its norm is inf only when the norm
-    itself exceeds the float range.  Every finite norm keeps its bits.
+    A row is measured from its real parts, so a real row has the same bits
+    however it is stored: at p = 2 as sqrt(sum part . part) over the row,
+    or over contiguous copies of its real and imaginary parts (numpy's dot
+    for a real row), at other p as numpy's sum of |c_i|^p.  A row whose
+    plain sum overflows (p = 2: entries above about 1.3e154) is measured
+    again as s * ||c / s|| (``_rescaled``, the scaling of LAPACK's dnrm2),
+    so its norm is inf only when the norm exceeds the float range.
     """
     with np.errstate(over="ignore"):
         return _norm(coords, p)
@@ -131,11 +134,28 @@ def coords_norm(coords: np.ndarray, p: float) -> float:
 
 def _norm(coords: np.ndarray, p: float) -> float:
     """``coords_norm``; the caller silences numpy's overflow warning."""
-    result = float(np.linalg.norm(coords, ord=p))
+    if p != 2:
+        result = float(np.linalg.norm(coords, ord=p))
+    elif coords.dtype.kind == "c":
+        re = coords.real.ravel(order="K")
+        im = coords.imag.ravel(order="K")
+        result = math.sqrt(re.dot(re) + im.dot(im))
+    else:
+        x = coords.ravel(order="K")
+        result = math.sqrt(x.dot(x))
     if math.isinf(result) and np.all(np.isfinite(coords)):
-        top = float(np.max(np.abs(coords)))
-        result = top * float(np.linalg.norm(coords / top, ord=p))
+        top, scaled = _rescaled(coords)
+        result = top * _norm(scaled, p)
     return result
+
+
+def _rescaled(coords: np.ndarray) -> tuple:
+    """(s, c / s), s the row's largest absolute real part: finite where
+    max|c| may not be.  Each real part is divided by s, as complex division
+    (a multiplication by 1/s) would not, so a real row keeps its bits."""
+    parts = np.ascontiguousarray(coords).view(np.float64)
+    top = float(np.max(np.abs(parts)))
+    return top, (parts / top).view(coords.dtype)
 
 
 def off_span_norm(coords: np.ndarray, mask: np.ndarray, p: float) -> float:
@@ -385,12 +405,12 @@ def row_tolerance(coords: np.ndarray, p: float, rtol: float) -> float:
     """``membership_tolerance`` of one raw row.
 
     A finite row whose norm exceeds the float range is measured in units
-    of s = max|c|: its tolerance is rtol * ||c / s|| * s, which is finite
-    wherever it fits, where rtol * ||c|| would be inf and pass every
-    residual.
+    of s, as ``coords_norm`` measures it (``_rescaled``): its tolerance is
+    rtol * ||c / s|| * s, which is finite wherever it fits, where
+    rtol * ||c|| would be inf and pass every residual.
     """
     size = coords_norm(coords, p)
     if math.isinf(size) and np.all(np.isfinite(coords)):
-        top = float(np.max(np.abs(coords)))
-        return rtol * coords_norm(coords / top, p) * top
+        top, scaled = _rescaled(coords)
+        return rtol * coords_norm(scaled, p) * top
     return rtol * max(1.0, size)

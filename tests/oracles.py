@@ -254,7 +254,7 @@ def serial_criterion_II(inst, horizon, tol):
     return CriterionVerdict("II", cond1, cond2, cond3, horizon)
 
 
-def serial_build(inst, j_max, c=1.0, *, k_step=64, membership_rtol=1e-9):
+def serial_build(inst, j_max, c=1.0, *, k_step=64):
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     if not inst.Y:
@@ -278,7 +278,7 @@ def serial_build(inst, j_max, c=1.0, *, k_step=64, membership_rtol=1e-9):
                 xc = inst.recovery_vector(j - 1, k)
             except TruncationOverflow:
                 break
-            if distance_to_subspace(xc, m) > membership_rtol * norm(xc) and norm(xc) > 0:
+            if distance_to_subspace(xc, m) > inst.membership_rtol * norm(xc) and norm(xc) > 0:
                 continue
             base = norm(xc) + row_distance(_orbit(inst.op, xc, [P])[0], xc.p, y)
             worst_cross = 0.0

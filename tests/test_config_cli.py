@@ -508,7 +508,7 @@ def test_density_and_build_call_the_builder_alike(tmp_path, monkeypatch):
     for command in ("density", "build"):
         assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
     assert len(calls) == 2 and calls[0] == calls[1]
-    assert calls[0][0] == 1e-7 and calls[0][2]["membership_rtol"] == 1e-7
+    assert calls[0][0] == 1e-7 and "membership_rtol" not in calls[0][2]
 
 
 def test_config_with_shift_weight_still_loads():

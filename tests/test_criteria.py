@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from convexcyclic import (BackwardShift, ConvexPolynomial, CriterionInstance,
-                          ExplicitRecovery, NumericalOverflow, ParityZero,
+                          DimensionTooSmall, ExplicitRecovery, IndexSet,
+                          NumericalOverflow, ParityZero,
                           RecoveryRuleMissing,
                           Scale, ScheduleInfeasible, ShiftRecovery,
                           TruncVector, build_cyclic_vector,
@@ -144,6 +145,19 @@ class TestCriterionChecks:
         x = ShiftRecovery(0.5).recover(y, ConvexPolynomial.monomial(10))
         assert x.coords[10] == 1e305 * 2.0 ** 10
 
+    def test_complex_X_past_the_float_range_fails_condition_one(self):
+        # ||B^k x|| = |1.5e308 (1 + i)| is past the float range for k <= 4;
+        # the norm was NaN and the condition passed with 0.0.
+        x = TruncVector.basis(5, 16, complex_field=True) * (1.5e308 + 1.5e308j)
+        inst = CriterionInstance(
+            op=BackwardShift(1.0), subspace=IndexSet(tuple(range(16))), dim=16,
+            X=(x,), Y=(TruncVector.basis(1, 16),),
+            polys=tuple(ConvexPolynomial.monomial(d) for d in range(1, 5)),
+            recovery=ShiftRecovery(1.0))
+        cond1 = check_criterion_II(inst, 4, 1e-6).cond1
+        assert not cond1.passed
+        assert cond1.worst_tail_norm == math.inf
+
     def test_horizon_bounds_checked(self):
         with pytest.raises(ValueError):
             check_criterion_I(zero_instance(), horizon=99, tol=1e-6)
@@ -224,6 +238,14 @@ class TestInstanceValidation:
                               Y=(TruncVector.basis(1, 8),),
                               polys=(ConvexPolynomial.monomial(2),),
                               recovery=ShiftRecovery(2.0))
+
+    def test_explicit_recovery_vectors_must_have_the_instance_dim(self):
+        inst = zero_instance()
+        rule = ExplicitRecovery((TruncVector.zeros(inst.dim), None,
+                                 TruncVector.zeros(inst.dim + 1)))
+        with pytest.raises(DimensionTooSmall, match="x_3 has dim 17"):
+            CriterionInstance(op=inst.op, subspace=inst.subspace, dim=inst.dim,
+                              X=inst.X, Y=inst.Y, polys=inst.polys, recovery=rule)
 
     def test_polys_required(self):
         with pytest.raises(ValueError):

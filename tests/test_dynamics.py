@@ -323,6 +323,60 @@ def test_density_monotone_in_family(base_degree, extra, seed):
         assert b.best_distance <= a.best_distance + 1e-15
 
 
+def _at_block_bounds(run, dim):
+    """``run()`` with engine blocks of 1 row, 3 rows and the default bound."""
+    results = []
+    for rows in (1, 3, None):
+        block = operators.BLOCK_BYTES if rows is None else rows * dim * 16
+        with mock.patch.object(operators, "BLOCK_BYTES", block):
+            results.append(run())
+    return results
+
+
+def _complex_scaled_shift(rng):
+    return Scale(complex(*rng.standard_normal(2)), BackwardShift())
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8))
+@settings(max_examples=100, deadline=None)
+def test_density_score_does_not_depend_on_the_engine_block(seed, dim):
+    # A complex operator on a real candidate: the degree-0 image stays
+    # real alone and is stored complex in a block with higher degrees.
+    rng = np.random.default_rng(seed)
+    op = _complex_scaled_shift(rng)
+    m = materialize_subspace(IndexSet(tuple(range(dim))), dim)
+    x = TruncVector(rng.standard_normal(dim))
+    targets = [TruncVector(rng.standard_normal(dim)) for _ in range(3)]
+
+    def run():
+        report = density_score(op, x, m, Monomials(4), targets, epsilon=1.0)
+        return [(s.best_distance.hex(), s.witness_index) for s in report.per_target]
+
+    one, three, default = _at_block_bounds(run, dim)
+    assert one == three == default
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8))
+@settings(max_examples=50, deadline=None)
+def test_transitivity_search_does_not_depend_on_the_engine_block(seed, dim):
+    # Coverage: real ball samples under a complex operator, as above.
+    rng = np.random.default_rng(seed)
+    op = _complex_scaled_shift(rng)
+    m = materialize_subspace(IndexSet(tuple(range(dim))), dim)
+    pairs = [BallPair(TruncVector(rng.standard_normal(dim)),
+                      TruncVector(rng.standard_normal(dim)),
+                      float(rng.uniform(0.5, 3.0))) for _ in range(3)]
+
+    def run():
+        report = transitivity_search(op, m, pairs, Monomials(4),
+                                     samples_per_ball=4, seed=seed)
+        return [(r.found, r.witness_index, r.invariance_residual.hex())
+                for r in report.per_pair]
+
+    one, three, default = _at_block_bounds(run, dim)
+    assert one == three == default
+
+
 @given(st.integers(1, 64), st.data(), st.integers(1, 16),
        st.floats(0.1, 1e3), st.sampled_from([1.0, 2.0, 3.0]),
        st.integers(0, 2 ** 32 - 1), st.integers(0, 40))

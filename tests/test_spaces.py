@@ -16,8 +16,8 @@ from convexcyclic import (BasisIndexSet, ConvexPolynomial, CriterionInstance,
                           TruncVector, distance_to_subspace,
                           materialize_subspace, membership_tolerance, norm,
                           project)
-from convexcyclic.spaces import (MEMBERSHIP_RTOL, off_span_norm, row_distance,
-                               row_tolerance)
+from convexcyclic.spaces import (MEMBERSHIP_RTOL, coords_norm, off_span_norm,
+                               row_distance, row_tolerance)
 
 
 def scalar_loop_norm(coords, p):
@@ -186,6 +186,42 @@ class TestProjectAndDistance:
             assert math.isclose(norm(TruncVector(row)), 5e300, rel_tol=1e-15)
             assert math.isclose(off_span_norm(row, np.array([True, False]), 2.0),
                                 4e300, rel_tol=1e-15)
+
+
+class TestNormKernel:
+    """Rows are measured from their real parts, whatever their dtype."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+           st.sampled_from([1.0, 1e-200, 1e200]), st.sampled_from([1.0, 2.0, 3.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_real_row_has_numpys_bits_stored_either_way(self, seed, size, scale, p):
+        # Rows of about 1e200 overflow the plain sum at p = 2 and 3 and
+        # take the rescale path; numpy's own norm is then inf.
+        row = np.random.default_rng(seed).standard_normal(size) * scale
+        got = coords_norm(row, p)
+        assert coords_norm(row.astype(np.complex128), p).hex() == got.hex()
+        with np.errstate(over="ignore"):
+            plain = float(np.linalg.norm(row, ord=p))
+        if math.isfinite(plain):
+            assert got.hex() == plain.hex()
+        else:
+            assert math.isfinite(got) and scale == 1e200
+
+    def test_complex_row_past_the_float_range_has_norm_inf(self):
+        # |1.5e308 (1 + i)| is past the float range; max|c| was inf and
+        # c / max|c| NaN.
+        row = np.array([1.5e308 + 1.5e308j, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (1.0, 2.0, 3.0):
+                assert coords_norm(row, p) == math.inf
+
+    def test_complex_row_past_the_float_range_keeps_a_finite_tolerance(self):
+        row = np.array([1.5e308 + 1.5e308j, 0.0])
+        for p in (1.0, 2.0):
+            tol = row_tolerance(row, p, MEMBERSHIP_RTOL)
+            assert math.isclose(tol, MEMBERSHIP_RTOL * math.sqrt(2) * 1.5e308,
+                                rel_tol=1e-15)
 
 
 # ---------------------------------------------------------------------------
