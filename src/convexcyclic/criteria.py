@@ -16,16 +16,18 @@ Each condition is one engine walk over a block of rows: X for conditions
 1 and 3 of criterion II (both read the same walk), every recovery vector
 x_k(y) for condition 2, and the span's identity rows for condition 3 of
 criterion I (``dynamics.invariance_checks``).  A walk is read from
-``operators.image_stream`` into one table that holds each image's value
-or the error its evaluation raised.  Real and complex rows of the
-instance's dim walk as one block (``spaces`` gives a promoted real row
-the same norm bits).  The verdicts are bit for bit those of one walk
-per vector, and so are the errors, raised in the
-order of the per-vector loops: the first failing row, then its first
-failing member; in condition 2 the recovery rule's errors, orbit faults
-and distance overflows interleave in (y, k) order.  The builder's step
-loop is inherently sequential (each step depends on the previous
-selections); each candidate is scored in two walks.
+``operators.image_stream`` one engine block at a time: the norms and
+off-span residuals of a block are taken at once by ``spaces.row_norms``,
+and the results go into one table that holds each image's value or the
+error its evaluation raised.  Real and complex rows of the instance's dim
+walk as one block (``spaces`` gives a promoted real row the same norm
+bits).  The verdicts are bit for bit those of one walk per vector, and so
+are the errors, raised in the order of the per-vector loops: the first
+failing row, then its first failing member; in condition 2 the recovery
+rule's errors, orbit faults and distance overflows interleave in (y, k)
+order.  The builder's step loop is inherently sequential (each step
+depends on the previous selections); each candidate is scored in two
+walks.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .operators import (ConvexPolynomial, OperatorSpec, block_rows,
 from .spaces import (MEMBERSHIP_RTOL, BasisIndexSet, SubspaceSpec,
                      TruncVector, coords_norm, distance_to_subspace,
                      materialize_subspace, membership_tolerance, norm,
-                     off_span_argmax, off_span_norm, row_distance)
+                     off_span_argmax, row_distance, row_norms)
 
 
 # ---------------------------------------------------------------------------
@@ -237,18 +239,35 @@ def _settles(seq: Sequence[float], tol: float) -> bool:
     return True
 
 
-def _walk(op, rows: Sequence[np.ndarray], polys, keep) -> dict:
-    """``keep(j, r, w)`` for every image w = P_j(T) rows[r] that evaluates.
+def _walk(op, rows: Sequence[np.ndarray], polys, measure) -> dict:
+    """What ``measure`` makes of every image P_j(T) rows[r] that evaluates.
 
-    Returns a table keyed by (j, r) holding what ``keep`` made of each
-    image, or the error its single-vector evaluation would raise; read it
+    ``measure(j0, r0, out)`` gets each engine block, ``out[j, r]`` the
+    image of member j0 + j on row r0 + r, and returns one value per image,
+    indexed [j][r].  Returns a table keyed by (j, r) holding that value,
+    or the error the image's single-vector evaluation would raise; read it
     with ``_value``.  The rows walk as one block: a real row among complex
-    ones is promoted, which keeps its norm bits (``spaces.coords_norm``).
+    ones is promoted, which keeps its norm bits (``spaces.row_norms``).
     """
     if not rows:
         return {}
-    return {(j, r): keep(j, r, w) if error is None else error
-            for j, r, w, error in image_stream(op, np.array(rows), polys)}
+    table = {}
+    for j0, r0, out, fault in image_stream(op, np.array(rows), polys):
+        for j, r in fault:
+            out[j, r] = 0.0  # not an image; its error is kept instead
+        values = measure(j0, r0, out)
+        for j, r in np.ndindex(out.shape[:2]):
+            table[j0 + j, r0 + r] = fault.get((j, r)) or values[j][r]
+    return table
+
+
+def _norms(out: np.ndarray, vectors, r0: int) -> list:
+    """``coords_norm`` of every image in a block, row r at the exponent of
+    ``vectors[r0 + r]``: [j][r]."""
+    p = vectors[r0].p
+    if any(v.p != p for v in vectors[r0: r0 + out.shape[1]]):
+        return [[coords_norm(w, vectors[r0 + r].p) for r, w in enumerate(ws)] for ws in out]
+    return row_norms(out.reshape(-1, out.shape[2]), p).reshape(out.shape[:2]).tolist()
 
 
 def _distance(w: np.ndarray, p: float, y: TruncVector):
@@ -301,9 +320,10 @@ def _check_cond2(inst: CriterionInstance, horizon: int, tol: float) -> Cond2Resu
                     norms[y, k] = err
         rows = list(vectors)
 
-        def measure(j, r, w):
-            y, k = rows[r]
-            return _distance(w, vectors[y, k].p, inst.Y[y]) if k0 + j == k else None
+        def measure(j0, r0, out):
+            return [[_distance(w, vectors[yk].p, inst.Y[yk[0]]) if k0 + j0 + j == yk[1]
+                     else None for w, yk in zip(ws, rows[r0:])]
+                    for j, ws in enumerate(out)]
 
         table = _walk(inst.op, [vectors[yk].coords for yk in rows],
                       inst.polys[k0: k0 + chunk], measure)
@@ -340,7 +360,7 @@ def check_criterion_I(inst: CriterionInstance, horizon: int,
     if not 1 <= horizon <= len(inst.polys):
         raise ValueError(f"horizon must lie in 1..{len(inst.polys)}")
     table = _walk(inst.op, [x.coords for x in inst.X], inst.polys[:horizon],
-                  lambda k, r, w: coords_norm(w, inst.X[r].p))
+                  lambda k0, r0, out: _norms(out, inst.X, r0))
     cond1 = _check_cond1(inst, lambda k, r: _value(table, (k, r)), horizon, tol)
     cond2 = _check_cond2(inst, horizon, tol)
     results = invariance_checks(inst.polys[:horizon], inst.op, inst.materialized(),
@@ -362,11 +382,11 @@ def check_criterion_II(inst: CriterionInstance, horizon: int,
         raise ValueError(f"horizon must lie in 1..{len(inst.polys)}")
     mask = inst.materialized().mask()
 
-    def measure(k, r, w):
-        p = inst.X[r].p
-        residual = off_span_norm(w, mask, p)
-        return (coords_norm(w, p), residual,
-                off_span_argmax(w, mask) if residual > tol else None)
+    def measure(k0, r0, out):
+        residuals = _norms(np.where(mask, 0.0, out), inst.X, r0)
+        return [[(size, residual, off_span_argmax(w, mask) if residual > tol else None)
+                 for w, size, residual in zip(ws, sizes, res)]
+                for ws, sizes, res in zip(out, _norms(out, inst.X, r0), residuals)]
 
     table = _walk(inst.op, [x.coords for x in inst.X], inst.polys[:horizon], measure)
     cond1 = _check_cond1(inst, lambda k, r: _value(table, (k, r))[0], horizon, tol)
@@ -431,12 +451,15 @@ def _four_term_bound(inst: CriterionInstance, xc: TruncVector, y: TruncVector,
     xc.  Errors come in the order of the terms."""
     rows = [xc] + chosen_x
 
-    def measure(j, r, w):
-        return _distance(w, xc.p, y) if r == 0 else coords_norm(w, rows[r].p)
+    def measure(j0, r0, out):
+        values = _norms(out, rows, r0)
+        if r0 == 0:
+            values[0][0] = _distance(out[0, 0], xc.p, y)
+        return values
 
     ahead = _walk(inst.op, [v.coords for v in rows], [P], measure)
     back = _walk(inst.op, [xc.coords], [inst.poly(k) for k in chosen_k],
-                 lambda j, r, w: coords_norm(w, xc.p))
+                 lambda j0, r0, out: _norms(out, [xc], r0))
     base = norm(xc) + _value(ahead, (0, 0))
     worst_cross = 0.0
     for i in range(len(chosen_k)):
@@ -515,7 +538,8 @@ def build_cyclic_vector(inst: CriterionInstance, j_max: int, c: float = 1.0, *,
 
     tail = [math.fsum(xi[j:]) for j in range(1, steps + 1)]
     table = _walk(inst.op, [x.coords], [inst.poly(k) for _, k, _, _ in records],
-                  lambda i, r, w: _distance(w, x.p, inst.Y[i]))
+                  lambda j0, r0, out: [[_distance(ws[0], x.p, inst.Y[j0 + j])]
+                                       for j, ws in enumerate(out)])
     out = []
     for i, (j, k, xi_j, bound) in enumerate(records):
         limit = j * xi_j + tail[j - 1]

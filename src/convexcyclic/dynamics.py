@@ -8,13 +8,16 @@ every claim is scoped to what was actually searched.  A negative search
 result is evidence, never proof.
 
 Every diagnostic reads its orbit points from ``operators.image_stream``,
-one raw row per image with its member index, row index and error, and
-never sees an engine block: density scores the family's images in order,
-invariance applies every P(T) asked for to the span's identity rows in one
-walk, and transitivity scans each pair's (member, sample) images in
-enumeration order.  Norms and distances are taken row by row with the
-same calls ``spaces`` makes, so reports match single-vector evaluation
-bit for bit.
+one engine block at a time, from the family's term table: no polynomial
+is built except a witness.  Each block is measured at once, with the
+batched row kernels of ``spaces`` (off-span residuals, tolerances and the
+distances to each target), which give every row the bits of its one-row
+norm.  The results are then read in (member, row) order, so the first
+hit, the first error and every tie-break are those of a loop over single
+images: density scores the family's images in order, invariance applies
+every P(T) asked for to the span's identity rows in one walk, and
+transitivity scans each pair's (member, sample) images in enumeration
+order.
 """
 
 from __future__ import annotations
@@ -29,11 +32,11 @@ import numpy as np
 from .errors import BallCenterOutsideSubspace, TargetOutsideSubspace
 from .errors import DimensionMismatch
 from .operators import (ConvexPolynomial, OperatorSpec, PolynomialFamily,
-                        block_rows, image_stream, images)
+                        block_rows, image_stream, images, term_table)
 from .spaces import (MEMBERSHIP_RTOL, BasisIndexSet, TruncVector,
                      distance_to_subspace, membership_tolerance, norm,
-                     off_span_argmax, off_span_norm, row_distance,
-                     row_tolerance)
+                     off_span_argmax, off_span_norms, row_distance,
+                     row_distances, row_tolerances)
 
 
 class Verdict(enum.Enum):
@@ -114,7 +117,7 @@ class InvarianceResult:
 def orbit_segment(op: OperatorSpec, x: TruncVector,
                   family: PolynomialFamily) -> list:
     """[P(T)x for P in family], in family enumeration order."""
-    return [x.with_coords(w) for w in images(op, x.coords[None], family.members())[:, 0]]
+    return [x.with_coords(w) for w in images(op, x.coords[None], family)[:, 0]]
 
 
 def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
@@ -144,37 +147,45 @@ def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
     if x.dim != m.dim:
         raise DimensionMismatch(f"vector dim {x.dim} != subspace dim {m.dim}")
 
-    members = family.members()
+    table = term_table(family)
     mask = m.mask()
     admissible = []
     distances = [[] for _ in targets]
     # A distance error is raised only after the whole orbit is evaluated,
     # and for the first target in order, as when the orbit was held.
     errors = [None] * len(targets)
-    for j, _, w, error in image_stream(op, x.coords[None], members):
-        if error is not None:
-            raise error
-        if off_span_norm(w, mask, x.p) > row_tolerance(w, x.p, membership_rtol):
+    for j0, _, out, fault in image_stream(op, x.coords[None], table):
+        if fault:
+            raise next(iter(fault.values()))
+        W = out[:, 0]
+        keep = ~(off_span_norms(W, mask, x.p) > row_tolerances(W, x.p, membership_rtol))
+        if not keep.any():
             continue
-        admissible.append(j)
+        W = W[keep]
+        admissible.append(j0 + np.flatnonzero(keep))
         for t_idx, y in enumerate(targets):
             try:
-                distances[t_idx].append(row_distance(w, x.p, y))
+                dists = row_distances(W, x.p, y)
+                if np.isnan(dists).any():  # an overflow: raise row_distance's error
+                    row_distance(W[np.isnan(dists)][0], x.p, y)
             except ValueError as err:
                 errors[t_idx] = errors[t_idx] or err
+                continue
+            distances[t_idx].append(dists)
     for err in errors:
         if err is not None:
             raise err
+    admissible = np.concatenate(admissible) if admissible else np.array([], dtype=int)
 
     scores = []
     for dists in distances:
         if not dists:
             scores.append(TargetScore(math.inf, None, None))
             continue
-        best = min(dists)
-        pos = next(pos for pos, d in enumerate(dists) if d <= best + 1e-12)
-        idx = admissible[pos]
-        scores.append(TargetScore(dists[pos], members[idx], idx))
+        dists = np.concatenate(dists)
+        pos = int(np.flatnonzero(dists <= dists.min() + 1e-12)[0])
+        idx = int(admissible[pos])
+        scores.append(TargetScore(float(dists[pos]), table.member(idx), idx))
     verdict = (Verdict.DENSE_AT_SCALE
                if all(s.best_distance <= epsilon for s in scores)
                else Verdict.NOT_COVERED_AT_SCALE)
@@ -184,7 +195,7 @@ def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
         epsilon=float(epsilon),
         verdict=verdict,
         family=family,
-        orbit_size=len(members),
+        orbit_size=len(table),
         admissible_orbit_size=len(admissible),
     )
 
@@ -207,10 +218,12 @@ def invariance_checks(polys: Sequence[ConvexPolynomial], op: OperatorSpec,
     """``invariance_check`` of every P in ``polys`` from one engine walk.
 
     The span's identity rows walk through all of ``polys`` together,
-    block_rows // len(polys) rows at a time, and each block is folded into
-    the running results before the next one is made.  Raises the error of
-    the first failing row of the first failing P.
+    block_rows // len(polys) rows at a time, and each engine block is
+    measured at once and folded into the running results before the next
+    one is made.  Raises the error of the first failing row of the first
+    failing P.
     """
+    table = term_table(polys)
     mask = m.mask()
     worst = [0.0] * len(polys)
     violator = [None] * len(polys)
@@ -221,17 +234,22 @@ def invariance_checks(polys: Sequence[ConvexPolynomial], op: OperatorSpec,
         indices = m.indices[r0: r0 + step]
         basis = np.zeros((len(indices), m.dim))
         basis[np.arange(len(indices)), indices] = 1.0
-        for k, r, w, error in image_stream(op, basis, polys):
-            if error is not None:
-                if first_fault is None or (k, r0 + r) < first_fault[:2]:
-                    first_fault = (k, r0 + r, error)
-                continue
-            residual = off_span_norm(w, mask, 2.0)
-            if residual > worst[k]:
-                worst[k] = residual
-            if violator[k] is None and residual > row_tolerance(w, 2.0, membership_rtol):
-                violator[k] = indices[r]
-                landing[k] = off_span_argmax(w, mask)
+        for k0, s0, out, fault in image_stream(op, basis, table):
+            if fault:
+                (k, r), error = next(iter(fault.items()))
+                if first_fault is None or (k0 + k, r0 + s0 + r) < first_fault[:2]:
+                    first_fault = (k0 + k, r0 + s0 + r, error)
+                for k, r in fault:
+                    out[k, r] = 0.0  # not an image; measures as invariant
+            W = out.reshape(-1, m.dim)
+            residuals = off_span_norms(W, mask, 2.0).reshape(out.shape[:2])
+            outside = residuals > row_tolerances(W, 2.0, membership_rtol).reshape(out.shape[:2])
+            for k in range(len(out)):
+                worst[k0 + k] = max(worst[k0 + k], float(residuals[k].max()))
+                if violator[k0 + k] is None and outside[k].any():
+                    r = int(np.argmax(outside[k]))
+                    violator[k0 + k] = indices[s0 + r]
+                    landing[k0 + k] = off_span_argmax(out[k, r], mask)
     if first_fault is not None:
         raise first_fault[2]
     return tuple(InvarianceResult(invariant=violator[k] is None, max_residual=worst[k],
@@ -289,7 +307,7 @@ def transitivity_search(op: OperatorSpec, m: BasisIndexSet,
                 raise BallCenterOutsideSubspace(
                     f"pair {p_idx}: {label} center lies outside the subspace span")
 
-    members = family.members()
+    table = term_table(family)
     mask = m.mask()
 
     def search_one(p_idx: int) -> PairResult:
@@ -298,15 +316,27 @@ def transitivity_search(op: OperatorSpec, m: BasisIndexSet,
                               seed + 1000003 * p_idx)
         p = pair.v_center.p
         block = np.array([v.coords for v in samples])
-        for j, _, w, error in image_stream(op, block, members):
-            if error is not None:
-                raise error
-            if off_span_norm(w, mask, p) > row_tolerance(w, p, membership_rtol):
-                continue
-            if row_distance(w, p, pair.u_center) <= pair.radius:
-                residual = invariance_check(members[j], op, m,
-                                            membership_rtol=membership_rtol).max_residual
-                return PairResult(True, members[j], j, residual)
+        for j0, _, out, fault in image_stream(op, block, table):
+            # Only the images before the block's first fault are read.
+            W = out.reshape(-1, m.dim)
+            if fault:
+                j, r = next(iter(fault))
+                W = W[: j * out.shape[1] + r]
+            inside = np.flatnonzero(
+                ~(off_span_norms(W, mask, p) > row_tolerances(W, p, membership_rtol)))
+            if inside.size:
+                dists = row_distances(W[inside], p, pair.u_center)
+                # The first image that lands in the U-ball or overflows.
+                events = np.flatnonzero(~(dists > pair.radius))
+                if events.size:
+                    if np.isnan(dists[events[0]]):  # an overflow: raise row_distance's error
+                        row_distance(W[inside[events[0]]], p, pair.u_center)
+                    j = j0 + int(inside[events[0]]) // out.shape[1]
+                    residual = invariance_check(table.member(j), op, m,
+                                                membership_rtol=membership_rtol).max_residual
+                    return PairResult(True, table.member(j), j, residual)
+            if fault:
+                raise next(iter(fault.values()))
         return PairResult(False, None, None, 0.0)
 
     return TransitivityReport(

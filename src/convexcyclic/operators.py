@@ -6,8 +6,13 @@ truncation-exact; forward shifts raise TruncationOverflow when nonzero mass
 would leave the truncation.
 
 Every orbit {P(T)x : P in a family} is computed by one engine, ``images``,
-on raw row blocks (batch x dim, one row per vector).  It walks the degrees
-once in ascending order with a single running power block T^i X, adding
+on raw row blocks (batch x dim, one row per vector).  Its input is a term
+table (``TermTable``): each member's degree and constant term, and its
+nonzero terms of positive degree.  ``Monomials`` builds its table directly
+in O(D); any other family, or a plain polynomial sequence, is read through
+its members once per diagnostic call, and a ``ConvexPolynomial`` is built
+again only for a witness or a payload.  The engine walks the degrees once
+in ascending order with a single running power block T^i X, adding
 a_i T^i X into each member's accumulator where a_i is nonzero: one block
 application per degree, no stored power table.  The arithmetic is the
 elementwise axpy of the single-vector recurrence, so each image is bit for
@@ -16,16 +21,17 @@ is the one loop over engine blocks that the diagnostics read: it splits
 large member x row products into blocks of at most BLOCK_BYTES, carries
 the walk from one member block to the next wherever the next block's
 terms all lie above the degree reached (so ``Monomials(D)`` costs D block
-applications however it is split), and yields each image with its global
-member and row index and the error its single-vector evaluation would
-raise, so no caller sees a block.  ``TruncVector`` wraps results only at
-the public boundary (``apply``, ``eval_poly``).
+applications however it is split), and yields each block once, with its
+member and row offsets and the errors its images' single-vector
+evaluations would raise.  ``TruncVector`` wraps results only at the
+public boundary (``apply``, ``eval_poly``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -426,8 +432,10 @@ def screen_necessary_conditions(op: OperatorSpec, dim: int,
 class ConvexPolynomial:
     """Coefficients (a_0, ..., a_n) with sum 1, nonnegative by default.
 
-    Trailing zero coefficients are trimmed on construction so the stored
-    degree is meaningful.  ``allow_signed=True`` relaxes nonnegativity for
+    Each coefficient is an int, a float or a numpy real scalar; a string or
+    a boolean, which ``float`` would convert, is rejected.  Trailing zero
+    coefficients are trimmed on construction so the stored degree is
+    meaningful.  ``allow_signed=True`` relaxes nonnegativity for
     exploratory runs while keeping the unit-sum constraint.
     """
 
@@ -436,6 +444,8 @@ class ConvexPolynomial:
 
     def __post_init__(self):
         cs = tuple(map(float, self.coeffs))
+        if any(map(isinstance, self.coeffs, repeat((str, bytes, bool, np.bool_)))):
+            raise ValueError("coefficients must be real numbers, not strings or booleans")
         if not cs:
             raise ValueError("a convex polynomial needs at least one coefficient")
         if not all(map(math.isfinite, cs)):
@@ -470,6 +480,62 @@ class ConvexPolynomial:
         return tuple(i for i, a in enumerate(self.coeffs) if a != 0.0)
 
 
+class TermTable:
+    """The sparse terms of a finite polynomial sequence: the engine's input.
+
+    Member j has degree ``degrees[j]`` and constant term ``constants[j]``.
+    Its nonzero terms of positive degree are ``powers[s]`` and
+    ``coeffs[s]`` for s in ``ptr[j]:ptr[j + 1]``, in ascending degree.
+    ``member(j)`` is P_j: the polynomial the table was read from, or one
+    built with the same coefficients.  ``table[j0:j1]`` is the table of
+    members j0..j1-1, made without touching any coefficient tuple.
+    """
+
+    def __init__(self, degrees, constants, ptr, powers, coeffs, member):
+        self.degrees = np.asarray(degrees, dtype=np.intp)
+        self.constants = np.asarray(constants, dtype=np.float64)
+        self.ptr = np.asarray(ptr, dtype=np.intp)
+        self.powers = np.asarray(powers, dtype=np.intp)
+        self.coeffs = np.asarray(coeffs, dtype=np.float64)
+        self.member = member
+
+    @classmethod
+    def of(cls, polys: Sequence[ConvexPolynomial]) -> "TermTable":
+        """The table of a sequence of polynomials, read once."""
+        polys = tuple(polys)
+        coeffs = [np.asarray(P.coeffs) for P in polys]
+        powers = [np.flatnonzero(c[1:]) + 1 for c in coeffs]
+        return cls([len(c) - 1 for c in coeffs], [c[0] for c in coeffs],
+                   np.cumsum([0] + [len(i) for i in powers]),
+                   np.concatenate(powers) if polys else (),
+                   np.concatenate([c[i] for c, i in zip(coeffs, powers)]) if polys else (),
+                   polys.__getitem__)
+
+    def __len__(self) -> int:
+        return len(self.degrees)
+
+    def __getitem__(self, block: slice) -> "TermTable":
+        j0, j1, _ = block.indices(len(self))
+        j1 = max(j0, j1)
+        lo, hi = self.ptr[j0], self.ptr[j1]
+        return TermTable(self.degrees[j0:j1], self.constants[j0:j1],
+                         self.ptr[j0: j1 + 1] - lo, self.powers[lo:hi],
+                         self.coeffs[lo:hi], lambda j: self.member(j0 + j))
+
+
+def term_table(source) -> TermTable:
+    """The term table of a family, a polynomial sequence or a table.
+
+    A family with a ``terms`` method builds its table directly; any other
+    family is read through ``members()``, once.
+    """
+    if isinstance(source, TermTable):
+        return source
+    if hasattr(source, "terms"):
+        return source.terms()
+    return TermTable.of(source.members() if hasattr(source, "members") else source)
+
+
 class _Walk:
     """The running state of one engine walk over the rows of ``X``.
 
@@ -493,31 +559,33 @@ class _Walk:
 # Overflow is detected and reported as NumericalOverflow; numpy's warnings
 # would only repeat it (here and in ``apply``).
 @np.errstate(over="ignore", invalid="ignore")
-def _images(op: OperatorSpec, X: np.ndarray, polys: Sequence[ConvexPolynomial],
-            walk: Optional[_Walk] = None):
+def _images(op: OperatorSpec, X: np.ndarray, polys, walk: Optional[_Walk] = None):
     """The engine walk behind ``images``; failures are returned, not raised.
 
-    Returns ``(out, fault)``: ``out[j, r]`` is P_j(T) X[r], and ``fault``
-    maps each (j, r) whose single-vector evaluation would have raised to
-    that error, in (member, row) order.  A row whose power fails at degree
-    i is zeroed and fails every member of degree >= i; an accumulator that
-    is not finite failed on an earlier, finite power.
+    ``polys`` is a term table, or anything ``term_table`` reads.  Returns
+    ``(out, fault)``: ``out[j, r]`` is P_j(T) X[r], and ``fault`` maps each
+    (j, r) whose single-vector evaluation would have raised to that error,
+    in (member, row) order.  A row whose power fails at degree i is zeroed
+    and fails every member of degree >= i; an accumulator that is not
+    finite failed on an earlier, finite power.
 
     ``walk``, left over ``X`` by an earlier call with the same op, resumes
-    when every nonzero coefficient of positive degree in ``polys`` lies
-    above its degree, and restarts from X otherwise; it is left at the
-    largest degree walked.
+    when every term of positive degree in the table lies above its degree,
+    and restarts from X otherwise; it is left at the largest degree walked.
     """
-    degrees = np.array([P.degree for P in polys])
+    table = term_table(polys)
+    degrees = table.degrees
     top = int(degrees.max(initial=0))
-    out = np.multiply.outer(np.array([P.coeffs[0] for P in polys]), X)
-    terms = [[] for _ in range(top + 1)]
-    for j, P in enumerate(polys):
-        for i in np.flatnonzero(P.coeffs[1:]) + 1:
-            terms[i].append((j, P.coeffs[i]))
+    out = np.multiply.outer(table.constants, X)
+    # The terms degree by degree, each degree's in member order.
+    order = np.argsort(table.powers, kind="stable")
+    powers = table.powers[order]
+    members = np.repeat(np.arange(len(table)), np.diff(table.ptr))[order].tolist()
+    coeffs = table.coeffs[order].tolist()
+    bounds = np.searchsorted(powers, np.arange(top + 2)).tolist()
     if walk is None:
         walk = _Walk(X)
-    elif any(terms[1: walk.degree + 1]):
+    elif powers.size and powers[0] <= walk.degree:
         walk.restart()
     live = walk.live
     for i in range(walk.degree + 1, top + 1):
@@ -541,8 +609,8 @@ def _images(op: OperatorSpec, X: np.ndarray, polys: Sequence[ConvexPolynomial],
         walk.degree = i
         if walk.power.dtype != out.dtype:
             out = out.astype(np.result_type(out, walk.power))
-        for j, a in terms[i]:
-            out[j] += a * walk.power
+        for s in range(bounds[i], bounds[i + 1]):
+            out[members[s]] += coeffs[s] * walk.power
     nonfinite = ~np.isfinite(out).all(axis=2)
     failed = walk.failed_at[None, :] <= degrees[:, None]
     fault = {}
@@ -552,13 +620,13 @@ def _images(op: OperatorSpec, X: np.ndarray, polys: Sequence[ConvexPolynomial],
     return out, fault
 
 
-def images(op: OperatorSpec, X: np.ndarray,
-           polys: Sequence[ConvexPolynomial]) -> np.ndarray:
+def images(op: OperatorSpec, X: np.ndarray, polys) -> np.ndarray:
     """P(T) X for every P in ``polys``: an array (len(polys), batch, dim).
 
-    ``X`` is a raw float64 or complex128 block with one row per vector.
-    One block application per degree up to the largest member degree;
-    raises the error the first failing (member, row) evaluation raises.
+    ``X`` is a raw float64 or complex128 block with one row per vector, and
+    ``polys`` a polynomial sequence, a family or a term table.  One block
+    application per degree up to the largest member degree; raises the
+    error the first failing (member, row) evaluation raises.
     """
     out, fault = _images(op, X, polys)
     if fault:
@@ -571,31 +639,31 @@ def block_rows(dim: int) -> int:
     return max(1, BLOCK_BYTES // (dim * np.dtype(np.complex128).itemsize))
 
 
-def image_stream(op: OperatorSpec, X: np.ndarray,
-                 polys: Sequence[ConvexPolynomial]):
-    """Every image P_j(T) X[r] as ``(j, r, w, error)``, in (member, row) order.
+def image_stream(op: OperatorSpec, X: np.ndarray, polys):
+    """Every engine block of P_j(T) X[r] as ``(j0, r0, out, fault)``.
 
-    ``error`` is None, or the error the single-vector evaluation of
-    (j, r) would raise, and ``w`` is then not its image.  The images are
-    made in engine blocks of at most BLOCK_BYTES: member blocks x row
-    slices, where a row slice holds every row if they fit in one block and
-    otherwise one member is walked over consecutive slices of its rows.
-    Member blocks of all rows share one walk: a block whose nonzero
-    coefficients of positive degree all lie above the degree reached so
-    far resumes from the running power there (every later ``Monomials``
-    block does, so ``Monomials(D)`` costs D block applications in any
-    number of blocks); any other block walks again from X.  A row slice
-    walks from its rows.
+    ``out[j, r]`` is the image of member j0 + j on row r0 + r, and
+    ``fault`` maps each local (j, r) whose single-vector evaluation would
+    raise to that error (``out[j, r]`` is then not its image); blocks come
+    in (member, row) order.  ``polys`` is read into a term table once.
+    The blocks hold at most BLOCK_BYTES: member blocks x row slices, where
+    a row slice holds every row if they fit in one block and otherwise one
+    member is walked over consecutive slices of its rows.  Member blocks
+    of all rows share one walk: a block whose terms of positive degree all
+    lie above the degree reached so far resumes from the running power
+    there (every later ``Monomials`` block does, so ``Monomials(D)`` costs
+    D block applications in any number of blocks); any other block walks
+    again from X.  A row slice walks from its rows.
     """
+    table = term_table(polys)
     batch, dim = X.shape
     cap = block_rows(dim)
     walk = _Walk(X) if batch <= cap else None
     step = max(1, cap // batch)
-    for j0 in range(0, len(polys), step):
+    for j0 in range(0, len(table), step):
         for r0 in range(0, batch, cap):
-            out, fault = _images(op, X[r0: r0 + cap], polys[j0: j0 + step], walk)
-            for j, r in np.ndindex(out.shape[:2]):
-                yield j0 + j, r0 + r, out[j, r], fault.get((j, r))
+            out, fault = _images(op, X[r0: r0 + cap], table[j0: j0 + step], walk)
+            yield j0, r0, out, fault
 
 
 def eval_poly(P: ConvexPolynomial, op: OperatorSpec, v: TruncVector) -> TruncVector:
@@ -635,6 +703,17 @@ class Monomials:
 
     def members(self) -> Tuple[ConvexPolynomial, ...]:
         return tuple(ConvexPolynomial.monomial(d) for d in range(self.max_degree + 1))
+
+    def terms(self) -> TermTable:
+        """The term table, in O(max_degree) and with no polynomial built:
+        member j is 1 * T^j."""
+        top = self.max_degree
+        constants = np.zeros(top + 1)
+        constants[0] = 1.0
+        return TermTable(np.arange(top + 1), constants,
+                         np.concatenate(([0], np.arange(top + 1))),
+                         np.arange(1, top + 1), np.ones(top),
+                         ConvexPolynomial.monomial)
 
 
 @dataclass(frozen=True)

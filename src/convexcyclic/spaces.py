@@ -118,35 +118,48 @@ def norm(v: TruncVector) -> float:
 
 
 def coords_norm(coords: np.ndarray, p: float) -> float:
-    """The l^p norm of one raw coordinate row; ``norm`` without the wrapper.
+    """The l^p norm of one raw coordinate row; ``norm`` without the wrapper
+    and the one-row case of ``row_norms``."""
+    return float(row_norms(coords[None], p)[0])
+
+
+def row_norms(rows: np.ndarray, p: float) -> np.ndarray:
+    """The l^p norm of every row of a raw block (rows x dim).
 
     A row is measured from its real parts, so a real row has the same bits
-    however it is stored: at p = 2 as sqrt(sum part . part) over the row,
-    or over contiguous copies of its real and imaginary parts (numpy's dot
-    for a real row), at other p as numpy's sum of |c_i|^p.  A row whose
-    plain sum overflows (p = 2: entries above about 1.3e154) is measured
-    again as s * ||c / s|| (``_rescaled``, the scaling of LAPACK's dnrm2),
-    so its norm is inf only when the norm exceeds the float range.
+    however it is stored, and the same bits in any block: at p = 2 as
+    sqrt(sum part . part) over the row, or over contiguous copies of its
+    real and imaginary parts, every row's dot product taken by one batched
+    ``matmul`` of (1 x dim) by (dim x 1), which runs numpy's dot (the loop
+    of ``x.dot(x)``) row by row; at other p as numpy's sum of |c_i|^p, one
+    row at a time, because the batched sum rounds differently.  A row
+    whose plain sum overflows (p = 2: entries above about 1.3e154) is
+    measured again as s * ||c / s|| (``_rescaled``, the scaling of LAPACK's
+    dnrm2), so its norm is inf only when the norm exceeds the float range.
     """
     with np.errstate(over="ignore"):
-        return _norm(coords, p)
+        return _row_norms(rows, p)
 
 
-def _norm(coords: np.ndarray, p: float) -> float:
-    """``coords_norm``; the caller silences numpy's overflow warning."""
+def _row_norms(rows: np.ndarray, p: float) -> np.ndarray:
+    """``row_norms``; the caller silences numpy's overflow warning."""
     if p != 2:
-        result = float(np.linalg.norm(coords, ord=p))
-    elif coords.dtype.kind == "c":
-        re = coords.real.ravel(order="K")
-        im = coords.imag.ravel(order="K")
-        result = math.sqrt(re.dot(re) + im.dot(im))
+        result = np.array([np.linalg.norm(row, ord=p) for row in rows], dtype=np.float64)
+    elif rows.dtype.kind == "c":
+        result = np.sqrt(_dots(rows.real) + _dots(rows.imag))
     else:
-        x = coords.ravel(order="K")
-        result = math.sqrt(x.dot(x))
-    if math.isinf(result) and np.all(np.isfinite(coords)):
-        top, scaled = _rescaled(coords)
-        result = top * _norm(scaled, p)
+        result = np.sqrt(_dots(rows))
+    for r in np.flatnonzero(np.isinf(result)):
+        if np.all(np.isfinite(rows[r])):
+            top, scaled = _rescaled(rows[r])
+            result[r] = top * _row_norms(scaled[None], p)[0]
     return result
+
+
+def _dots(parts: np.ndarray) -> np.ndarray:
+    """x . x for every row x of a real block, by numpy's dot on contiguous rows."""
+    parts = np.ascontiguousarray(parts)
+    return np.matmul(parts[:, None, :], parts[:, :, None]).reshape(len(parts))
 
 
 def _rescaled(coords: np.ndarray) -> tuple:
@@ -161,6 +174,11 @@ def _rescaled(coords: np.ndarray) -> tuple:
 def off_span_norm(coords: np.ndarray, mask: np.ndarray, p: float) -> float:
     """The l^p norm of one raw row's coordinates outside ``mask``."""
     return coords_norm(np.where(mask, 0.0, coords), p)
+
+
+def off_span_norms(rows: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray:
+    """``off_span_norm`` of every row of a raw block."""
+    return row_norms(np.where(mask, 0.0, rows), p)
 
 
 def off_span_argmax(coords: np.ndarray, mask: np.ndarray) -> Optional[int]:
@@ -384,16 +402,27 @@ def row_distance(row: np.ndarray, p: float, y: TruncVector) -> float:
     """``norm(w - y)`` for a raw row w of exponent ``p``, with the checks
     ``TruncVector`` subtraction makes: same dim, same p, finite result.
     A difference that overflows raises NumericalOverflow (a ValueError)."""
-    if row.size != y.dim:
-        raise DimensionMismatch(f"dims differ: {row.size} vs {y.dim}")
+    dist = row_distances(row[None], p, y)[0]
+    if math.isnan(dist):
+        raise NumericalOverflow(None, "the distance ||w - y||")
+    return float(dist)
+
+
+def row_distances(rows: np.ndarray, p: float, y: TruncVector) -> np.ndarray:
+    """``row_distance`` of every row of a raw block to y, with its checks;
+    NaN marks a row whose difference overflows, where ``row_distance``
+    raises."""
+    if rows.shape[1] != y.dim:
+        raise DimensionMismatch(f"dims differ: {rows.shape[1]} vs {y.dim}")
     if p != y.p:
         raise ValueError(f"norm exponents differ: {p} vs {y.p}")
     with np.errstate(over="ignore"):
-        diff = row - y.coords
-        dist = _norm(diff, p)
-    if not math.isfinite(dist) and not np.all(np.isfinite(diff)):
-        raise NumericalOverflow(None, "the distance ||w - y||")
-    return dist
+        diff = rows - y.coords
+        dists = _row_norms(diff, p)
+    inf = np.flatnonzero(~np.isfinite(dists))
+    if inf.size:
+        dists[inf[~np.isfinite(diff[inf]).all(axis=1)]] = np.nan
+    return dists
 
 
 def membership_tolerance(v: TruncVector, rtol: float = MEMBERSHIP_RTOL) -> float:
@@ -402,15 +431,22 @@ def membership_tolerance(v: TruncVector, rtol: float = MEMBERSHIP_RTOL) -> float
 
 
 def row_tolerance(coords: np.ndarray, p: float, rtol: float) -> float:
-    """``membership_tolerance`` of one raw row.
+    """``membership_tolerance`` of one raw row."""
+    return float(row_tolerances(coords[None], p, rtol)[0])
+
+
+def row_tolerances(rows: np.ndarray, p: float, rtol: float) -> np.ndarray:
+    """``membership_tolerance`` of every row of a raw block.
 
     A finite row whose norm exceeds the float range is measured in units
-    of s, as ``coords_norm`` measures it (``_rescaled``): its tolerance is
+    of s, as ``row_norms`` measures it (``_rescaled``): its tolerance is
     rtol * ||c / s|| * s, which is finite wherever it fits, where
     rtol * ||c|| would be inf and pass every residual.
     """
-    size = coords_norm(coords, p)
-    if math.isinf(size) and np.all(np.isfinite(coords)):
-        top, scaled = _rescaled(coords)
-        return rtol * coords_norm(scaled, p) * top
-    return rtol * max(1.0, size)
+    sizes = row_norms(rows, p)
+    result = rtol * np.fmax(1.0, sizes)
+    for r in np.flatnonzero(np.isinf(sizes)):
+        if np.all(np.isfinite(rows[r])):
+            top, scaled = _rescaled(rows[r])
+            result[r] = rtol * coords_norm(scaled, p) * top
+    return result

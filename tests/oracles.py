@@ -8,7 +8,9 @@ evaluated on its own, one single-vector application per degree, every
 coefficient added in ascending order.  The serial criterion reference
 checks the criterion conditions and runs the builder one vector at a
 time, one engine walk per (vector, polynomial list), as the checkers did
-before they batched their walks.
+before they batched their walks.  The serial diagnostics score density
+and search transitivity one image at a time, with the one-row measures,
+as the diagnostics did before they measured engine blocks.
 """
 
 import math
@@ -16,6 +18,9 @@ import math
 import numpy as np
 
 from convexcyclic import (BackwardShift, BuildVerificationFailed,
+                          DensityReport, PairResult, TargetScore,
+                          TransitivityReport, Verdict, invariance_check,
+                          sample_ball,
                           ConvexPolynomial, Dense, DirectSum, ForwardShift,
                           Identity, Scale, ScheduleInfeasible,
                           TruncationOverflow, TruncVector, distance_to_subspace,
@@ -23,8 +28,9 @@ from convexcyclic import (BackwardShift, BuildVerificationFailed,
 from convexcyclic.criteria import (BuildResult, BuildStep, Cond1Result,
                                    Cond2Result, Cond3Detail, Cond3Result,
                                    CriterionVerdict, _settles)
-from convexcyclic.spaces import (coords_norm, off_span_argmax, off_span_norm,
-                                 row_distance, row_tolerance)
+from convexcyclic.spaces import (MEMBERSHIP_RTOL, coords_norm,
+                                 off_span_argmax, off_span_norm, row_distance,
+                                 row_tolerance)
 
 
 def dense_poly_matrix(P, op, dim):
@@ -314,3 +320,67 @@ def serial_build(inst, j_max, c=1.0, *, k_step=64):
         out.append(BuildStep(j=j, k=k, xi=xi_j, four_term_bound=bound,
                              post_limit=limit, post_error=err))
     return BuildResult(x=x, steps=tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# Serial diagnostics: one image at a time
+# ---------------------------------------------------------------------------
+
+
+def serial_density(op, x, m, family, targets, epsilon, rtol=MEMBERSHIP_RTOL):
+    """``density_score`` image by image, for targets inside the span: an
+    orbit error is raised where it occurs, a distance error after the whole
+    orbit, for the first target."""
+    members = family.members()
+    mask = m.mask()
+    admissible, distances, errors = [], [[] for _ in targets], [None] * len(targets)
+    for j, P in enumerate(members):
+        w = _orbit(op, x, [P])[0]
+        if off_span_norm(w, mask, x.p) > row_tolerance(w, x.p, rtol):
+            continue
+        admissible.append(j)
+        for t_idx, y in enumerate(targets):
+            try:
+                distances[t_idx].append(row_distance(w, x.p, y))
+            except ValueError as err:
+                errors[t_idx] = errors[t_idx] or err
+    for err in errors:
+        if err is not None:
+            raise err
+    scores = []
+    for dists in distances:
+        if not dists:
+            scores.append(TargetScore(math.inf, None, None))
+            continue
+        best = min(dists)
+        pos = next(pos for pos, d in enumerate(dists) if d <= best + 1e-12)
+        scores.append(TargetScore(dists[pos], members[admissible[pos]], admissible[pos]))
+    verdict = (Verdict.DENSE_AT_SCALE if all(s.best_distance <= epsilon for s in scores)
+               else Verdict.NOT_COVERED_AT_SCALE)
+    return DensityReport(tuple(targets), tuple(scores), float(epsilon), verdict, family,
+                         len(members), len(admissible))
+
+
+def serial_transitivity(op, m, pairs, family, samples_per_ball, seed, rtol=MEMBERSHIP_RTOL):
+    """``transitivity_search`` image by image, in (member, sample) order."""
+    members = family.members()
+    mask = m.mask()
+    results = []
+    for p_idx, pair in enumerate(pairs):
+        samples = sample_ball(pair.v_center, m, pair.radius, samples_per_ball,
+                              seed + 1000003 * p_idx)
+        p = pair.v_center.p
+        result = PairResult(False, None, None, 0.0)
+        for j, P in enumerate(members):
+            for v in samples:
+                w = _orbit(op, v, [P])[0]
+                if off_span_norm(w, mask, p) > row_tolerance(w, p, rtol):
+                    continue
+                if row_distance(w, p, pair.u_center) <= pair.radius:
+                    residual = invariance_check(P, op, m, membership_rtol=rtol).max_residual
+                    result = PairResult(True, P, j, residual)
+                    break
+            if result.found:
+                break
+        results.append(result)
+    return TransitivityReport(tuple(pairs), tuple(results), family, samples_per_ball, seed)

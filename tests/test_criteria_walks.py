@@ -1,6 +1,7 @@
-"""The criterion checkers and the builder walk blocks of rows through the
-engine; they must give exactly what the serial per-vector loops give:
-equal verdicts bit for bit, and the same error first."""
+"""The criterion checkers, the builder and the density and transitivity
+diagnostics walk blocks of rows through the engine and measure each block
+at once; they must give exactly what the serial per-vector and per-image
+loops give: equal verdicts bit for bit, and the same error first."""
 
 import warnings
 from unittest import mock
@@ -10,14 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexcyclic import (BackwardShift, ConvexPolynomial, CriterionInstance,
-                          DirectSum, ExplicitRecovery, ForwardShift, IndexSet,
-                          Scale, ShiftRecovery, TruncVector,
+from convexcyclic import (BackwardShift, BallPair, CesaroMeans,
+                          ConvexPolynomial, CriterionInstance, DirectSum,
+                          ExplicitRecovery, ForwardShift, IndexSet, Monomials,
+                          Scale, ShiftRecovery, SimplexGrid, TruncVector,
                           build_cyclic_vector, check_criterion_I,
-                          check_criterion_II, operators)
+                          check_criterion_II, density_score,
+                          materialize_subspace, operators,
+                          transitivity_search)
 from convexcyclic.gallery import entry_lemma_5_1
 from oracles import (OPERATOR_KINDS, random_convex_poly, random_operator,
-                     serial_build, serial_criterion_I, serial_criterion_II)
+                     serial_build, serial_criterion_I, serial_criterion_II,
+                     serial_density, serial_transitivity)
 
 #: Every spec kind, unit-weight shifts (copied, not multiplied), a scale
 #: whose powers leave the float range, and a direct sum whose blocks leave
@@ -187,3 +192,45 @@ def test_invariance_raises_the_first_failing_row_of_the_first_failing_k():
             got = _outcome(check_criterion_I, inst, 2, 1e-9)
         assert got == _outcome(serial_criterion_I, inst, 2, 1e-9)
         assert got[2].endswith("at degree 2")
+
+
+def _diagnostic_case(seed, kind, complex_field):
+    """A small operator, a span, and vectors in it; forward shifts without
+    headroom and rows near 1e300 make images fail, and a foreign exponent
+    makes distances raise."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 10))
+    p = float(rng.choice([1.0, 2.0, 3.0]))
+    span = sorted(int(i) for i in rng.choice(dim, size=int(rng.integers(1, dim + 1)),
+                                             replace=False))
+    m = IndexSet(tuple(span))
+
+    def vector(q=p):
+        return _span_vector(rng, dim, span, q, complex_field and rng.random() < 0.7)
+
+    x = vector()
+    targets = [vector(p if rng.random() < 0.9 else p + 1.0)
+               for _ in range(int(rng.integers(1, 4)))]
+    pairs = [BallPair(vector(), vector(), float(rng.choice([0.5, 3.0, 1e300])))
+             for _ in range(int(rng.integers(1, 3)))]
+    family = [Monomials(int(rng.integers(0, 6))), CesaroMeans(int(rng.integers(0, 4))),
+              SimplexGrid(int(rng.integers(0, 3)), 2)][int(rng.integers(0, 3))]
+    return _operator(rng, dim, complex_field, kind), m, x, targets, pairs, family
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("kind", KINDS)
+@given(seed=st.integers(0, 2 ** 32 - 1), complex_field=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_block_diagnostics_match_the_image_loops(rows, kind, seed, complex_field):
+    # 5 samples per ball: at a bound of 1 or 3 rows a pair's samples walk
+    # in row slices, one member per block.
+    op, spec, x, targets, pairs, family = _diagnostic_case(seed, kind, complex_field)
+    m = materialize_subspace(spec, x.dim)
+    want = [_outcome(serial_density, op, x, m, family, targets, 1e-2),
+            _outcome(serial_transitivity, op, m, pairs, family, 5, seed % 1000)]
+    block = operators.BLOCK_BYTES if rows is None else rows * x.dim * 16
+    with mock.patch.object(operators, "BLOCK_BYTES", block):
+        got = [_outcome(density_score, op, x, m, family, targets, 1e-2),
+               _outcome(transitivity_search, op, m, pairs, family, 5, seed % 1000)]
+    assert got == want

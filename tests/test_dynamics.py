@@ -398,3 +398,26 @@ def test_sample_ball_properties(dim, data, count, radius, p, seed, p_idx):
         assert norm(v - center) <= radius * (1 + 1e-12)
     again = sample_ball(center, m, radius, count, pair_seed)
     assert all(np.array_equal(a.coords, b.coords) for a, b in zip(samples, again))
+
+
+def test_density_builds_only_the_witnesses():
+    # Monomials(400) is read from its term table: of its 401 members only
+    # the witnesses, at most one per target, become polynomials.
+    dim = 2048
+    rng = np.random.default_rng(0)
+    odd = np.arange(1, dim, 2)
+    coords = np.zeros(dim)
+    coords[odd] = rng.uniform(0.5, 1.5, odd.size) * 2.0 ** (-odd / 4.0)
+    targets = []
+    for _ in range(16):
+        y = np.zeros(dim)
+        y[rng.choice(odd[:32], size=4, replace=False)] = rng.standard_normal(4)
+        targets.append(TruncVector(y / np.linalg.norm(y)))
+    m = materialize_subspace(ParityZero("even"), dim)
+    with mock.patch.object(ConvexPolynomial, "__post_init__", autospec=True,
+                           side_effect=ConvexPolynomial.__post_init__) as built:
+        report = density_score(TWO_B, TruncVector(coords), m, Monomials(400), targets, 1e-2)
+    assert report.orbit_size == 401
+    assert all(s.witness == ConvexPolynomial.monomial(s.witness_index)
+               for s in report.per_target)
+    assert built.call_count <= 16

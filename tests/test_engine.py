@@ -107,6 +107,13 @@ def _record_blocks(mp) -> list:
     return blocks
 
 
+def _flat(stream):
+    """Every image of an ``image_stream`` as (j, r, w, error), in order."""
+    for j0, r0, out, fault in stream:
+        for j, r in np.ndindex(out.shape[:2]):
+            yield j0 + j, r0 + r, out[j, r], fault.get((j, r))
+
+
 def test_monomials_cost_one_block_application_per_degree_across_blocks(monkeypatch):
     # At dim 2048 one block holds 64 members: Monomials(400) comes in 7
     # blocks, and each resumes where the previous one stopped.
@@ -114,7 +121,7 @@ def test_monomials_cost_one_block_application_per_degree_across_blocks(monkeypat
     blocks = _record_blocks(monkeypatch)
     x = np.zeros((1, 2048))
     x[0, 1600:] = 1.0
-    stream = list(operators.image_stream(BackwardShift(2.0), x, Monomials(400).members()))
+    stream = list(_flat(operators.image_stream(BackwardShift(2.0), x, Monomials(400))))
     assert [(j, r) for j, r, _, _ in stream] == [(j, 0) for j in range(401)]
     assert blocks == [64] * 6 + [17]
     assert calls == [(1, 2048)] * 400
@@ -127,7 +134,7 @@ def _stream_and_whole(op, X, members, rows_per_block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operators, "BLOCK_BYTES", 16 * X.shape[1] * rows_per_block)
         blocks = _record_blocks(mp)
-        stream = list(operators.image_stream(op, X, members))
+        stream = list(_flat(operators.image_stream(op, X, members)))
     assert len(blocks) == -(-len(members) // (rows_per_block // len(X)))
     assert [(j, r) for j, r, _, _ in stream] == list(np.ndindex(len(members), len(X)))
     got = np.array([w for _, _, w, _ in stream],

@@ -1,6 +1,7 @@
 """Operator action, polynomial evaluation, norms, screens and families."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from convexcyclic import (BackwardShift, CesaroMeans, ConvexPolynomial,
                           TruncationOverflow, apply,
                           compose_polys, eval_poly, operator_norm_estimate,
                           screen_necessary_conditions, to_dense)
-from convexcyclic.operators import power_norm_estimate
+from convexcyclic.operators import TermTable, power_norm_estimate, term_table
 from oracles import dense_eval, random_triple
 
 TWO_B = Scale(2.0, BackwardShift())
@@ -178,12 +179,14 @@ class TestConvexPolynomial:
         assert type(info.value) is error
         assert str(info.value).startswith(message)
 
-    def test_strings_and_booleans_convert_as_float_does(self):
-        assert ConvexPolynomial(("0.25", "0.75")).coeffs == (0.25, 0.75)
-        assert ConvexPolynomial((False, True, False)).coeffs == (0.0, 1.0)
-        assert ConvexPolynomial((True,)).coeffs == (1.0,)
-        with pytest.raises(ValueError, match="sum to 1"):
-            ConvexPolynomial((True, True))
+    def test_strings_and_booleans_are_rejected(self):
+        # float() would turn "0.25" into 0.25 and True into 1.0.
+        for coeffs in (("0.25", "0.75"), (False, True), (True,), (np.True_,),
+                       (0.5, b"0.5")):
+            with pytest.raises(ValueError, match="must be real numbers, not strings or booleans"):
+                ConvexPolynomial(coeffs)
+        assert ConvexPolynomial((0, 1)).coeffs == (0.0, 1.0)
+        assert ConvexPolynomial((np.float32(0.5), np.int64(0), 0.5)).coeffs == (0.5, 0.0, 0.5)
 
     def test_degree_profile(self):
         assert ConvexPolynomial((0.5, 0.0, 0.5)).degree_profile() == (0, 2)
@@ -305,6 +308,44 @@ class TestFamilies:
     def test_random_simplex_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):
             RandomSimplex(3, 6, seed=-4)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 17, 50])
+    def test_monomial_terms_are_those_of_the_members(self, degree):
+        family = Monomials(degree)
+        got, want = term_table(family), TermTable.of(family.members())
+        for name in ("degrees", "constants", "ptr", "powers", "coeffs"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert all(got.member(j) == want.member(j) for j in range(degree + 1))
+        assert all(got[j0:].member(j) == want.member(j0 + j)
+                   for j0 in (0, degree) for j in range(degree + 1 - j0))
+
+    @pytest.mark.parametrize("family", [Monomials(6), CesaroMeans(5), SimplexGrid(3, 3),
+                                        RandomSimplex(4, 7, seed=2)])
+    def test_term_table_rebuilds_every_member(self, family):
+        # Coverage: a table read from members() holds their coefficients.
+        table = term_table(family)
+        members = family.members()
+        assert len(table) == len(members)
+        for j0 in range(len(members)):
+            block = table[j0: j0 + 2]
+            for j in range(len(block)):
+                P = members[j0 + j]
+                coeffs = [0.0] * (block.degrees[j] + 1)
+                coeffs[0] = block.constants[j]
+                for s in range(block.ptr[j], block.ptr[j + 1]):
+                    coeffs[block.powers[s]] = block.coeffs[s]
+                assert tuple(coeffs) == P.coeffs
+                assert block.member(j) == P
+
+    def test_monomial_terms_build_no_polynomial(self):
+        # members() at the MAX_MEMBERS cap builds 4,096 tuples of up to
+        # 4,096 coefficients; the table is made without any.
+        with mock.patch.object(ConvexPolynomial, "__post_init__", autospec=True,
+                               side_effect=ConvexPolynomial.__post_init__) as built:
+            table = term_table(Monomials(4095))
+            assert len(table) == 4096 and built.call_count == 0
+            assert table[4000:].member(95) == ConvexPolynomial.monomial(4095)
 
     def test_random_simplex_seed_sensitivity(self):
         a = [P.coeffs for P in RandomSimplex(3, 6, seed=1).members()]

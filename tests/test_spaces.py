@@ -17,7 +17,8 @@ from convexcyclic import (BasisIndexSet, ConvexPolynomial, CriterionInstance,
                           materialize_subspace, membership_tolerance, norm,
                           project)
 from convexcyclic.spaces import (MEMBERSHIP_RTOL, coords_norm, off_span_norm,
-                               row_distance, row_tolerance)
+                               off_span_norms, row_distance, row_distances,
+                               row_norms, row_tolerance, row_tolerances)
 
 
 def scalar_loop_norm(coords, p):
@@ -222,6 +223,86 @@ class TestNormKernel:
             tol = row_tolerance(row, p, MEMBERSHIP_RTOL)
             assert math.isclose(tol, MEMBERSHIP_RTOL * math.sqrt(2) * 1.5e308,
                                 rel_tol=1e-15)
+
+
+def dot_norm(coords, p):
+    """One row's norm by the one-row formula: numpy's norm at p != 2, and
+    sqrt of ``x.dot(x)`` over contiguous real parts at p = 2, measured
+    again as s * ||c / s|| when the plain sum overflows."""
+    with np.errstate(over="ignore"):
+        if p != 2:
+            result = float(np.linalg.norm(coords, ord=p))
+        elif np.iscomplexobj(coords):
+            re, im = np.array(coords.real), np.array(coords.imag)
+            result = math.sqrt(re.dot(re) + im.dot(im))
+        else:
+            x = np.array(coords)
+            result = math.sqrt(x.dot(x))
+    if math.isinf(result) and np.all(np.isfinite(coords)):
+        parts = np.array(coords).view(np.float64)
+        top = float(np.max(np.abs(parts)))
+        result = top * dot_norm((parts / top).view(coords.dtype), p)
+    return result
+
+
+def _blocks(rng, width, complex_field):
+    """Row blocks of one width: plain, with all-zero rows, near 1e200 (the
+    rescale path), and strided views (every other row, every other column,
+    Fortran order)."""
+    W = rng.standard_normal((6, width))
+    if complex_field:
+        W = W + 1j * rng.standard_normal((6, width))
+    zeros = W.copy()
+    zeros[[0, 3]] = 0
+    huge = W * 1e200
+    wide = np.repeat(W, 2, axis=1)
+    yield from (W, zeros, huge, W[::2], wide[:, ::2], np.asfortranarray(W),
+                huge[1::2, :])
+
+
+class TestRowNorms:
+    """The batched kernel gives every row the bits of its one-row norm."""
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, 64, 129, 1000, 4097])
+    def test_every_row_has_its_one_row_bits(self, width, p, complex_field):
+        rng = np.random.default_rng(width)
+        for W in _blocks(rng, width, complex_field):
+            got = row_norms(W, p)
+            assert got.dtype == np.float64 and got.shape == (len(W),)
+            for r, row in enumerate(W):
+                assert got[r].hex() == dot_norm(row, p).hex()
+                assert got[r].hex() == coords_norm(row, p).hex()
+
+    def test_rescaled_rows_are_finite_and_zero_rows_zero(self):
+        W = np.array([[3e200, 4e200, 0.0], [0.0, 0.0, 0.0], [1.5e308, 1.5e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = row_norms(W, 2.0)
+        assert math.isclose(got[0], 5e200, rel_tol=1e-15)
+        assert got[1] == 0.0 and got[2] == math.inf
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_block_measures_match_the_one_row_calls(self, p):
+        rng = np.random.default_rng(7)
+        W = rng.standard_normal((9, 33)) * np.array([1.0, 1e200, 1e-200])[:, None].repeat(3, 0)
+        mask = rng.random(33) < 0.5
+        y = TruncVector(rng.standard_normal(33), p=p)
+        with np.errstate(over="ignore"):
+            off, tol, dist = (off_span_norms(W, mask, p),
+                              row_tolerances(W, p, MEMBERSHIP_RTOL), row_distances(W, p, y))
+        for r, row in enumerate(W):
+            assert off[r].hex() == off_span_norm(row, mask, p).hex()
+            assert tol[r].hex() == row_tolerance(row, p, MEMBERSHIP_RTOL).hex()
+            assert dist[r].hex() == row_distance(row, p, y).hex()
+
+    def test_a_difference_that_overflows_reads_nan(self):
+        y = TruncVector(np.array([0.0, -1.7e308]))
+        dists = row_distances(np.array([[0.0, 1.0], [0.0, 1.7e308]]), 2.0, y)
+        assert dists[0] == 1.7e308 and math.isnan(dists[1])
+        with pytest.raises(ValueError, match="exponents differ"):
+            row_distances(np.zeros((2, 2)), 1.0, y)
 
 
 # ---------------------------------------------------------------------------
