@@ -9,8 +9,8 @@ needed, only a degree-inflated family.
 
 This is an experiment template, not a result: the reported coverage
 numbers are finite-scale observations with no claim attached either way.
-If the entry's cyclic vector cannot be built, the script prints one line
-naming that step and exits 2.
+If the entry carries no criterion instance, or its cyclic vector cannot
+be built, the script prints one line saying so and exits 2.
 
 Usage:
     python3 scripts/power_orbit_experiment.py --entry example_5_4 \
@@ -49,19 +49,20 @@ class InflatedFamily:
         return tuple(inflate(P, self.m) for P in self.base.members())
 
 
-class BuildFailed(Exception):
-    """The entry's cyclic vector could not be built."""
+class CannotRun(Exception):
+    """The entry carries no criterion instance, or its cyclic vector could
+    not be built."""
 
 
 def run(entry_name: str, powers, epsilon: float):
     entry = build_entry(entry_name)
     if entry.instance is None:
-        raise SystemExit(f"entry {entry_name!r} carries no criterion instance")
+        raise CannotRun(f"entry {entry_name!r} carries no criterion instance")
     inst = entry.instance
     try:
         candidate = build_cyclic_vector(inst, max(entry.j_max, 2), entry.c).x
     except ConvexCyclicError as err:
-        raise BuildFailed(f"building the cyclic vector of {entry_name} failed: {err}") from err
+        raise CannotRun(f"building the cyclic vector of {entry_name} failed: {err}") from err
     m_set = materialize_subspace(entry.subspace, entry.dim)
     targets = list(inst.Y)
     rows = []
@@ -89,7 +90,7 @@ def main(argv=None) -> int:
 
     try:
         rows = run(args.entry, args.powers, args.epsilon)
-    except BuildFailed as err:
+    except CannotRun as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     print(f"entry {args.entry}, epsilon {args.epsilon}")

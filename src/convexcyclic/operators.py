@@ -16,15 +16,32 @@ in ascending order with a single running power block T^i X, adding
 a_i T^i X into each member's accumulator where a_i is nonzero: one block
 application per degree, no stored power table.  The arithmetic is the
 elementwise axpy of the single-vector recurrence, so each image is bit for
-bit what a per-member ascending-degree loop gives.  ``image_stream``
-is the one loop over engine blocks that the diagnostics read: it splits
-large member x row products into blocks of at most BLOCK_BYTES, carries
-the walk from one member block to the next wherever the next block's
-terms all lie above the degree reached (so ``Monomials(D)`` costs D block
-applications however it is split), and yields each block once, with its
-member and row offsets and the errors its images' single-vector
-evaluations would raise.  ``TruncVector`` wraps results only at the
-public boundary (``apply``, ``eval_poly``).
+bit what a per-member ascending-degree loop gives, up to the sign of a
+zero (below).
+
+The power block holds only its live column window [lo, hi), taken from
+X's nonzero columns when a walk starts; outside it T^i X is exactly zero.
+A backward shift moves the window one index down and drops column 0, a
+forward shift moves it one index up, and with unit weight on real rows
+that is a change of offset, not a copy; a non-unit weight multiplies the
+window by its slice of the global weight array.  ``Scale`` multiplies
+the window, ``Identity`` keeps it, and ``DirectSum`` and ``Dense`` widen
+it to the full row.  Each degree adds its terms into the window's columns
+of the accumulators only, and once the window is empty every later power
+is zero and the walk stops.  So no signed zero is added outside the
+window: a zero there can differ in sign from the loop's (+0.0 for the
+power where a negative weight or factor gave -0.0), which no norm,
+distance or argmax reads.
+
+``image_stream`` is the one loop over engine blocks that the diagnostics
+read: it splits large member x row products into blocks of at most
+BLOCK_BYTES, carries the walk from one member block to the next wherever
+the next block's terms all lie above the degree reached (so
+``Monomials(D)`` costs at most D block applications however it is split),
+and yields each block once, with its member and row offsets and the
+errors its images' single-vector evaluations would raise.  ``TruncVector`` wraps results only at the
+public boundary (``apply``, ``eval_poly``); ``apply`` acts on the full
+row through the same windowed step and widens the result back.
 """
 
 from __future__ import annotations
@@ -184,7 +201,7 @@ def _mul(w, X: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 
 
 def _unit(weight, X: np.ndarray) -> bool:
-    """Whether a shift's product with ``weight`` is a copy of real ``X``.
+    """Whether a shift with ``weight`` only moves real ``X``, unmultiplied.
 
     1.0 * x == x bit for bit on real rows.  Complex rows keep the multiply:
     numpy multiplies them by 1 + 0j, which can flip the sign of a zero
@@ -193,53 +210,68 @@ def _unit(weight, X: np.ndarray) -> bool:
     return not isinstance(weight, tuple) and weight == 1.0 and not np.iscomplexobj(X)
 
 
-def _act(op: OperatorSpec, X: np.ndarray, check: bool = True) -> np.ndarray:
-    """Act with ``op`` on every row of the block ``X`` (batch x dim).
-
-    Each row gets exactly the arithmetic of a single-vector application,
-    and results are checked wherever a single vector would have been
-    validated; rows that would have raised are reported as a _RowFailure.
-    The inner result of a Scale goes unchecked because a non-finite row
-    stays non-finite after scaling, and fails there with the same error.
-    """
-    dim = X.shape[1]
-    if isinstance(op, Identity):
+def _widen(X: np.ndarray, lo: int, dim: int) -> np.ndarray:
+    """The full rows of the window ``X``: columns lo.. of rows of length
+    ``dim`` that are zero everywhere else."""
+    if X.shape[1] == dim:
         return X
+    out = np.zeros((len(X), dim), X.dtype)
+    out[:, lo: lo + X.shape[1]] = X
+    return out
+
+
+def _act_window(op: OperatorSpec, X: np.ndarray, lo: int, dim: int,
+                check: bool = True) -> Tuple[np.ndarray, int]:
+    """Act with ``op`` on every row of a window: ``(out, lo)`` after it.
+
+    ``X`` holds columns lo..lo + width - 1 of rows of length ``dim``; every
+    other column is zero, and so is every column of the image outside the
+    returned window.  A shift moves the window one index, and drops a
+    column its action annihilates or checks for overflow; with unit weight
+    on real rows that is a view, not a copy.  Weights are read from the
+    global weight array, whose length is checked against ``dim`` however
+    narrow the window.  A direct sum or a dense matrix widens the window
+    to the full row.  Each row of the window gets exactly the arithmetic of
+    a single-vector application, and results are checked wherever a single
+    vector would have been validated; rows that would have raised are
+    reported as a _RowFailure.  The inner result of a Scale goes unchecked
+    because a non-finite row stays non-finite after scaling, and fails
+    there with the same error.
+    """
+    if isinstance(op, Identity):
+        return X, lo
     if isinstance(op, BackwardShift):
-        if _unit(op.weight, X):
-            out = np.empty_like(X)
-            out[:, :-1] = X[:, 1:]
-        else:
-            w = _weight_array(op.weight, dim, "backward shift")[1:]
-            out = np.empty(X.shape, np.result_type(w, X))
-            _mul(w, X[:, 1:], out[:, :-1])
-        out[:, -1] = 0
+        w = None if _unit(op.weight, X) else _weight_array(op.weight, dim, "backward shift")
+        if lo == 0:
+            X, lo = X[:, 1:], 1  # e_0 is annihilated
+        out = X if w is None else _mul(w[lo: lo + X.shape[1]], X)
+        lo -= 1
     elif isinstance(op, ForwardShift):
-        top = X[:, -1] != 0
-        if top.any():
-            raise _RowFailure(top, TruncationOverflow(
-                f"forward shift would push mass past index {dim - 1}; "
-                "enlarge the truncation"))
-        if _unit(op.weight, X):
-            out = np.empty_like(X)
-            out[:, 1:] = X[:, :-1]
-        else:
-            w = _weight_array(op.weight, dim - 1, "forward shift")
-            out = np.empty(X.shape, np.result_type(w, X))
-            _mul(w, X[:, :-1], out[:, 1:])
-        out[:, 0] = 0
+        if X.shape[1] and lo + X.shape[1] == dim:
+            top = X[:, -1] != 0
+            if top.any():
+                raise _RowFailure(top, TruncationOverflow(
+                    f"forward shift would push mass past index {dim - 1}; "
+                    "enlarge the truncation"))
+            X = X[:, :-1]
+        w = None if _unit(op.weight, X) else _weight_array(op.weight, dim - 1, "forward shift")
+        out = X if w is None else _mul(w[lo: lo + X.shape[1]], X)
+        lo += 1
     elif isinstance(op, Scale):
-        out = _mul(op.factor, _act(op.inner, X, check=False))
+        out, lo = _act_window(op.inner, X, lo, dim, check=False)
+        out = _mul(op.factor, out)
     elif isinstance(op, DirectSum):
         if not op.split < dim:
             raise DimensionMismatch(
                 f"direct-sum split {op.split} does not partition dimension {dim}")
+        X, lo = _widen(X, lo, dim), 0
         out = np.concatenate([_act(op.left, X[:, : op.split]),
                               _act(op.right, X[:, op.split:])], axis=1)
     elif isinstance(op, Dense):
         if op.matrix.shape[0] != dim:
             raise DimensionMismatch(
                 f"dense operator dim {op.matrix.shape[0]} != vector dim {dim}")
+        X, lo = _widen(X, lo, dim), 0
         out = np.array([op.matrix @ row for row in X])
     else:
         raise TypeError(f"unknown operator spec {type(op).__name__}")
@@ -247,7 +279,13 @@ def _act(op: OperatorSpec, X: np.ndarray, check: bool = True) -> np.ndarray:
         bad = ~np.isfinite(out).all(axis=1)
         if bad.any():
             raise _RowFailure(bad, NumericalOverflow(1))
-    return out
+    return out, lo
+
+
+def _act(op: OperatorSpec, X: np.ndarray) -> np.ndarray:
+    """``_act_window`` on full rows, with the image widened back to them."""
+    out, lo = _act_window(op, X, 0, X.shape[1])
+    return _widen(out, lo, X.shape[1])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -539,10 +577,12 @@ def term_table(source) -> TermTable:
 class _Walk:
     """The running state of one engine walk over the rows of ``X``.
 
-    ``power`` is T^degree X with every failed row zeroed; ``failed_at[r]``
-    is the degree at which row r failed (past every degree while it is
-    live) and ``errors[r]`` the error its single-vector evaluation raised
-    there.
+    ``power`` is the live column window of T^degree X, its columns
+    ``lo``.. of the full rows (every other column is zero), with every
+    failed row zeroed.  The window starts as the span of X's nonzero
+    columns.  ``failed_at[r]`` is the degree at which row r failed (past
+    every degree while it is live) and ``errors[r]`` the error its
+    single-vector evaluation raised there.
     """
 
     def __init__(self, X: np.ndarray):
@@ -550,7 +590,9 @@ class _Walk:
         self.restart()
 
     def restart(self):
-        self.power, self.degree = self.X, 0
+        cols = np.flatnonzero(self.X.any(axis=0))
+        self.lo, hi = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
+        self.power, self.degree = self.X[:, self.lo: hi], 0
         self.live = np.ones(len(self.X), dtype=bool)
         self.failed_at = np.full(len(self.X), np.iinfo(np.int64).max)
         self.errors = [None] * len(self.X)
@@ -571,7 +613,8 @@ def _images(op: OperatorSpec, X: np.ndarray, polys, walk: Optional[_Walk] = None
 
     ``walk``, left over ``X`` by an earlier call with the same op, resumes
     when every term of positive degree in the table lies above its degree,
-    and restarts from X otherwise; it is left at the largest degree walked.
+    and restarts from X otherwise; it is left at the largest degree walked,
+    or at the table's top degree once its window is empty.
     """
     table = term_table(polys)
     degrees = table.degrees
@@ -587,11 +630,14 @@ def _images(op: OperatorSpec, X: np.ndarray, polys, walk: Optional[_Walk] = None
         walk = _Walk(X)
     elif powers.size and powers[0] <= walk.degree:
         walk.restart()
-    live = walk.live
+    live, dim = walk.live, X.shape[1]
     for i in range(walk.degree + 1, top + 1):
         while live.any():
             try:
-                walk.power = _act(op, walk.power)
+                # An empty window stays empty.  The first step still acts,
+                # for the power's dtype and the errors the op raises.
+                if i == 1 or walk.power.shape[1]:
+                    walk.power, walk.lo = _act_window(op, walk.power, walk.lo, dim)
                 break
             except _RowFailure as failure:
                 rows, error = failure.rows & live, failure.error
@@ -609,8 +655,12 @@ def _images(op: OperatorSpec, X: np.ndarray, polys, walk: Optional[_Walk] = None
         walk.degree = i
         if walk.power.dtype != out.dtype:
             out = out.astype(np.result_type(out, walk.power))
+        if not walk.power.shape[1]:
+            walk.degree = top  # every later power is zero
+            break
+        lo, hi = walk.lo, walk.lo + walk.power.shape[1]
         for s in range(bounds[i], bounds[i + 1]):
-            out[members[s]] += coeffs[s] * walk.power
+            out[members[s], :, lo:hi] += coeffs[s] * walk.power
     nonfinite = ~np.isfinite(out).all(axis=2)
     failed = walk.failed_at[None, :] <= degrees[:, None]
     fault = {}
@@ -625,8 +675,9 @@ def images(op: OperatorSpec, X: np.ndarray, polys) -> np.ndarray:
 
     ``X`` is a raw float64 or complex128 block with one row per vector, and
     ``polys`` a polynomial sequence, a family or a term table.  One block
-    application per degree up to the largest member degree; raises the
-    error the first failing (member, row) evaluation raises.
+    application per degree up to the largest member degree, or until the
+    live window is empty; raises the error the first failing (member, row)
+    evaluation raises.
     """
     out, fault = _images(op, X, polys)
     if fault:
@@ -652,8 +703,8 @@ def image_stream(op: OperatorSpec, X: np.ndarray, polys):
     of all rows share one walk: a block whose terms of positive degree all
     lie above the degree reached so far resumes from the running power
     there (every later ``Monomials`` block does, so ``Monomials(D)`` costs
-    D block applications in any number of blocks); any other block walks
-    again from X.  A row slice walks from its rows.
+    at most D block applications in any number of blocks); any other
+    block walks again from X.  A row slice walks from its rows.
     """
     table = term_table(polys)
     batch, dim = X.shape
@@ -727,10 +778,21 @@ class CesaroMeans:
             raise ValueError("max_degree must be nonnegative")
 
     def members(self) -> Tuple[ConvexPolynomial, ...]:
-        out = []
-        for k in range(self.max_degree + 1):
-            out.append(ConvexPolynomial(tuple([1.0 / (k + 1)] * (k + 1))))
-        return tuple(out)
+        return tuple(map(_cesaro_mean, range(self.max_degree + 1)))
+
+    def terms(self) -> TermTable:
+        """The term table, with no polynomial built: member k has the
+        coefficient 1 / (k + 1) at every degree 0..k."""
+        k = np.arange(self.max_degree + 1)
+        ptr = np.concatenate(([0], np.cumsum(k)))
+        owner = np.repeat(k, k)
+        return TermTable(k, 1.0 / (k + 1), ptr, np.arange(ptr[-1]) - ptr[owner] + 1,
+                         1.0 / (owner + 1), _cesaro_mean)
+
+
+def _cesaro_mean(k: int) -> ConvexPolynomial:
+    """(T^0 + ... + T^k) / (k + 1)."""
+    return ConvexPolynomial(tuple([1.0 / (k + 1)] * (k + 1)))
 
 
 def _compositions(total: int, parts: int):

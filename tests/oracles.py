@@ -92,6 +92,22 @@ def loop_images(op, x, polys):
     return out
 
 
+def backward_windows(X, degree):
+    """The live windows, as (first column, block shape), that the engine
+    walks X through under a backward shift (weighted or scaled): from the
+    span of X's nonzero columns, one degree step per window while it is
+    nonempty, none after; the first step is taken in any case."""
+    cols = np.flatnonzero((X != 0).any(axis=0))
+    lo, hi = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
+    windows = []
+    for i in range(1, degree + 1):
+        if i > 1 and lo == hi:
+            break
+        windows.append((lo, (len(X), hi - lo)))
+        lo, hi = max(lo - 1, 0), max(hi - 1, 0)
+    return windows
+
+
 def random_convex_poly(rng, max_degree=6):
     degree = int(rng.integers(0, max_degree + 1))
     coeffs = rng.dirichlet(np.ones(degree + 1))

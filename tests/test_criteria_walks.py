@@ -20,9 +20,9 @@ from convexcyclic import (BackwardShift, BallPair, CesaroMeans,
                           materialize_subspace, operators,
                           transitivity_search)
 from convexcyclic.gallery import entry_lemma_5_1
-from oracles import (OPERATOR_KINDS, random_convex_poly, random_operator,
-                     serial_build, serial_criterion_I, serial_criterion_II,
-                     serial_density, serial_transitivity)
+from oracles import (OPERATOR_KINDS, backward_windows, random_convex_poly,
+                     random_operator, serial_build, serial_criterion_I,
+                     serial_criterion_II, serial_density, serial_transitivity)
 
 #: Every spec kind, unit-weight shifts (copied, not multiplied), a scale
 #: whose powers leave the float range, and a direct sum whose blocks leave
@@ -137,25 +137,34 @@ def test_batched_checks_match_the_serial_loops(rows, kind, seed, complex_field):
 def test_criterion_II_walks_X_once_and_the_recovery_vectors_once(monkeypatch):
     # lemma_5_1's polys have degrees 15, 56, 97 and 212; the per-vector
     # loops cost 2 * 12 * 212 (X) + 4 * 380 (recovery) = 6,608 applications.
+    # Each of the two walks steps once per degree over its live window: the
+    # X window [19, 110) is empty after degree 110, the recovery window
+    # lasts to degree 212.
     entry = entry_lemma_5_1()
+    inst = entry.instance
     calls = []
     depth = [0]
-    act = operators._act
+    act = operators._act_window
 
-    def outermost(op, X, check=True):
+    def outermost(op, X, lo, dim, check=True):
         if not depth[0]:
-            calls.append(X.shape)
+            calls.append((lo, X.shape))
         depth[0] += 1
         try:
-            return act(op, X, check)
+            return act(op, X, lo, dim, check)
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(operators, "_act", outermost)
-    verdict = check_criterion_II(entry.instance, entry.horizon, entry.tol)
+    monkeypatch.setattr(operators, "_act_window", outermost)
+    verdict = check_criterion_II(inst, entry.horizon, entry.tol)
     assert verdict.all_passed
-    assert len(calls) == 2 * 212
-    assert sorted(set(calls)) == [(12, 512), (16, 512)]
+    X = np.array([x.coords for x in inst.X])
+    recovery = np.array([inst.recovery_vector(y, k).coords
+                         for k in range(1, 5) for y in range(len(inst.Y))])
+    assert X.shape == (12, 512) and recovery.shape == (16, 512)
+    assert calls == backward_windows(X, 212) + backward_windows(recovery, 212)
+    assert len(calls) == 110 + 212
+    assert all(width < 512 for _, (_, width) in calls)
 
 
 def test_rows_walked_past_their_degree_overflow_without_warnings():

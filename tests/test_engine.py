@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexcyclic import (BackwardShift, CesaroMeans, ConvexPolynomial,
-                          ForwardShift, Identity, Monomials, NumericalOverflow,
-                          RandomSimplex, Scale, SimplexGrid,
+                          DirectSum, ForwardShift, Identity, Monomials,
+                          NumericalOverflow, RandomSimplex, Scale, SimplexGrid,
                           TruncationOverflow, TruncVector, apply, eval_poly,
                           images, operators, orbit_segment)
-from oracles import (dense_eval, loop_apply, loop_images, random_operator,
+from oracles import (OPERATOR_KINDS, backward_windows, dense_eval,
+                     dense_poly_matrix, loop_apply, loop_images, random_operator,
                      random_vector)
 
 FAMILIES = {
@@ -72,26 +73,127 @@ def test_faults_are_the_loop_failures(seed, dim, kind, batch):
             assert np.array_equal(out[j, r], want)
 
 
+def _windowed_rows(rng, dim, windows, complex_field):
+    """One row per (a, b) in ``windows``, random on [a, b) clipped to dim
+    and zero elsewhere; a == b gives an all-zero row."""
+    X = np.zeros((len(windows), dim), complex if complex_field else float)
+    for r, (a, b) in enumerate(windows):
+        a, b = sorted((min(a, dim), min(b, dim)))
+        X[r, a:b] = rng.standard_normal(b - a)
+        if complex_field:
+            X[r, a:b] += 1j * rng.standard_normal(b - a)
+    return X
+
+
+def _assert_loop_and_dense(op, X, members):
+    """``_images`` on X against the loop (bits and truncation faults) and,
+    where no row overflows, the dense oracle."""
+    out, fault = operators._images(op, X, members)
+    for r, x in enumerate(X):
+        for j, P in enumerate(members):
+            try:
+                want = loop_images(op, x, [P])[0]
+            except TruncationOverflow:
+                assert isinstance(fault.get((j, r)), TruncationOverflow)
+                continue
+            assert (j, r) not in fault
+            assert np.array_equal(out[j, r], want)
+            dense = dense_poly_matrix(P, op, len(x)) @ x
+            scale = max(1.0, float(np.linalg.norm(dense)))
+            assert np.linalg.norm(out[j, r] - dense) <= 1e-12 * scale
+
+
+@given(st.integers(0, 2 ** 30), st.integers(1, 12), st.booleans(),
+       st.sampled_from(sorted(FAMILIES)), st.sampled_from(OPERATOR_KINDS),
+       st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_images_of_windowed_rows_match_loop_and_dense_oracle(
+        seed, dim, complex_field, kind, op_kind, windows):
+    # Rows live on random windows, of different supports in one block and
+    # some all zero; forward shifts have no headroom, so some rows reach
+    # the top index and others overflow it.
+    rng = np.random.default_rng(seed)
+    op, _ = random_operator(rng, dim, complex_field, kind=op_kind)
+    _assert_loop_and_dense(op, _windowed_rows(rng, dim, windows, complex_field),
+                           FAMILIES[kind](rng).members())
+
+
+@pytest.mark.parametrize("op, windows", [
+    # A direct sum whose window straddles its split at 5.
+    (DirectSum(Scale(-1.5, BackwardShift((0.5, -2.0, 1j, 3.0, 1.0))),
+               ForwardShift(-0.75), split=5), [(3, 7), (4, 6), (0, 0)]),
+    # Forward shifts whose window reaches the top index, then overflows it.
+    (ForwardShift((1.0, -2.0, 0.5, 1j, 3.0, -1.0, 2.0, 0.25, 1.0)), [(4, 7), (5, 6)]),
+    (Scale(-2.0, ForwardShift(1.0)), [(6, 9), (0, 0)]),
+    # Per-index weights and a negative factor under a backward shift whose
+    # window reaches index 0 and empties.
+    (Scale(-0.5, BackwardShift(tuple(np.linspace(-2.0, 2.0, 10) + 0.1))), [(1, 3), (2, 4)]),
+])
+def test_windows_at_the_split_and_the_ends(op, windows):
+    rng = np.random.default_rng(7)
+    for complex_field in (False, True):
+        _assert_loop_and_dense(op, _windowed_rows(rng, 10, windows, complex_field),
+                               Monomials(6).members() + CesaroMeans(4).members())
+
+
+@pytest.mark.parametrize("shift, need", [(BackwardShift((1.0, 2.0, 3.0)), 8),
+                                         (ForwardShift((1.0, 2.0, 3.0)), 7)])
+def test_short_per_index_weights_raise_inside_their_range(shift, need):
+    # e_1 stays within the three weights for a step, but the weights must
+    # cover every index of the truncation.
+    x = TruncVector.basis(1, 8)
+    message = f"per-index weights cover 3 indices, need {need}"
+    with pytest.raises(ValueError, match=message):
+        images(shift, x.coords[None], Monomials(2))
+    with pytest.raises(ValueError, match=message):
+        eval_poly(ConvexPolynomial.monomial(1), shift, x)
+    with pytest.raises(ValueError, match=message):
+        apply(shift, x)
+
+
 def _record_acts(monkeypatch) -> list:
-    """The shapes of the blocks every later ``_act`` call is given."""
+    """The window, as (first column, block shape), of every later
+    outermost ``_act_window`` call: one per engine step."""
     calls = []
-    act = operators._act
+    depth = [0]
+    act = operators._act_window
 
-    def counting(op, X, check=True):
-        calls.append(X.shape)
-        return act(op, X, check)
+    def counting(op, X, lo, dim, check=True):
+        if not depth[0]:
+            calls.append((lo, X.shape))
+        depth[0] += 1
+        try:
+            return act(op, X, lo, dim, check)
+        finally:
+            depth[0] -= 1
 
-    monkeypatch.setattr(operators, "_act", counting)
+    monkeypatch.setattr(operators, "_act_window", counting)
     return calls
 
 
-@pytest.mark.parametrize("degree", [0, 1, 7, 64])
+@pytest.mark.parametrize("degree", [0, 1, 7, 64, 200])
 def test_monomials_cost_one_block_application_per_degree(degree, monkeypatch):
+    # The window [100, 128) moves down one column a degree; from degree 100
+    # on it loses column 0 each time, and it is empty after degree 128.
     calls = _record_acts(monkeypatch)
     x = np.zeros((1, 128))
     x[0, 100:] = 1.0
-    images(BackwardShift(2.0), x, Monomials(degree).members())
-    assert calls == [(1, 128)] * degree
+    got = images(BackwardShift(2.0), x, Monomials(degree).members())
+    assert calls == backward_windows(x, degree)
+    assert len(calls) == min(degree, 128)
+    for j, want in enumerate(loop_images(BackwardShift(2.0), x[0],
+                                         Monomials(degree).members())):
+        assert np.array_equal(got[j, 0], want)
+
+
+def test_an_all_zero_block_costs_one_application(monkeypatch):
+    # The first step acts on the empty window: it validates the operator
+    # and settles the dtype of the images.
+    calls = _record_acts(monkeypatch)
+    got = images(BackwardShift(2j), np.zeros((2, 8)), Monomials(5))
+    assert calls == backward_windows(np.zeros((2, 8)), 5) == [(0, (2, 0))]
+    assert got.dtype == np.complex128 and not got[1:].any()
+    assert np.array_equal(got[0], np.zeros((2, 8)))
 
 
 def _record_blocks(mp) -> list:
@@ -116,7 +218,8 @@ def _flat(stream):
 
 def test_monomials_cost_one_block_application_per_degree_across_blocks(monkeypatch):
     # At dim 2048 one block holds 64 members: Monomials(400) comes in 7
-    # blocks, and each resumes where the previous one stopped.
+    # blocks, and each resumes where the previous one stopped, window and
+    # all.
     calls = _record_acts(monkeypatch)
     blocks = _record_blocks(monkeypatch)
     x = np.zeros((1, 2048))
@@ -124,7 +227,26 @@ def test_monomials_cost_one_block_application_per_degree_across_blocks(monkeypat
     stream = list(_flat(operators.image_stream(BackwardShift(2.0), x, Monomials(400))))
     assert [(j, r) for j, r, _, _ in stream] == [(j, 0) for j in range(401)]
     assert blocks == [64] * 6 + [17]
-    assert calls == [(1, 2048)] * 400
+    assert calls == backward_windows(x, 400)
+    assert len(calls) == 400
+
+
+def test_the_walk_stops_when_the_window_empties(monkeypatch):
+    # Rows e_2 and e_5 leave a window [2, 6) that is empty after degree 6;
+    # the later blocks of Monomials(40) resume the empty walk and apply
+    # nothing.
+    calls = _record_acts(monkeypatch)
+    X = np.zeros((2, 64))
+    X[0, 2], X[1, 5] = 1.0, -3.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "BLOCK_BYTES", 16 * 64 * 2 * 4)
+        stream = list(_flat(operators.image_stream(Scale(-2.0, BackwardShift()), X,
+                                                   Monomials(40))))
+    assert calls == backward_windows(X, 40)
+    assert len(calls) == 6
+    want = [loop_images(Scale(-2.0, BackwardShift()), x, Monomials(40).members())
+            for x in X]
+    assert all(np.array_equal(w, want[r][j]) for j, r, w, _ in stream)
 
 
 def _stream_and_whole(op, X, members, rows_per_block):

@@ -320,6 +320,23 @@ class TestFamilies:
         assert all(got[j0:].member(j) == want.member(j0 + j)
                    for j0 in (0, degree) for j in range(degree + 1 - j0))
 
+    @pytest.mark.parametrize("degree", [0, 1, 2, 17, 50])
+    def test_cesaro_terms_are_those_of_the_members(self, degree):
+        family = CesaroMeans(degree)
+        got, want = family.terms(), TermTable.of(family.members())
+        for name in ("degrees", "constants", "ptr", "powers", "coeffs"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert all(got[j0:].member(j) == want.member(j0 + j)
+                   for j0 in (0, degree) for j in range(degree + 1 - j0))
+
+    def test_cesaro_terms_build_no_polynomial(self):
+        with mock.patch.object(ConvexPolynomial, "__post_init__", autospec=True,
+                               side_effect=ConvexPolynomial.__post_init__) as built:
+            table = term_table(CesaroMeans(1000))
+            assert len(table) == 1001 and built.call_count == 0
+            assert table[1000:].member(0) == CesaroMeans(1000).members()[-1]
+
     @pytest.mark.parametrize("family", [Monomials(6), CesaroMeans(5), SimplexGrid(3, 3),
                                         RandomSimplex(4, 7, seed=2)])
     def test_term_table_rebuilds_every_member(self, family):

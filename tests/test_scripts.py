@@ -36,6 +36,14 @@ def test_a_failed_build_prints_one_line_and_exits_2(power_orbit, capsys):
                           "failed: no admissible index at step 3")
 
 
+@pytest.mark.parametrize("entry", ["direct_sum", "lemma_5_2", "lemma_5_2_narrow_gap"])
+def test_an_entry_without_a_criterion_instance_exits_2(power_orbit, capsys, entry):
+    assert power_orbit.main(["--entry", entry, "--powers", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: entry {entry!r} carries no criterion instance\n"
+
+
 def test_inflated_family_is_read_through_its_members(power_orbit, capsys):
     family = power_orbit.InflatedFamily(Monomials(3), 2)
     table = term_table(family)
