@@ -318,23 +318,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "operator dynamics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, horizon=True, epsilon=False):
+    def add_common(p, seed=False, horizon=False, epsilon=False):
+        # Only the overrides the subcommand reads are accepted.
         p.add_argument("--config", required=True, help="experiment config path")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
         if horizon:
             p.add_argument("--horizon", type=int, default=None)
         if epsilon:
             p.add_argument("--epsilon", type=float, default=None)
 
     add_common(sub.add_parser("density", help="orbit-density diagnostic"),
-               epsilon=True)
+               seed=True, epsilon=True)
     crit = sub.add_parser("criterion", help="criterion condition checks")
-    add_common(crit)
+    add_common(crit, horizon=True)
     crit.add_argument("--which", choices=["I", "II"], required=True)
-    add_common(sub.add_parser("transitivity", help="ball-pair witness search"))
+    add_common(sub.add_parser("transitivity", help="ball-pair witness search"), seed=True)
     add_common(sub.add_parser("build", help="construct a cyclic-vector candidate"))
-    add_common(sub.add_parser("screen", help="necessary-condition screen"))
+    add_common(sub.add_parser("screen", help="necessary-condition screen"), horizon=True)
 
     gal = sub.add_parser("gallery", help="named example instances")
     gal_sub = gal.add_subparsers(dest="gallery_command", required=True)

@@ -136,6 +136,7 @@ def vector_from_dict(data: dict, context: str, p: float = 2.0,
     dim = _count(_req(data, "dim", context), f"{context}.dim", most=MAX_DIM)
     entries = _list(data, "entries", context)
     coords = np.zeros(dim, dtype=np.complex128 if complex_field else np.float64)
+    seen = set()
     for entry in entries:
         if isinstance(entry, list) and len(entry) == 2:
             i, val = entry
@@ -151,6 +152,9 @@ def vector_from_dict(data: dict, context: str, p: float = 2.0,
         i = _count(i, f"{context}: entry index", least=0)
         if i >= dim:
             raise ConfigError(f"{context}: entry index {i} outside [0, {dim})")
+        if i in seen:
+            raise ConfigError(f"{context}: entry index {i} repeated")
+        seen.add(i)
         coords[i] = value
     try:
         return TruncVector(coords, p=p)
@@ -164,9 +168,13 @@ def vector_from_dict(data: dict, context: str, p: float = 2.0,
 
 
 def _weight_to_json(weight):
-    if isinstance(weight, tuple):
-        return [scalar_to_json(w) for w in weight]
-    return scalar_to_json(weight)
+    if not isinstance(weight, tuple):
+        return scalar_to_json(weight)
+    out = [scalar_to_json(w) for w in weight]
+    if len(out) == 2 and not isinstance(out[0], list):
+        # Two plain numbers read back as one complex scalar.
+        out[0] = [out[0], 0.0]
+    return out
 
 
 def _weight_from_json(obj, context):

@@ -47,7 +47,7 @@ from .dynamics import invariance_checks
 from .operators import (ConvexPolynomial, OperatorSpec, block_rows,
                         image_stream)
 from .spaces import (MEMBERSHIP_RTOL, BasisIndexSet, SubspaceSpec,
-                     TruncVector, coords_norm, distance_to_subspace,
+                     TruncVector, distance_to_subspace,
                      materialize_subspace, membership_tolerance, norm,
                      off_span_argmax, row_distance, row_norms)
 
@@ -124,7 +124,8 @@ class CriterionInstance:
 
     X and Y are finite stand-ins for the criterion's dense subsets.  The
     recovery rule is shared by every y, or None (condition 2 then raises
-    RecoveryRuleMissing).
+    RecoveryRuleMissing).  Every vector of X, Y and an explicit recovery
+    rule has the instance's dim and the exponent p of the first one.
     """
 
     op: OperatorSpec
@@ -145,18 +146,24 @@ class CriterionInstance:
         m = materialize_subspace(self.subspace, self.dim)
         if len(m) == 0:
             raise ValueError("the zero subspace is excluded")
+        recovered = (tuple(self.recovery.vectors)
+                     if isinstance(self.recovery, ExplicitRecovery) else ())
+        p = next((v.p for v in self.X + self.Y + recovered if v is not None), None)
+
+        def check(name, v):
+            if v.dim != self.dim:
+                raise DimensionTooSmall(f"{name} has dim {v.dim}, instance dim is {self.dim}")
+            if v.p != p:
+                raise ValueError(f"{name} has exponent p = {v.p}, not {p} as the first vector")
+
         for label, vectors in (("X", self.X), ("Y", self.Y)):
             for i, v in enumerate(vectors):
-                if v.dim != self.dim:
-                    raise DimensionTooSmall(
-                        f"{label}[{i}] has dim {v.dim}, instance dim is {self.dim}")
+                check(f"{label}[{i}]", v)
                 if distance_to_subspace(v, m) > membership_tolerance(v, self.membership_rtol):
                     raise ValueError(f"{label}[{i}] lies outside the subspace span")
-        if isinstance(self.recovery, ExplicitRecovery):
-            for k, v in enumerate(self.recovery.vectors, start=1):
-                if v is not None and v.dim != self.dim:
-                    raise DimensionTooSmall(
-                        f"recovery vector x_{k} has dim {v.dim}, instance dim is {self.dim}")
+        for k, v in enumerate(recovered, start=1):
+            if v is not None:
+                check(f"recovery vector x_{k}", v)
 
     def materialized(self) -> BasisIndexSet:
         return materialize_subspace(self.subspace, self.dim)
@@ -261,12 +268,8 @@ def _walk(op, rows: Sequence[np.ndarray], polys, measure) -> dict:
     return table
 
 
-def _norms(out: np.ndarray, vectors, r0: int) -> list:
-    """``coords_norm`` of every image in a block, row r at the exponent of
-    ``vectors[r0 + r]``: [j][r]."""
-    p = vectors[r0].p
-    if any(v.p != p for v in vectors[r0: r0 + out.shape[1]]):
-        return [[coords_norm(w, vectors[r0 + r].p) for r, w in enumerate(ws)] for ws in out]
+def _norms(out: np.ndarray, p: float) -> list:
+    """The l^p norm of every image in a block: [j][r]."""
     return row_norms(out.reshape(-1, out.shape[2]), p).reshape(out.shape[:2]).tolist()
 
 
@@ -360,7 +363,7 @@ def check_criterion_I(inst: CriterionInstance, horizon: int,
     if not 1 <= horizon <= len(inst.polys):
         raise ValueError(f"horizon must lie in 1..{len(inst.polys)}")
     table = _walk(inst.op, [x.coords for x in inst.X], inst.polys[:horizon],
-                  lambda k0, r0, out: _norms(out, inst.X, r0))
+                  lambda k0, r0, out: _norms(out, inst.X[0].p))
     cond1 = _check_cond1(inst, lambda k, r: _value(table, (k, r)), horizon, tol)
     cond2 = _check_cond2(inst, horizon, tol)
     results = invariance_checks(inst.polys[:horizon], inst.op, inst.materialized(),
@@ -383,10 +386,10 @@ def check_criterion_II(inst: CriterionInstance, horizon: int,
     mask = inst.materialized().mask()
 
     def measure(k0, r0, out):
-        residuals = _norms(np.where(mask, 0.0, out), inst.X, r0)
+        residuals = _norms(np.where(mask, 0.0, out), inst.X[0].p)
         return [[(size, residual, off_span_argmax(w, mask) if residual > tol else None)
                  for w, size, residual in zip(ws, sizes, res)]
-                for ws, sizes, res in zip(out, _norms(out, inst.X, r0), residuals)]
+                for ws, sizes, res in zip(out, _norms(out, inst.X[0].p), residuals)]
 
     table = _walk(inst.op, [x.coords for x in inst.X], inst.polys[:horizon], measure)
     cond1 = _check_cond1(inst, lambda k, r: _value(table, (k, r))[0], horizon, tol)
@@ -452,14 +455,14 @@ def _four_term_bound(inst: CriterionInstance, xc: TruncVector, y: TruncVector,
     rows = [xc] + chosen_x
 
     def measure(j0, r0, out):
-        values = _norms(out, rows, r0)
+        values = _norms(out, xc.p)
         if r0 == 0:
             values[0][0] = _distance(out[0, 0], xc.p, y)
         return values
 
     ahead = _walk(inst.op, [v.coords for v in rows], [P], measure)
     back = _walk(inst.op, [xc.coords], [inst.poly(k) for k in chosen_k],
-                 lambda j0, r0, out: _norms(out, [xc], r0))
+                 lambda j0, r0, out: _norms(out, xc.p))
     base = norm(xc) + _value(ahead, (0, 0))
     worst_cross = 0.0
     for i in range(len(chosen_k)):

@@ -35,13 +35,13 @@ distance or argmax reads.
 
 ``image_stream`` is the one loop over engine blocks that the diagnostics
 read: it splits large member x row products into blocks of at most
-BLOCK_BYTES, carries the walk from one member block to the next wherever
-the next block's terms all lie above the degree reached (so
-``Monomials(D)`` costs at most D block applications however it is split),
-and yields each block once, with its member and row offsets and the
-errors its images' single-vector evaluations would raise.  ``TruncVector`` wraps results only at the
-public boundary (``apply``, ``eval_poly``); ``apply`` acts on the full
-row through the same windowed step and widens the result back.
+BLOCK_BYTES, carries each row slice's walk from one member block to the
+next wherever the next block's terms all lie above the degree reached (so
+``Monomials(D)`` costs at most D block applications per slice), and
+yields each block once, with its member and row offsets and the errors
+its images' single-vector evaluations would raise.  ``TruncVector`` wraps
+results only at the public boundary (``apply``, ``eval_poly``); ``apply``
+acts on the full row through the same windowed step and widens it back.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .errors import DimensionMismatch, NumericalOverflow, TruncationOverflow
 from .spaces import TruncVector
 
 #: Upper bound on the bytes of images one engine block holds, counted at
-#: complex128 size; the running power block is no larger.
+#: complex128 size; the running power block of a row slice is no larger.
 BLOCK_BYTES = 2 * 1024 * 1024
 
 #: The screen's growth test: some ||T^n|| estimate within the horizon
@@ -697,23 +697,23 @@ def image_stream(op: OperatorSpec, X: np.ndarray, polys):
     ``fault`` maps each local (j, r) whose single-vector evaluation would
     raise to that error (``out[j, r]`` is then not its image); blocks come
     in (member, row) order.  ``polys`` is read into a term table once.
-    The blocks hold at most BLOCK_BYTES: member blocks x row slices, where
-    a row slice holds every row if they fit in one block and otherwise one
-    member is walked over consecutive slices of its rows.  Member blocks
-    of all rows share one walk: a block whose terms of positive degree all
-    lie above the degree reached so far resumes from the running power
-    there (every later ``Monomials`` block does, so ``Monomials(D)`` costs
-    at most D block applications in any number of blocks); any other
-    block walks again from X.  A row slice walks from its rows.
+    The blocks hold at most BLOCK_BYTES: member blocks x row slices of at
+    most ``block_rows(dim)`` rows (one slice of every row if they fit).
+    Each row slice has one walk, carried from one member block to the
+    next: a block whose terms of positive degree all lie above the degree
+    reached so far resumes from the running power there (every later
+    ``Monomials`` block does, so ``Monomials(D)`` costs at most D block
+    applications per slice in any number of blocks); any other block walks
+    again from the slice's rows.
     """
     table = term_table(polys)
     batch, dim = X.shape
     cap = block_rows(dim)
-    walk = _Walk(X) if batch <= cap else None
+    walks = [(r0, _Walk(X[r0: r0 + cap])) for r0 in range(0, batch, cap)]
     step = max(1, cap // batch)
     for j0 in range(0, len(table), step):
-        for r0 in range(0, batch, cap):
-            out, fault = _images(op, X[r0: r0 + cap], table[j0: j0 + step], walk)
+        for r0, walk in walks:
+            out, fault = _images(op, walk.X, table[j0: j0 + step], walk)
             yield j0, r0, out, fault
 
 

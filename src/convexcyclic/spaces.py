@@ -114,13 +114,7 @@ class TruncVector:
 
 def norm(v: TruncVector) -> float:
     """The l^p norm (sum |c_i|^p)^(1/p) of the truncation."""
-    return coords_norm(v.coords, v.p)
-
-
-def coords_norm(coords: np.ndarray, p: float) -> float:
-    """The l^p norm of one raw coordinate row; ``norm`` without the wrapper
-    and the one-row case of ``row_norms``."""
-    return float(row_norms(coords[None], p)[0])
+    return float(row_norms(v.coords[None], v.p)[0])
 
 
 def row_norms(rows: np.ndarray, p: float) -> np.ndarray:
@@ -132,28 +126,37 @@ def row_norms(rows: np.ndarray, p: float) -> np.ndarray:
     real and imaginary parts, every row's dot product taken by one batched
     ``matmul`` of (1 x dim) by (dim x 1), which runs numpy's dot (the loop
     of ``x.dot(x)``) row by row; at other p as numpy's sum of |c_i|^p, one
-    row at a time, because the batched sum rounds differently.  A row
-    whose plain sum overflows (p = 2: entries above about 1.3e154) is
-    measured again as s * ||c / s|| (``_rescaled``, the scaling of LAPACK's
+    row at a time, because the batched sum rounds differently.  A finite
+    row whose plain sum overflows (p = 2: entries above about 1.3e154) is
+    measured again as s * ||c / s|| (``_measure``, the scaling of LAPACK's
     dnrm2), so its norm is inf only when the norm exceeds the float range.
     """
+    return _measure(rows, p)[0]
+
+
+def _measure(rows: np.ndarray, p: float) -> tuple:
+    """``(norms, big, s, n)``: ``norms`` as ``row_norms`` gives them, and
+    the finite rows ``big`` whose plain norm overflows, measured again in
+    units of s, each row's largest absolute real part, as n = ||c / s||
+    (then ``norms[big]`` is s * n).  Each real part is divided by s, as
+    complex division (a multiplication by 1/s) would not, so a real row
+    keeps its bits.  numpy's overflow warnings stay silent."""
     with np.errstate(over="ignore"):
-        return _row_norms(rows, p)
-
-
-def _row_norms(rows: np.ndarray, p: float) -> np.ndarray:
-    """``row_norms``; the caller silences numpy's overflow warning."""
-    if p != 2:
-        result = np.array([np.linalg.norm(row, ord=p) for row in rows], dtype=np.float64)
-    elif rows.dtype.kind == "c":
-        result = np.sqrt(_dots(rows.real) + _dots(rows.imag))
-    else:
-        result = np.sqrt(_dots(rows))
-    for r in np.flatnonzero(np.isinf(result)):
-        if np.all(np.isfinite(rows[r])):
-            top, scaled = _rescaled(rows[r])
-            result[r] = top * _row_norms(scaled[None], p)[0]
-    return result
+        if p != 2:
+            norms = np.array([np.linalg.norm(row, ord=p) for row in rows], dtype=np.float64)
+        elif rows.dtype.kind == "c":
+            norms = np.sqrt(_dots(rows.real) + _dots(rows.imag))
+        else:
+            norms = np.sqrt(_dots(rows))
+        big = np.flatnonzero(np.isinf(norms))
+        if not big.size:
+            return norms, big, None, None
+        big = big[np.isfinite(rows[big]).all(axis=1)]
+        parts = np.ascontiguousarray(rows[big]).view(np.float64)
+        s = np.abs(parts).max(axis=1)
+        n = _measure((parts / s[:, None]).view(rows.dtype), p)[0]
+        norms[big] = s * n
+    return norms, big, s, n
 
 
 def _dots(parts: np.ndarray) -> np.ndarray:
@@ -162,22 +165,8 @@ def _dots(parts: np.ndarray) -> np.ndarray:
     return np.matmul(parts[:, None, :], parts[:, :, None]).reshape(len(parts))
 
 
-def _rescaled(coords: np.ndarray) -> tuple:
-    """(s, c / s), s the row's largest absolute real part: finite where
-    max|c| may not be.  Each real part is divided by s, as complex division
-    (a multiplication by 1/s) would not, so a real row keeps its bits."""
-    parts = np.ascontiguousarray(coords).view(np.float64)
-    top = float(np.max(np.abs(parts)))
-    return top, (parts / top).view(coords.dtype)
-
-
-def off_span_norm(coords: np.ndarray, mask: np.ndarray, p: float) -> float:
-    """The l^p norm of one raw row's coordinates outside ``mask``."""
-    return coords_norm(np.where(mask, 0.0, coords), p)
-
-
 def off_span_norms(rows: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray:
-    """``off_span_norm`` of every row of a raw block."""
+    """The l^p norm of every raw row's coordinates outside ``mask``."""
     return row_norms(np.where(mask, 0.0, rows), p)
 
 
@@ -395,7 +384,7 @@ def distance_to_subspace(v: TruncVector, m: BasisIndexSet) -> float:
     """Norm of the residual v - project(v): zero iff v lies in the span."""
     if v.dim != m.dim:
         raise DimensionMismatch(f"vector dim {v.dim} != subspace dim {m.dim}")
-    return off_span_norm(v.coords, m.mask(), v.p)
+    return float(off_span_norms(v.coords[None], m.mask(), v.p)[0])
 
 
 def row_distance(row: np.ndarray, p: float, y: TruncVector) -> float:
@@ -418,7 +407,7 @@ def row_distances(rows: np.ndarray, p: float, y: TruncVector) -> np.ndarray:
         raise ValueError(f"norm exponents differ: {p} vs {y.p}")
     with np.errstate(over="ignore"):
         diff = rows - y.coords
-        dists = _row_norms(diff, p)
+    dists = row_norms(diff, p)
     inf = np.flatnonzero(~np.isfinite(dists))
     if inf.size:
         dists[inf[~np.isfinite(diff[inf]).all(axis=1)]] = np.nan
@@ -427,26 +416,21 @@ def row_distances(rows: np.ndarray, p: float, y: TruncVector) -> np.ndarray:
 
 def membership_tolerance(v: TruncVector, rtol: float = MEMBERSHIP_RTOL) -> float:
     """Scale-invariant zero threshold: rtol * max(1, ||v||)."""
-    return row_tolerance(v.coords, v.p, rtol)
-
-
-def row_tolerance(coords: np.ndarray, p: float, rtol: float) -> float:
-    """``membership_tolerance`` of one raw row."""
-    return float(row_tolerances(coords[None], p, rtol)[0])
+    return float(row_tolerances(v.coords[None], v.p, rtol)[0])
 
 
 def row_tolerances(rows: np.ndarray, p: float, rtol: float) -> np.ndarray:
     """``membership_tolerance`` of every row of a raw block.
 
-    A finite row whose norm exceeds the float range is measured in units
-    of s, as ``row_norms`` measures it (``_rescaled``): its tolerance is
-    rtol * ||c / s|| * s, which is finite wherever it fits, where
-    rtol * ||c|| would be inf and pass every residual.
+    A finite row whose norm exceeds the float range reads its measure in
+    units of s from ``_measure``: its tolerance is rtol * ||c / s|| * s,
+    which is finite wherever it fits, where rtol * ||c|| would be inf and
+    pass every residual.
     """
-    sizes = row_norms(rows, p)
-    result = rtol * np.fmax(1.0, sizes)
-    for r in np.flatnonzero(np.isinf(sizes)):
-        if np.all(np.isfinite(rows[r])):
-            top, scaled = _rescaled(rows[r])
-            result[r] = rtol * coords_norm(scaled, p) * top
+    norms, big, s, n = _measure(rows, p)
+    result = rtol * np.fmax(1.0, norms)
+    if big.size:
+        over = np.isinf(norms[big])
+        with np.errstate(over="ignore"):
+            result[big[over]] = rtol * n[over] * s[over]
     return result

@@ -9,8 +9,9 @@ coefficient added in ascending order.  The serial criterion reference
 checks the criterion conditions and runs the builder one vector at a
 time, one engine walk per (vector, polynomial list), as the checkers did
 before they batched their walks.  The serial diagnostics score density
-and search transitivity one image at a time, with the one-row measures,
-as the diagnostics did before they measured engine blocks.
+and search transitivity one image at a time, with the block kernels of
+``spaces`` applied to one row, as the diagnostics did before they
+measured engine blocks.
 """
 
 import math
@@ -28,9 +29,9 @@ from convexcyclic import (BackwardShift, BuildVerificationFailed,
 from convexcyclic.criteria import (BuildResult, BuildStep, Cond1Result,
                                    Cond2Result, Cond3Detail, Cond3Result,
                                    CriterionVerdict, _settles)
-from convexcyclic.spaces import (MEMBERSHIP_RTOL, coords_norm,
-                                 off_span_argmax, off_span_norm, row_distance,
-                                 row_tolerance)
+from convexcyclic.spaces import (MEMBERSHIP_RTOL, off_span_argmax,
+                                 off_span_norms, row_distance, row_norms,
+                                 row_tolerances)
 
 
 def dense_poly_matrix(P, op, dim):
@@ -196,7 +197,8 @@ def _serial_cond1(inst, horizon, tol):
     worst = 0.0
     passed = True
     for x in inst.X:
-        seq = [coords_norm(w, x.p) for w in _orbit(inst.op, x, inst.polys[:horizon])]
+        seq = [float(row_norms(w[None], x.p)[0])
+               for w in _orbit(inst.op, x, inst.polys[:horizon])]
         worst = max(worst, seq[-1])
         if not _settles(seq, tol):
             passed = False
@@ -242,9 +244,10 @@ def serial_criterion_I(inst, horizon, tol):
         worst, source, landing = 0.0, None, None
         for j in m.indices:
             w = _orbit(inst.op, TruncVector.basis(j, m.dim), [inst.poly(k)])[0]
-            residual = off_span_norm(w, mask, 2.0)
+            residual = float(off_span_norms(w[None], mask, 2.0)[0])
             worst = max(worst, residual)
-            if source is None and residual > row_tolerance(w, 2.0, inst.membership_rtol):
+            if source is None and residual > row_tolerances(w[None], 2.0,
+                                                            inst.membership_rtol)[0]:
                 source, landing = j, off_span_argmax(w, mask)
         details.append(Cond3Detail(k=k, passed=source is None, max_residual=worst,
                                    source_index=source, landing_index=landing))
@@ -263,7 +266,7 @@ def serial_criterion_II(inst, horizon, tol):
     landing = [None] * horizon
     for x_index, x in enumerate(inst.X):
         for k, w in enumerate(_orbit(inst.op, x, inst.polys[:horizon])):
-            residual = off_span_norm(w, mask, x.p)
+            residual = float(off_span_norms(w[None], mask, x.p)[0])
             if residual > worst[k]:
                 worst[k] = residual
             if source[k] is None and residual > tol:
@@ -305,8 +308,10 @@ def serial_build(inst, j_max, c=1.0, *, k_step=64):
             base = norm(xc) + row_distance(_orbit(inst.op, xc, [P])[0], xc.p, y)
             worst_cross = 0.0
             for ki, xi_vec in zip(chosen_k, chosen_x):
-                cross = (coords_norm(_orbit(inst.op, xi_vec, [P])[0], xi_vec.p)
-                         + coords_norm(_orbit(inst.op, xc, [inst.poly(ki)])[0], xc.p))
+                ahead = _orbit(inst.op, xi_vec, [P])[0]
+                back = _orbit(inst.op, xc, [inst.poly(ki)])[0]
+                cross = float(row_norms(ahead[None], xi_vec.p)[0]
+                              + row_norms(back[None], xc.p)[0])
                 worst_cross = max(worst_cross, cross)
             bound = base + worst_cross
             if bound < best_bound:
@@ -352,7 +357,7 @@ def serial_density(op, x, m, family, targets, epsilon, rtol=MEMBERSHIP_RTOL):
     admissible, distances, errors = [], [[] for _ in targets], [None] * len(targets)
     for j, P in enumerate(members):
         w = _orbit(op, x, [P])[0]
-        if off_span_norm(w, mask, x.p) > row_tolerance(w, x.p, rtol):
+        if off_span_norms(w[None], mask, x.p)[0] > row_tolerances(w[None], x.p, rtol)[0]:
             continue
         admissible.append(j)
         for t_idx, y in enumerate(targets):
@@ -390,7 +395,7 @@ def serial_transitivity(op, m, pairs, family, samples_per_ball, seed, rtol=MEMBE
         for j, P in enumerate(members):
             for v in samples:
                 w = _orbit(op, v, [P])[0]
-                if off_span_norm(w, mask, p) > row_tolerance(w, p, rtol):
+                if off_span_norms(w[None], mask, p)[0] > row_tolerances(w[None], p, rtol)[0]:
                     continue
                 if row_distance(w, p, pair.u_center) <= pair.radius:
                     residual = invariance_check(P, op, m, membership_rtol=rtol).max_residual

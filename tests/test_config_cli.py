@@ -50,9 +50,27 @@ class TestSerialization:
             Dense(np.arange(9.0).reshape(3, 3)),
             Identity(),
         ]
+        # One- and two-entry per-index weights, real and complex: two plain
+        # numbers would read back as one complex scalar.
+        for shift in (BackwardShift, ForwardShift):
+            ops += [shift(w) for w in [(2.0,), (1j,), (2.0, 3.0), (1.0, 0.5),
+                                       (2.0, 1j), (1j, 2.0), (1j, -1j)]]
         for op in ops:
-            back = op_from_dict(op_to_dict(op))
+            back = op_from_dict(json.loads(json.dumps(op_to_dict(op))))
             assert op_to_dict(back) == op_to_dict(op)
+            assert repr(back) == repr(op)
+
+    def test_weight_dumps_keep_their_form(self):
+        # Scalars and complex scalars dump as before, and per-index dumps
+        # of another length than two still load to the same operator.
+        assert op_to_dict(BackwardShift(2.0))["weight"] == 2.0
+        assert op_to_dict(ForwardShift(2j))["weight"] == [0.0, 2.0]
+        assert op_to_dict(BackwardShift((1.0, 2.0, 3.0)))["weight"] == [1.0, 2.0, 3.0]
+        assert op_from_dict({"kind": "backward_shift", "weight": [0.0, 2.0]}) == \
+            BackwardShift(2j)
+        three = {"kind": "forward_shift", "weight": [[0.0, 1.0], 2.0, 3.0]}
+        assert op_from_dict(three) == ForwardShift((1j, 2.0, 3.0))
+        assert op_from_dict({"kind": "backward_shift", "weight": [4.0]}) == BackwardShift((4.0,))
 
     def test_subspace_round_trip(self):
         specs = [
@@ -422,8 +440,47 @@ def test_oversized_family_exits_2(tmp_path, capsys, family, field):
                                         ("--epsilon", "nan"), ("--seed", "-1")])
 def test_invalid_override_exits_2(tmp_path, capsys, flag, value):
     data = json.loads(dumps_config(entry_to_config(build_entry("example_5_4"))))
-    err = _run_invalid(tmp_path, capsys, data, ["density", flag, value])
+    command = "screen" if flag == "--horizon" else "density"
+    err = _run_invalid(tmp_path, capsys, data, [command, flag, value])
     assert flag in err
+
+
+@pytest.mark.parametrize("argv", [["density"], ["criterion", "--which", "II"],
+                                  ["transitivity"], ["build"], ["screen"]])
+def test_repeated_vector_entry_index_exits_2(tmp_path, capsys, argv):
+    # A repeated index would keep its last value: a typo strict parsing
+    # exists to catch.
+    data = json.loads(dumps_config(entry_to_config(build_entry("example_5_4"))))
+    data["criterion"]["X"][2]["entries"].append([1, 0.7])
+    err = _run_invalid(tmp_path, capsys, data, argv)
+    assert "config.criterion.X[2]: entry index 1 repeated" in err
+
+
+#: The overrides each subcommand reads.
+READS = {"density": {"--seed", "--epsilon"}, "criterion": {"--horizon"},
+         "transitivity": {"--seed"}, "build": set(), "screen": {"--horizon"}}
+
+
+@pytest.mark.parametrize("flag", ["--epsilon", "--horizon", "--seed"])
+@pytest.mark.parametrize("command", sorted(READS))
+def test_override_only_where_read(tmp_path, capsys, command, flag):
+    # An override a subcommand would ignore is a usage error, not a no-op.
+    cfg = write_config(tmp_path, "cfg.json",
+                       dumps_config(entry_to_config(build_entry("example_5_4"))))
+    argv = [command] + (["--which", "I"] if command == "criterion" else [])
+    argv += [flag, "3", "--config", cfg, "--out", str(tmp_path / "o")]
+    if flag not in READS[command]:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        return
+    got = cli._apply_overrides(loads_config(Path(cfg).read_text()),
+                               cli.build_parser().parse_args(argv))
+    replaced = {"--seed": got.seed, "--horizon": got.horizon,
+                "--epsilon": got.tolerances.epsilon}
+    assert replaced[flag] == 3
 
 
 def test_numeric_overflow_exits_2(tmp_path, capsys):

@@ -247,6 +247,24 @@ class TestInstanceValidation:
             CriterionInstance(op=inst.op, subspace=inst.subspace, dim=inst.dim,
                               X=inst.X, Y=inst.Y, polys=inst.polys, recovery=rule)
 
+    def test_every_vector_has_the_exponent_of_the_first(self):
+        # X, Y and explicit recovery vectors share one p; the first vector
+        # sets it.
+        inst = zero_instance()
+        q = TruncVector.zeros(inst.dim, p=3.0)
+        cases = [(inst.X + (q,), inst.Y, None, r"X\[1\] has exponent p = 3.0, not 2.0"),
+                 (inst.X, (q,), None, r"Y\[0\] has exponent p = 3.0"),
+                 ((), (q, inst.Y[0]), None, r"Y\[1\] has exponent p = 2.0"),
+                 (inst.X, inst.Y, ExplicitRecovery((None, q)), "x_2 has exponent p = 3.0")]
+        for X, Y, rule, message in cases:
+            with pytest.raises(ValueError, match=message):
+                CriterionInstance(op=inst.op, subspace=inst.subspace, dim=inst.dim,
+                                  X=X, Y=Y, polys=inst.polys, recovery=rule)
+        same = CriterionInstance(op=inst.op, subspace=inst.subspace, dim=inst.dim,
+                                 X=(q,), Y=(q,), polys=inst.polys,
+                                 recovery=ExplicitRecovery((q,)))
+        assert same.X == (q,)
+
     def test_polys_required(self):
         with pytest.raises(ValueError):
             CriterionInstance(op=TWO_B, subspace=ParityZero("even"), dim=8,

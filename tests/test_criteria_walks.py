@@ -19,7 +19,7 @@ from convexcyclic import (BackwardShift, BallPair, CesaroMeans,
                           check_criterion_II, density_score,
                           materialize_subspace, operators,
                           transitivity_search)
-from convexcyclic.gallery import entry_lemma_5_1
+from convexcyclic.gallery import entry_lemma_5_1, entry_prop_4_8
 from oracles import (OPERATOR_KINDS, backward_windows, random_convex_poly,
                      random_operator, serial_build, serial_criterion_I,
                      serial_criterion_II, serial_density, serial_transitivity)
@@ -76,13 +76,10 @@ def _instance(seed, kind, complex_field):
         recovery = ShiftRecovery(complex(0, 2) if complex_field else
                                  float(rng.choice([2.0, 0.5, -1.5])))
     elif rule == "explicit":
-        # Mixed fields and a foreign exponent: rows of another dtype walk
-        # apart, and the distance to y raises in order.
+        # Mixed fields: real rows walk in one block with complex ones.
         entries = [None if rng.random() < 0.15 else
                    vectors(1, complex_field and rng.random() < 0.5)[0]
                    for _ in range(int(rng.integers(len(polys) - 1, len(polys) + 2)))]
-        if entries and entries[-1] is not None and rng.random() < 0.2:
-            entries[-1] = TruncVector(entries[-1].coords, p=p + 1.0)
         recovery = ExplicitRecovery(tuple(entries))
     else:
         recovery = None
@@ -134,14 +131,9 @@ def test_batched_checks_match_the_serial_loops(rows, kind, seed, complex_field):
     assert got == want
 
 
-def test_criterion_II_walks_X_once_and_the_recovery_vectors_once(monkeypatch):
-    # lemma_5_1's polys have degrees 15, 56, 97 and 212; the per-vector
-    # loops cost 2 * 12 * 212 (X) + 4 * 380 (recovery) = 6,608 applications.
-    # Each of the two walks steps once per degree over its live window: the
-    # X window [19, 110) is empty after degree 110, the recovery window
-    # lasts to degree 212.
-    entry = entry_lemma_5_1()
-    inst = entry.instance
+def _record_acts(monkeypatch) -> list:
+    """The window, as (first column, block shape), of every later
+    outermost ``_act_window`` call: one per engine step."""
     calls = []
     depth = [0]
     act = operators._act_window
@@ -156,6 +148,18 @@ def test_criterion_II_walks_X_once_and_the_recovery_vectors_once(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(operators, "_act_window", outermost)
+    return calls
+
+
+def test_criterion_II_walks_X_once_and_the_recovery_vectors_once(monkeypatch):
+    # lemma_5_1's polys have degrees 15, 56, 97 and 212; the per-vector
+    # loops cost 2 * 12 * 212 (X) + 4 * 380 (recovery) = 6,608 applications.
+    # Each of the two walks steps once per degree over its live window: the
+    # X window [19, 110) is empty after degree 110, the recovery window
+    # lasts to degree 212.
+    entry = entry_lemma_5_1()
+    inst = entry.instance
+    calls = _record_acts(monkeypatch)
     verdict = check_criterion_II(inst, entry.horizon, entry.tol)
     assert verdict.all_passed
     X = np.array([x.coords for x in inst.X])
@@ -243,3 +247,19 @@ def test_block_diagnostics_match_the_image_loops(rows, kind, seed, complex_field
         got = [_outcome(density_score, op, x, m, family, targets, 1e-2),
                _outcome(transitivity_search, op, m, pairs, family, 5, seed % 1000)]
     assert got == want
+
+
+def test_a_search_past_one_block_of_samples_matches_the_image_loop(monkeypatch):
+    # prop_4_8's first cross-gap pair finds nothing.  At dim 1024 a block
+    # holds 128 rows, so 300 samples walk in slices of 128, 128 and 44,
+    # each carried through Monomials(8): 3 x 8 block applications.
+    entry = entry_prop_4_8()
+    m = materialize_subspace(entry.subspace, entry.dim)
+    args = (entry.op, m, entry.pairs[:1], entry.family, 300, 5)
+    assert operators.block_rows(entry.dim) == 128
+    want = serial_transitivity(*args)
+    calls = _record_acts(monkeypatch)
+    got = transitivity_search(*args)
+    assert not got.per_pair[0].found
+    assert repr(got) == repr(want)
+    assert sorted(shape[0] for _, shape in calls) == [44] * 8 + [128] * 16

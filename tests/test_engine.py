@@ -249,6 +249,33 @@ def test_the_walk_stops_when_the_window_empties(monkeypatch):
     assert all(np.array_equal(w, want[r][j]) for j, r, w, _ in stream)
 
 
+def test_each_row_slice_carries_one_walk(monkeypatch):
+    # At dim 512 a block holds 256 rows, so 600 rows stream in slices of
+    # 256, 256 and 88, one member per block.  Each slice walks once through
+    # Monomials(100), window and all: 3 x 100 block applications.
+    rng = np.random.default_rng(11)
+    X = np.zeros((600, 512))
+    for r0, (lo, hi) in zip((0, 256, 512), ((40, 300), (150, 512), (100, 201))):
+        rows = X[r0: r0 + 256]
+        rows[:, lo:hi] = rng.standard_normal((len(rows), hi - lo))
+    op, family = Scale(2.0, BackwardShift()), Monomials(100)
+    want, want_faults = operators._images(op, X, family)
+    calls = _record_acts(monkeypatch)
+    windows = {0: [], 256: [], 512: []}
+    faults = {}
+    for j0, r0, out, fault in operators.image_stream(op, X, family):
+        windows[r0] += calls[sum(map(len, windows.values())):]
+        assert out.shape[0] == 1
+        # Zeros outside a slice's window may differ in sign from the
+        # whole block's (see the operators module).
+        assert np.array_equal(out[0], want[j0, r0: r0 + out.shape[1]])
+        faults.update(((j0 + j, r0 + r), e) for (j, r), e in fault.items())
+    assert len(calls) == 300
+    for r0, got in windows.items():
+        assert got == backward_windows(X[r0: r0 + 256], 100)
+    assert faults == want_faults == {}
+
+
 def _stream_and_whole(op, X, members, rows_per_block):
     """image_stream at a bound of ``rows_per_block`` rows, gathered into
     one array and a fault table, next to one _images call on the whole

@@ -16,9 +16,8 @@ from convexcyclic import (BasisIndexSet, ConvexPolynomial, CriterionInstance,
                           TruncVector, distance_to_subspace,
                           materialize_subspace, membership_tolerance, norm,
                           project)
-from convexcyclic.spaces import (MEMBERSHIP_RTOL, coords_norm, off_span_norm,
-                               off_span_norms, row_distance, row_distances,
-                               row_norms, row_tolerance, row_tolerances)
+from convexcyclic.spaces import (MEMBERSHIP_RTOL, off_span_norms, row_distance,
+                               row_distances, row_norms, row_tolerances)
 
 
 def scalar_loop_norm(coords, p):
@@ -168,7 +167,7 @@ class TestProjectAndDistance:
         assert math.isinf(norm(v))
         tol = membership_tolerance(v)
         assert math.isclose(tol, math.ldexp(MEMBERSHIP_RTOL, 1024), rel_tol=1e-12)
-        assert row_tolerance(w, 1.0, MEMBERSHIP_RTOL) == tol
+        assert row_tolerances(w[None], 1.0, MEMBERSHIP_RTOL)[0] == tol
         assert distance_to_subspace(v, m) > tol
         with pytest.raises(ValueError, match="outside the subspace"):
             CriterionInstance(op=Identity(), subspace=IndexSet((0, 2)), dim=4,
@@ -185,7 +184,7 @@ class TestProjectAndDistance:
         row = np.array([3e300, 4e300])
         with np.errstate(over="ignore"):
             assert math.isclose(norm(TruncVector(row)), 5e300, rel_tol=1e-15)
-            assert math.isclose(off_span_norm(row, np.array([True, False]), 2.0),
+            assert math.isclose(off_span_norms(row[None], np.array([True, False]), 2.0)[0],
                                 4e300, rel_tol=1e-15)
 
 
@@ -199,8 +198,8 @@ class TestNormKernel:
         # Rows of about 1e200 overflow the plain sum at p = 2 and 3 and
         # take the rescale path; numpy's own norm is then inf.
         row = np.random.default_rng(seed).standard_normal(size) * scale
-        got = coords_norm(row, p)
-        assert coords_norm(row.astype(np.complex128), p).hex() == got.hex()
+        got = row_norms(row[None], p)[0]
+        assert row_norms(row.astype(np.complex128)[None], p)[0].hex() == got.hex()
         with np.errstate(over="ignore"):
             plain = float(np.linalg.norm(row, ord=p))
         if math.isfinite(plain):
@@ -215,12 +214,12 @@ class TestNormKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for p in (1.0, 2.0, 3.0):
-                assert coords_norm(row, p) == math.inf
+                assert row_norms(row[None], p)[0] == math.inf
 
     def test_complex_row_past_the_float_range_keeps_a_finite_tolerance(self):
         row = np.array([1.5e308 + 1.5e308j, 0.0])
         for p in (1.0, 2.0):
-            tol = row_tolerance(row, p, MEMBERSHIP_RTOL)
+            tol = row_tolerances(row[None], p, MEMBERSHIP_RTOL)[0]
             assert math.isclose(tol, MEMBERSHIP_RTOL * math.sqrt(2) * 1.5e308,
                                 rel_tol=1e-15)
 
@@ -273,7 +272,7 @@ class TestRowNorms:
             assert got.dtype == np.float64 and got.shape == (len(W),)
             for r, row in enumerate(W):
                 assert got[r].hex() == dot_norm(row, p).hex()
-                assert got[r].hex() == coords_norm(row, p).hex()
+                assert got[r].hex() == row_norms(row[None], p)[0].hex()
 
     def test_rescaled_rows_are_finite_and_zero_rows_zero(self):
         W = np.array([[3e200, 4e200, 0.0], [0.0, 0.0, 0.0], [1.5e308, 1.5e308, 0.0]])
@@ -293,8 +292,8 @@ class TestRowNorms:
             off, tol, dist = (off_span_norms(W, mask, p),
                               row_tolerances(W, p, MEMBERSHIP_RTOL), row_distances(W, p, y))
         for r, row in enumerate(W):
-            assert off[r].hex() == off_span_norm(row, mask, p).hex()
-            assert tol[r].hex() == row_tolerance(row, p, MEMBERSHIP_RTOL).hex()
+            assert off[r].hex() == off_span_norms(row[None], mask, p)[0].hex()
+            assert tol[r].hex() == row_tolerances(row[None], p, MEMBERSHIP_RTOL)[0].hex()
             assert dist[r].hex() == row_distance(row, p, y).hex()
 
     def test_a_difference_that_overflows_reads_nan(self):
@@ -360,7 +359,8 @@ def test_membership_verdict_survives_scaling_toward_float_max(data, p):
     def verdicts(w):
         v = TruncVector(w, p=p)
         return (distance_to_subspace(v, m) <= membership_tolerance(v),
-                off_span_norm(w, m.mask(), p) <= row_tolerance(w, p, MEMBERSHIP_RTOL))
+                off_span_norms(w[None], m.mask(), p)[0]
+                <= row_tolerances(w[None], p, MEMBERSHIP_RTOL)[0])
 
     with np.errstate(over="ignore"):
         assert verdicts(scaled) == verdicts(row)
