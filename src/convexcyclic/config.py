@@ -20,11 +20,11 @@ import numpy as np
 
 from .criteria import (CriterionInstance, ExplicitRecovery, ShiftRecovery)
 from .dynamics import BallPair
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatch
 from .operators import (BackwardShift, CesaroMeans, ConvexPolynomial, Dense,
                         DirectSum, ForwardShift, Identity, Monomials,
                         OperatorSpec, PolynomialFamily, RandomSimplex, Scale,
-                        SimplexGrid)
+                        SimplexGrid, apply)
 from .spaces import (DirectSumFactor, IndexSet, IntervalFamily, ParityZero,
                      RecursiveSpan, SubspaceSpec, TruncVector)
 
@@ -550,7 +550,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     )
     try:
         operator = op_from_dict(_req(data, "operator", "config"))
-    except ValueError as err:
+        # The engine's first-step checks: weights, splits and sizes fit dim.
+        apply(operator, TruncVector.zeros(dim))
+    except (DimensionMismatch, ValueError) as err:
         raise ConfigError(f"config.operator: {err}") from err
     subspace = None
     if data.get("subspace") is not None:

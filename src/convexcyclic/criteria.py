@@ -260,8 +260,6 @@ def _walk(op, rows: Sequence[np.ndarray], polys, measure) -> dict:
         return {}
     table = {}
     for j0, r0, out, fault in image_stream(op, np.array(rows), polys):
-        for j, r in fault:
-            out[j, r] = 0.0  # not an image; its error is kept instead
         values = measure(j0, r0, out)
         for j, r in np.ndindex(out.shape[:2]):
             table[j0 + j, r0 + r] = fault.get((j, r)) or values[j][r]

@@ -34,9 +34,9 @@ from .errors import DimensionMismatch
 from .operators import (ConvexPolynomial, OperatorSpec, PolynomialFamily,
                         block_rows, image_stream, images, term_table)
 from .spaces import (MEMBERSHIP_RTOL, BasisIndexSet, TruncVector,
-                     distance_to_subspace, membership_tolerance, norm,
+                     distance_to_subspace, membership_tolerance,
                      off_span_argmax, off_span_norms, row_distance,
-                     row_distances, row_tolerances)
+                     row_distances, row_norms, row_tolerances)
 
 
 class Verdict(enum.Enum):
@@ -239,8 +239,6 @@ def invariance_checks(polys: Sequence[ConvexPolynomial], op: OperatorSpec,
                 (k, r), error = next(iter(fault.items()))
                 if first_fault is None or (k0 + k, r0 + s0 + r) < first_fault[:2]:
                     first_fault = (k0 + k, r0 + s0 + r, error)
-                for k, r in fault:
-                    out[k, r] = 0.0  # not an image; measures as invariant
             W = out.reshape(-1, m.dim)
             residuals = off_span_norms(W, mask, 2.0).reshape(out.shape[:2])
             outside = residuals > row_tolerances(W, 2.0, membership_rtol).reshape(out.shape[:2])
@@ -268,21 +266,23 @@ def sample_ball(center: TruncVector, m: BasisIndexSet, radius: float,
     coefficients are real, a subset of the ball that keeps sampling
     reproducible.
     """
-    samples = [center]
-    extra = count - 1
-    if extra <= 0 or len(m) == 0:
-        return samples
+    block = _ball_block(center, m, radius, count, seed)
+    return [center] + [center.with_coords(row) for row in block[1:]]
+
+
+def _ball_block(center: TruncVector, m: BasisIndexSet, radius: float,
+                count: int, seed: int) -> np.ndarray:
+    """``sample_ball``'s samples as one raw block, with the arithmetic of
+    one sample at a time: center + offset * radius, where an offset of
+    norm s > 1 is first multiplied by 1 / s."""
+    extra = max(count - 1, 0) if len(m) else 0
     cube = 2.0 * np.random.default_rng(seed).random((extra, len(m))) - 1.0
-    idx = list(m.indices)
-    for row in cube:
-        coords = np.zeros(center.dim)
-        coords[idx] = row
-        offset = TruncVector(coords.astype(center.coords.dtype), p=center.p)
-        scale = norm(offset)
-        if scale > 1.0:
-            offset = offset * (1.0 / scale)
-        samples.append(center + radius * offset)
-    return samples
+    offsets = np.zeros((extra, center.dim), center.coords.dtype)
+    offsets[:, list(m.indices)] = cube
+    scale = row_norms(offsets, center.p)
+    clamp = scale > 1.0
+    offsets[clamp] *= (1.0 / scale[clamp])[:, None]
+    return np.concatenate([center.coords[None], center.coords + offsets * radius])
 
 
 def transitivity_search(op: OperatorSpec, m: BasisIndexSet,
@@ -312,10 +312,9 @@ def transitivity_search(op: OperatorSpec, m: BasisIndexSet,
 
     def search_one(p_idx: int) -> PairResult:
         pair = pairs[p_idx]
-        samples = sample_ball(pair.v_center, m, pair.radius, samples_per_ball,
-                              seed + 1000003 * p_idx)
+        block = _ball_block(pair.v_center, m, pair.radius, samples_per_ball,
+                            seed + 1000003 * p_idx)
         p = pair.v_center.p
-        block = np.array([v.coords for v in samples])
         for j0, _, out, fault in image_stream(op, block, table):
             # Only the images before the block's first fault are read.
             W = out.reshape(-1, m.dim)

@@ -33,6 +33,12 @@ window: a zero there can differ in sign from the loop's (+0.0 for the
 power where a negative weight or factor gave -0.0), which no norm,
 distance or argmax reads.
 
+A step reports the rows it fails, with the error each row's single-vector
+application raises; a failed row is zeroed and fails every member of at
+least that degree.  A failing row costs no extra step: every degree is one
+block application whether rows fail or not.  A faulted image reads 0.  An
+operator that does not fit ``dim`` fails every row with its error.
+
 ``image_stream`` is the one loop over engine blocks that the diagnostics
 read: it splits large member x row products into blocks of at most
 BLOCK_BYTES, carries each row slice's walk from one member block to the
@@ -173,15 +179,6 @@ def _weight_array(weight, count: int, label: str) -> np.ndarray:
     return np.full(count, weight)
 
 
-class _RowFailure(Exception):
-    """Rows of a block whose single-vector application raises ``error``."""
-
-    def __init__(self, rows: np.ndarray, error: Exception):
-        super().__init__(error)
-        self.rows = rows
-        self.error = error
-
-
 def _mul(w, X: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """``w * X``, into ``out`` if given (of the product's dtype or wider).
 
@@ -220,9 +217,9 @@ def _widen(X: np.ndarray, lo: int, dim: int) -> np.ndarray:
     return out
 
 
-def _act_window(op: OperatorSpec, X: np.ndarray, lo: int, dim: int,
-                check: bool = True) -> Tuple[np.ndarray, int]:
-    """Act with ``op`` on every row of a window: ``(out, lo)`` after it.
+def _act_window(op: OperatorSpec, X: np.ndarray, lo: int,
+                dim: int) -> Tuple[np.ndarray, int, list]:
+    """Act with ``op`` on every row of a window: ``(out, lo, failed)``.
 
     ``X`` holds columns lo..lo + width - 1 of rows of length ``dim``; every
     other column is zero, and so is every column of the image outside the
@@ -232,14 +229,15 @@ def _act_window(op: OperatorSpec, X: np.ndarray, lo: int, dim: int,
     global weight array, whose length is checked against ``dim`` however
     narrow the window.  A direct sum or a dense matrix widens the window
     to the full row.  Each row of the window gets exactly the arithmetic of
-    a single-vector application, and results are checked wherever a single
-    vector would have been validated; rows that would have raised are
-    reported as a _RowFailure.  The inner result of a Scale goes unchecked
-    because a non-finite row stays non-finite after scaling, and fails
-    there with the same error.
+    a single-vector application.  ``failed`` lists (rows, error) pairs, in
+    the order a single-vector application meets them, for the rows it
+    would have raised on; the rows of ``out`` that are not finite are left
+    to the caller, which checks them once.  An operator that does not fit
+    ``dim`` raises its error for every row.
     """
+    failed = []
     if isinstance(op, Identity):
-        return X, lo
+        return X, lo, failed
     if isinstance(op, BackwardShift):
         w = None if _unit(op.weight, X) else _weight_array(op.weight, dim, "backward shift")
         if lo == 0:
@@ -247,26 +245,27 @@ def _act_window(op: OperatorSpec, X: np.ndarray, lo: int, dim: int,
         out = X if w is None else _mul(w[lo: lo + X.shape[1]], X)
         lo -= 1
     elif isinstance(op, ForwardShift):
+        w = None if _unit(op.weight, X) else _weight_array(op.weight, dim - 1, "forward shift")
         if X.shape[1] and lo + X.shape[1] == dim:
             top = X[:, -1] != 0
             if top.any():
-                raise _RowFailure(top, TruncationOverflow(
+                failed.append((top, TruncationOverflow(
                     f"forward shift would push mass past index {dim - 1}; "
-                    "enlarge the truncation"))
+                    "enlarge the truncation")))
             X = X[:, :-1]
-        w = None if _unit(op.weight, X) else _weight_array(op.weight, dim - 1, "forward shift")
         out = X if w is None else _mul(w[lo: lo + X.shape[1]], X)
         lo += 1
     elif isinstance(op, Scale):
-        out, lo = _act_window(op.inner, X, lo, dim, check=False)
+        out, lo, failed = _act_window(op.inner, X, lo, dim)
         out = _mul(op.factor, out)
     elif isinstance(op, DirectSum):
         if not op.split < dim:
             raise DimensionMismatch(
                 f"direct-sum split {op.split} does not partition dimension {dim}")
         X, lo = _widen(X, lo, dim), 0
-        out = np.concatenate([_act(op.left, X[:, : op.split]),
-                              _act(op.right, X[:, op.split:])], axis=1)
+        left, left_failed = _act(op.left, X[:, : op.split])
+        right, right_failed = _act(op.right, X[:, op.split:])
+        out, failed = np.concatenate([left, right], axis=1), left_failed + right_failed
     elif isinstance(op, Dense):
         if op.matrix.shape[0] != dim:
             raise DimensionMismatch(
@@ -275,17 +274,17 @@ def _act_window(op: OperatorSpec, X: np.ndarray, lo: int, dim: int,
         out = np.array([op.matrix @ row for row in X])
     else:
         raise TypeError(f"unknown operator spec {type(op).__name__}")
-    if check:
-        bad = ~np.isfinite(out).all(axis=1)
-        if bad.any():
-            raise _RowFailure(bad, NumericalOverflow(1))
-    return out, lo
+    return out, lo, failed
 
 
-def _act(op: OperatorSpec, X: np.ndarray) -> np.ndarray:
-    """``_act_window`` on full rows, with the image widened back to them."""
-    out, lo = _act_window(op, X, 0, X.shape[1])
-    return _widen(out, lo, X.shape[1])
+def _act(op: OperatorSpec, X: np.ndarray) -> Tuple[np.ndarray, list]:
+    """``_act_window`` on full rows: the image widened back to them, and
+    the failed rows, with the rows that are not finite last."""
+    out, lo, failed = _act_window(op, X, 0, X.shape[1])
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        failed.append((bad, NumericalOverflow(1)))
+    return _widen(out, lo, X.shape[1]), failed
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -295,10 +294,10 @@ def apply(op: OperatorSpec, v: TruncVector) -> TruncVector:
     Forward shifts raise TruncationOverflow if the top coordinate is
     nonzero.
     """
-    try:
-        return v.with_coords(_act(op, v.coords[None])[0])
-    except _RowFailure as failure:
-        raise failure.error from None
+    out, failed = _act(op, v.coords[None])
+    if failed:
+        raise failed[0][1]
+    return v.with_coords(out[0])
 
 
 def to_dense(op: OperatorSpec, dim: int) -> np.ndarray:
@@ -580,9 +579,10 @@ class _Walk:
     ``power`` is the live column window of T^degree X, its columns
     ``lo``.. of the full rows (every other column is zero), with every
     failed row zeroed.  The window starts as the span of X's nonzero
-    columns.  ``failed_at[r]`` is the degree at which row r failed (past
-    every degree while it is live) and ``errors[r]`` the error its
-    single-vector evaluation raised there.
+    columns, and is emptied once every row has failed.  ``failed_at[r]``
+    is the degree at which row r failed (past every degree while it has
+    not) and ``errors[r]`` the first error its single-vector evaluation
+    raised there.
     """
 
     def __init__(self, X: np.ndarray):
@@ -593,7 +593,6 @@ class _Walk:
         cols = np.flatnonzero(self.X.any(axis=0))
         self.lo, hi = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
         self.power, self.degree = self.X[:, self.lo: hi], 0
-        self.live = np.ones(len(self.X), dtype=bool)
         self.failed_at = np.full(len(self.X), np.iinfo(np.int64).max)
         self.errors = [None] * len(self.X)
 
@@ -607,9 +606,9 @@ def _images(op: OperatorSpec, X: np.ndarray, polys, walk: Optional[_Walk] = None
     ``polys`` is a term table, or anything ``term_table`` reads.  Returns
     ``(out, fault)``: ``out[j, r]`` is P_j(T) X[r], and ``fault`` maps each
     (j, r) whose single-vector evaluation would have raised to that error,
-    in (member, row) order.  A row whose power fails at degree i is zeroed
-    and fails every member of degree >= i; an accumulator that is not
-    finite failed on an earlier, finite power.
+    in (member, row) order; each such image reads 0.  A row whose power
+    fails at degree i is zeroed and fails every member of degree >= i; an
+    accumulator that is not finite failed on an earlier, finite power.
 
     ``walk``, left over ``X`` by an earlier call with the same op, resumes
     when every term of positive degree in the table lies above its degree,
@@ -630,28 +629,26 @@ def _images(op: OperatorSpec, X: np.ndarray, polys, walk: Optional[_Walk] = None
         walk = _Walk(X)
     elif powers.size and powers[0] <= walk.degree:
         walk.restart()
-    live, dim = walk.live, X.shape[1]
+    dim = X.shape[1]
     for i in range(walk.degree + 1, top + 1):
-        while live.any():
+        # An empty window stays empty.  The first step still acts, for the
+        # power's dtype and the errors the op raises.
+        if i == 1 or walk.power.shape[1]:
             try:
-                # An empty window stays empty.  The first step still acts,
-                # for the power's dtype and the errors the op raises.
-                if i == 1 or walk.power.shape[1]:
-                    walk.power, walk.lo = _act_window(op, walk.power, walk.lo, dim)
-                break
-            except _RowFailure as failure:
-                rows, error = failure.rows & live, failure.error
-                if isinstance(error, NumericalOverflow):
-                    error = NumericalOverflow(i)
+                walk.power, walk.lo, failed = _act_window(op, walk.power, walk.lo, dim)
+                bad = ~np.isfinite(walk.power).all(axis=1)
+                if bad.any():
+                    failed.append((bad, NumericalOverflow(i)))
             except (DimensionMismatch, ValueError, TypeError) as exc:
-                rows, error = live.copy(), exc
-            walk.failed_at[rows] = i
-            for r in np.flatnonzero(rows):
-                walk.errors[r] = error
-            live &= ~rows
-            walk.power = np.where(rows[:, None], 0, walk.power)
-        else:
-            break  # every row has failed; no member can gain a valid term
+                failed = [(np.ones(len(X), dtype=bool), exc)]
+            for rows, error in failed:
+                if isinstance(error, NumericalOverflow):
+                    error = NumericalOverflow(i)  # a direct sum's half counts from 1
+                for r in np.flatnonzero(rows & (walk.failed_at > i)):
+                    walk.failed_at[r], walk.errors[r] = i, error
+            if failed:
+                walk.power = (walk.power[:, :0] if (walk.failed_at <= i).all() else
+                              np.where((walk.failed_at == i)[:, None], 0, walk.power))
         walk.degree = i
         if walk.power.dtype != out.dtype:
             out = out.astype(np.result_type(out, walk.power))
@@ -662,11 +659,12 @@ def _images(op: OperatorSpec, X: np.ndarray, polys, walk: Optional[_Walk] = None
         for s in range(bounds[i], bounds[i + 1]):
             out[members[s], :, lo:hi] += coeffs[s] * walk.power
     nonfinite = ~np.isfinite(out).all(axis=2)
-    failed = walk.failed_at[None, :] <= degrees[:, None]
+    faulted = nonfinite | (walk.failed_at[None, :] <= degrees[:, None])
     fault = {}
-    for j, r in zip(*np.nonzero(nonfinite | failed)):
+    for j, r in zip(*np.nonzero(faulted)):
         fault[int(j), int(r)] = (NumericalOverflow(int(degrees[j]))
                                  if nonfinite[j, r] else walk.errors[r])
+    out[faulted] = 0
     return out, fault
 
 
@@ -695,7 +693,7 @@ def image_stream(op: OperatorSpec, X: np.ndarray, polys):
 
     ``out[j, r]`` is the image of member j0 + j on row r0 + r, and
     ``fault`` maps each local (j, r) whose single-vector evaluation would
-    raise to that error (``out[j, r]`` is then not its image); blocks come
+    raise to that error (``out[j, r]`` then reads 0); blocks come
     in (member, row) order.  ``polys`` is read into a term table once.
     The blocks hold at most BLOCK_BYTES: member blocks x row slices of at
     most ``block_rows(dim)`` rows (one slice of every row if they fit).

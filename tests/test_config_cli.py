@@ -456,6 +456,24 @@ def test_repeated_vector_entry_index_exits_2(tmp_path, capsys, argv):
     assert "config.criterion.X[2]: entry index 1 repeated" in err
 
 
+@pytest.mark.parametrize("argv", [["density"], ["criterion", "--which", "I"],
+                                  ["criterion", "--which", "II"], ["transitivity"],
+                                  ["build"], ["screen"]])
+@pytest.mark.parametrize("operator", [
+    {"kind": "backward_shift", "weight": [1.0, 2.0, 3.0]},
+    {"kind": "dense", "matrix": [[2.0, 0.0], [0.0, 2.0]]},
+    {"kind": "direct_sum", "left": {"kind": "identity"}, "right": {"kind": "identity"},
+     "split": 64},
+], ids=["short_weights", "dense_size", "direct_sum_split"])
+def test_operator_that_does_not_fit_dim_exits_2(tmp_path, capsys, operator, argv):
+    # example_5_4 runs at dim 64: three weights, a 2 x 2 matrix and a
+    # split at 64 do not fit it, whichever subcommand reads the operator.
+    data = json.loads(dumps_config(entry_to_config(build_entry("example_5_4"))))
+    data["operator"] = operator
+    err = _run_invalid(tmp_path, capsys, data, argv)
+    assert "config error: config.operator: " in err
+
+
 #: The overrides each subcommand reads.
 READS = {"density": {"--seed", "--epsilon"}, "criterion": {"--horizon"},
          "transitivity": {"--seed"}, "build": set(), "screen": {"--horizon"}}
@@ -529,6 +547,22 @@ def test_distance_overflow_exits_2(tmp_path, capsys):
     }
     err = _run_invalid(tmp_path, capsys, data, ["density"])
     assert "NumericalOverflow" in err and "distance" in err
+
+
+def test_ball_sample_overflow_exits_2(tmp_path, capsys):
+    # The V-ball's center and radius are finite, but its samples are not.
+    data = {
+        "dim": 4,
+        "operator": {"kind": "identity"},
+        "subspace": {"kind": "index_set", "indices": [1, 2]},
+        "family": {"kind": "monomials", "max_degree": 2},
+        "transitivity": {"pairs": [{"u_center": {"dim": 4, "entries": [[1, 1.0]]},
+                                    "v_center": {"dim": 4, "entries": [[1, 1.7e308],
+                                                                       [2, 1.7e308]]},
+                                    "radius": 1e308}]},
+    }
+    err = _run_invalid(tmp_path, capsys, data, ["transitivity"])
+    assert "NumericalOverflow" in err and "degree 0" in err
 
 
 def test_screen_norm_overflow_exits_2(tmp_path, capsys):

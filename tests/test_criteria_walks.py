@@ -138,12 +138,12 @@ def _record_acts(monkeypatch) -> list:
     depth = [0]
     act = operators._act_window
 
-    def outermost(op, X, lo, dim, check=True):
+    def outermost(op, X, lo, dim):
         if not depth[0]:
             calls.append((lo, X.shape))
         depth[0] += 1
         try:
-            return act(op, X, lo, dim, check)
+            return act(op, X, lo, dim)
         finally:
             depth[0] -= 1
 

@@ -400,6 +400,43 @@ def test_sample_ball_properties(dim, data, count, radius, p, seed, p_idx):
     assert all(np.array_equal(a.coords, b.coords) for a, b in zip(samples, again))
 
 
+def _one_sample_at_a_time(center, m, radius, count, seed):
+    """``sample_ball`` built sample by sample from ``TruncVector``
+    arithmetic, with the draws of one generator."""
+    samples = [center]
+    idx = list(m.indices)
+    for row in 2.0 * np.random.default_rng(seed).random((count - 1, len(m))) - 1.0:
+        coords = np.zeros(center.dim)
+        coords[idx] = row
+        offset = TruncVector(coords.astype(center.coords.dtype), p=center.p)
+        scale = norm(offset)
+        if scale > 1.0:
+            offset = offset * (1.0 / scale)
+        samples.append(center + radius * offset)
+    return samples
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_ball_samples_have_the_bits_of_one_sample_at_a_time(p, complex_field):
+    rng = np.random.default_rng(17)
+    m = BasisIndexSet((2, 5, 11), 16)
+    coords = np.zeros(16, complex if complex_field else float)
+    coords[list(m.indices)] = rng.standard_normal(3)
+    if complex_field:
+        coords[list(m.indices)] += 1j * rng.standard_normal(3)
+        coords[5] = complex(coords[5].real, -0.0)
+    center = TruncVector(coords, p=p)
+    cube = 2.0 * np.random.default_rng(9).random((63, 3)) - 1.0
+    scales = np.array([np.linalg.norm(row, ord=p) for row in cube])
+    assert (scales > 1.0).any() and (scales <= 1.0).any()  # clamped and inside
+    got = sample_ball(center, m, 0.37, 64, 9)
+    want = _one_sample_at_a_time(center, m, 0.37, 64, 9)
+    assert got[0] is center
+    assert [(v.coords.dtype, v.p, v.coords.tobytes()) for v in got] == \
+        [(v.coords.dtype, v.p, v.coords.tobytes()) for v in want]
+
+
 def test_density_builds_only_the_witnesses():
     # Monomials(400) is read from its term table: of its 401 members only
     # the witnesses, at most one per target, become polynomials.

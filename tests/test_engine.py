@@ -158,12 +158,12 @@ def _record_acts(monkeypatch) -> list:
     depth = [0]
     act = operators._act_window
 
-    def counting(op, X, lo, dim, check=True):
+    def counting(op, X, lo, dim):
         if not depth[0]:
             calls.append((lo, X.shape))
         depth[0] += 1
         try:
-            return act(op, X, lo, dim, check)
+            return act(op, X, lo, dim)
         finally:
             depth[0] -= 1
 
@@ -274,6 +274,54 @@ def test_each_row_slice_carries_one_walk(monkeypatch):
     for r0, got in windows.items():
         assert got == backward_windows(X[r0: r0 + 256], 100)
     assert faults == want_faults == {}
+
+
+def test_a_failing_row_costs_no_extra_step(monkeypatch):
+    # One entry of 1e300 in row 300 overflows under 2B at degree 28, so
+    # the row fails members 28..100; its slice still takes one block
+    # application per degree, and every faulted image reads 0.
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((600, 512))
+    X[300, 400] = 1e300
+    calls = _record_acts(monkeypatch)
+    faults = {}
+    for j0, r0, out, fault in operators.image_stream(Scale(2.0, BackwardShift()), X,
+                                                     Monomials(100)):
+        for (j, r), e in fault.items():
+            assert not out[j, r].any()
+            faults[j0 + j, r0 + r] = e
+    assert len(calls) == 300
+    assert sorted(faults) == [(j, 300) for j in range(28, 101)]
+    assert all(type(e) is NumericalOverflow and e.degree == 28 for e in faults.values())
+
+
+@given(st.integers(0, 2 ** 30), st.integers(1, 6), st.sampled_from(sorted(FAMILIES)),
+       st.integers(1, 3), st.sampled_from([1.0, 1e300]))
+@settings(max_examples=100, deadline=None)
+def test_faulted_images_read_zero(seed, dim, kind, batch, magnitude):
+    # Forward shifts get no headroom and large rows overflow.
+    rng = np.random.default_rng(seed)
+    op, _ = random_operator(rng, dim)
+    X = magnitude * rng.standard_normal((batch, dim))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "BLOCK_BYTES", 16 * dim * batch)
+        for _, _, out, fault in operators.image_stream(op, X, FAMILIES[kind](rng)):
+            for j, r in fault:
+                assert not out[j, r].any()
+
+
+def test_an_operator_that_does_not_fit_fails_every_row():
+    # The weights cover 2 of the 3 indices a forward shift needs at dim 4.
+    # The weight error comes first, also for the row that would overflow.
+    shift = ForwardShift((1.0, 2.0))
+    X = np.array([[0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]])
+    message = "forward shift: per-index weights cover 2 indices, need 3"
+    with pytest.raises(ValueError, match=message):
+        apply(shift, TruncVector(X[0]))
+    out, fault = operators._images(shift, X, Monomials(2))
+    assert sorted(fault) == [(1, 0), (1, 1), (2, 0), (2, 1)]
+    assert all(type(e) is ValueError and str(e) == message for e in fault.values())
+    assert np.array_equal(out[0], X) and not out[1:].any()
 
 
 def _stream_and_whole(op, X, members, rows_per_block):
@@ -399,6 +447,6 @@ def test_unit_weight_shifts_keep_the_loop_bits(shift):
     cplx[:, -1] = 0.0
     cplx[1, 2] = complex(-0.0, -5.0)
     for X in (real, cplx):
-        got = operators._act(shift, X)
+        got, _ = operators._act(shift, X)
         for r in range(len(X)):
             assert got[r].tobytes() == loop_apply(shift, X[r]).tobytes()
