@@ -11,18 +11,17 @@ from .errors import (BallCenterOutsideSubspace, BuildVerificationFailed,
 from .spaces import (BasisIndexSet, DirectSumFactor, IndexSet, IntervalFamily,
                      ParityZero, RecursiveSpan, SubspaceSpec, TruncVector,
                      distance_to_subspace, materialize_subspace,
-                     membership_tolerance, norm, project)
+                     membership_tolerance, norm)
 from .operators import (BackwardShift, CesaroMeans, ConvexPolynomial, Dense,
                         DirectSum, ForwardShift, Identity, Monomials,
                         OperatorSpec, PolynomialFamily, RandomSimplex, Scale,
-                        ScreenReport, SimplexGrid, apply, compose_polys,
-                        eval_poly, images, operator_norm_estimate,
-                        screen_necessary_conditions, to_dense)
+                        ScreenReport, SimplexGrid, apply, eval_poly, images,
+                        operator_norm_estimate, screen_necessary_conditions,
+                        to_dense)
 from .dynamics import (BallPair, DensityReport, InvarianceResult, PairResult,
                        TargetScore, TransitivityReport, Verdict,
                        default_density_targets, density_score,
-                       invariance_check, orbit_segment, sample_ball,
-                       transitivity_search)
+                       invariance_check, sample_ball, transitivity_search)
 from .criteria import (BuildResult, BuildStep, CriterionInstance,
                        CriterionVerdict, ExplicitRecovery, ShiftRecovery,
                        build_cyclic_vector, check_criterion_I,

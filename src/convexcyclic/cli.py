@@ -289,6 +289,8 @@ def run_gallery(args) -> int:
             sys.stdout.write(text)
         return EXIT_HELD
     if args.gallery_command == "verify-all":
+        # An unusable --out fails before the verification, not after it.
+        out = _prepare_out(args.out, "gallery") if args.out else None
         started = time.monotonic()
         results = verify_all()
         failures = 0
@@ -303,10 +305,8 @@ def run_gallery(args) -> int:
         elapsed = time.monotonic() - started
         print(f"verified {len(results)} entries in {elapsed:.1f}s, "
               f"{failures} mismatching")
-        if args.out:
-            out = _prepare_out(args.out, "gallery")
-            _write_json(out / "verify.json",
-                        {name: probs for name, probs in results.items()})
+        if out:
+            _write_json(out / "verify.json", results)
         return EXIT_HELD if failures == 0 else EXIT_FAILED
     raise AssertionError("unreachable gallery command")
 
@@ -355,9 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gallery":
-        return run_gallery(args)
     try:
+        if args.command == "gallery":
+            return run_gallery(args)
         cfg = _apply_overrides(load_config(args.config), args)
         out = _prepare_out(args.out, args.command)
         _write_meta(out, args.command)
@@ -379,6 +379,10 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except ConvexCyclicError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as err:
+        # Reads fail as ConfigError above, so this is an unusable --out.
+        print(f"error: cannot write the output: {err}", file=sys.stderr)
         return EXIT_INVALID
     raise AssertionError("unreachable command")
 

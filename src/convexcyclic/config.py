@@ -711,17 +711,18 @@ def dumps_config(cfg: ExperimentConfig) -> str:
 
 def loads_config(text: str) -> ExperimentConfig:
     try:
-        data = json.loads(text)
+        return config_from_dict(json.loads(text))
     except json.JSONDecodeError as err:
         raise ConfigError(f"config: invalid JSON ({err})") from err
-    return config_from_dict(data)
+    except RecursionError as err:
+        raise ConfigError("config: nested too deeply to parse") from err
 
 
 def load_config(path) -> ExperimentConfig:
     from pathlib import Path
     try:
-        text = Path(path).read_text()
-    except OSError as err:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"config: cannot read {path}: {err}") from err
     return loads_config(text)
 

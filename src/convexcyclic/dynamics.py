@@ -114,12 +114,6 @@ class InvarianceResult:
     landing_index: Optional[int]
 
 
-def orbit_segment(op: OperatorSpec, x: TruncVector,
-                  family: PolynomialFamily) -> list:
-    """[P(T)x for P in family], in family enumeration order."""
-    return [x.with_coords(w) for w in images(op, x.coords[None], family)[:, 0]]
-
-
 def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
                   family: PolynomialFamily, targets: Sequence[TruncVector],
                   epsilon: float, *,

@@ -18,10 +18,10 @@ import numpy as np
 from .criteria import (CriterionInstance, ShiftRecovery, build_cyclic_vector,
                        check_criterion_I, check_criterion_II)
 from .dynamics import (BallPair, Verdict, density_score, invariance_check,
-                       orbit_segment, transitivity_search)
+                       transitivity_search)
 from .errors import DimensionTooSmall, LambdaTooSmall, ScheduleInfeasible
 from .operators import (BackwardShift, ConvexPolynomial, DirectSum, Identity,
-                        Monomials, OperatorSpec, Scale, eval_poly,
+                        Monomials, OperatorSpec, Scale, eval_poly, images,
                         screen_necessary_conditions)
 from .spaces import (DirectSumFactor, IndexSet, IntervalFamily, ParityZero,
                      RecursiveSpan, SubspaceSpec, TruncVector,
@@ -71,14 +71,13 @@ class GalleryEntry:
     notes: dict = field(default_factory=dict)
 
 
-def _unit(entries: Sequence[Tuple[int, float]], dim: int,
-          scale: float = 1.0) -> TruncVector:
+def _unit(entries: Sequence[Tuple[int, float]], dim: int, scale: float = 1.0,
+          dtype=np.float64) -> TruncVector:
     """Normalized vector with the given (index, value) support, rescaled."""
-    coords = np.zeros(dim)
+    coords = np.zeros(dim, dtype=dtype)
     for i, v in entries:
         coords[i] = v
-    coords /= np.linalg.norm(coords)
-    return TruncVector(coords * scale)
+    return TruncVector(coords / np.linalg.norm(coords) * scale)
 
 
 def _shifted(y: TruncVector, degree: int, scale: complex) -> TruncVector:
@@ -207,6 +206,7 @@ def entry_lemma_5_1(k_count: int = 4, dim: int = 512, *,
     """
     if k_count < 1:
         raise ValueError("k_count must be >= 1")
+    name, x_sources, extra = "lemma_5_1", None, {}
     if constant_widths:
         width = _FIRST_END - _FIRST_START
         period = width + 2
@@ -218,81 +218,52 @@ def entry_lemma_5_1(k_count: int = 4, dim: int = 512, *,
         # Degrees march one interval per step but stay misaligned with the
         # interval period, so the full-width sample never embeds.
         degrees = tuple(15 + period * t for t in range(6))
-        inst = _interval_instance(starts, ends, degrees, dim,
-                                  x_degrees=degrees[:2],
-                                  x_sources=_NARROW_SOURCES)
-        return GalleryEntry(
-            name="lemma_5_1_constant_widths",
-            dim=dim,
-            op=inst.op,
-            subspace=inst.subspace,
-            instance=inst,
-            family=Monomials(8),
-            pairs=(),
-            expected=ExpectedVerdicts(criterion_II=(True, True, True),
-                                      builder_fails_at_step=3),
-            horizon=4,
-            tol=1e-6,
-            j_max=3,
-            notes={"degrees": degrees, "starts": starts, "ends": ends},
-        )
-
-    starts = [_FIRST_START]
-    ends = [_FIRST_END]
-    for k in range(1, k_count):
-        width = (_FIRST_END - _FIRST_START) * 3 ** k
-        starts.append(ends[-1] + 2)
-        ends.append(starts[-1] + width)
-    if ends[-1] >= dim:
-        raise DimensionTooSmall(f"interval end {ends[-1]} needs dimension > {ends[-1]}")
-    if k_count == 1:
-        # Degenerate single block: no shifted copy fits, X is empty and the
-        # preimage condition holds vacuously.
-        inst = CriterionInstance(
-            op=Scale(2.0, BackwardShift()),
-            subspace=IntervalFamily(tuple(starts), tuple(ends)),
-            dim=dim, X=(),
-            Y=_interval_Y(dim),
-            polys=(ConvexPolynomial.monomial(24),),
-            recovery=ShiftRecovery(2.0),
-        )
-        return GalleryEntry(
-            name="lemma_5_1",
-            dim=dim,
-            op=inst.op,
-            subspace=inst.subspace,
-            instance=inst,
-            family=Monomials(8),
-            pairs=(),
-            expected=ExpectedVerdicts(criterion_II=(True, True, True)),
-            horizon=1,
-            tol=1e-6,
-            j_max=0,
-            notes={"degrees": (24,), "starts": tuple(starts), "ends": tuple(ends)},
-        )
-
-    placements = _place_degrees(starts, ends, _SUPPORT_MAX)
-    degrees = tuple(n for n, _ in placements)
-    if len(degrees) < k_count:
-        raise DimensionTooSmall(
-            f"only {len(degrees)} shift degrees fit {k_count} intervals")
-    inst = _interval_instance(tuple(starts), tuple(ends), degrees, dim,
-                              x_degrees=degrees[:min(3, len(degrees) - 1)])
+        name = "lemma_5_1_constant_widths"
+        x_degrees, x_sources = degrees[:2], _NARROW_SOURCES
+        expected = ExpectedVerdicts(criterion_II=(True, True, True),
+                                    builder_fails_at_step=3)
+        horizon, j_max = 4, 3
+    else:
+        starts = [_FIRST_START]
+        ends = [_FIRST_END]
+        for k in range(1, k_count):
+            width = (_FIRST_END - _FIRST_START) * 3 ** k
+            starts.append(ends[-1] + 2)
+            ends.append(starts[-1] + width)
+        starts, ends = tuple(starts), tuple(ends)
+        if ends[-1] >= dim:
+            raise DimensionTooSmall(f"interval end {ends[-1]} needs dimension > {ends[-1]}")
+        if k_count == 1:
+            # Degenerate single block: no shifted copy fits, X is empty and
+            # the preimage condition holds vacuously.
+            degrees, x_degrees, horizon, j_max = (24,), (), 1, 0
+            expected = ExpectedVerdicts(criterion_II=(True, True, True))
+        else:
+            placements = _place_degrees(starts, ends, _SUPPORT_MAX)
+            degrees = tuple(n for n, _ in placements)
+            if len(degrees) < k_count:
+                raise DimensionTooSmall(
+                    f"only {len(degrees)} shift degrees fit {k_count} intervals")
+            x_degrees = degrees[:min(3, len(degrees) - 1)]
+            expected = ExpectedVerdicts(criterion_II=(True, True, True),
+                                        builder_succeeds=True)
+            horizon, j_max = min(len(degrees), k_count), 3
+            extra = {"placements": placements}
+    inst = _interval_instance(starts, ends, degrees, dim, x_degrees=x_degrees,
+                              x_sources=x_sources)
     return GalleryEntry(
-        name="lemma_5_1",
+        name=name,
         dim=dim,
         op=inst.op,
         subspace=inst.subspace,
         instance=inst,
         family=Monomials(8),
         pairs=(),
-        expected=ExpectedVerdicts(criterion_II=(True, True, True),
-                                  builder_succeeds=True),
-        horizon=min(len(degrees), k_count),
+        expected=expected,
+        horizon=horizon,
         tol=1e-6,
-        j_max=3,
-        notes={"degrees": degrees, "starts": tuple(starts),
-               "ends": tuple(ends), "placements": placements},
+        j_max=j_max,
+        notes={"degrees": degrees, "starts": starts, "ends": ends, **extra},
     )
 
 
@@ -486,18 +457,13 @@ def entry_example_5_4(lam: complex = 2.0, dim: int = 64) -> GalleryEntry:
         raise LambdaTooSmall(f"need |lambda| > 1, got {abs(complex(lam))}")
     if dim < 32 or dim % 2:
         raise ValueError("parity entry needs an even dimension >= 32")
-    complex_field = bool(complex(lam).imag)
+    dtype = np.complex128 if complex(lam).imag else np.float64
     op = Scale(lam, BackwardShift())
     subspace = ParityZero("even")
     scale = 2.0 ** -5
 
     def odd_vec(entries):
-        dtype = np.complex128 if complex_field else np.float64
-        coords = np.zeros(dim, dtype=dtype)
-        for i, v in entries:
-            coords[i] = v
-        coords = coords / np.linalg.norm(coords) * scale
-        return TruncVector(coords)
+        return _unit(entries, dim, scale, dtype)
 
     Y = (
         odd_vec([(1, 1.0)]),
@@ -578,8 +544,9 @@ def build_entry(name: str) -> GalleryEntry:
 def _verify_direct_sum(entry: GalleryEntry, problems: list):
     split = entry.notes["split"]
     candidate = entry.notes["candidate"]
-    for i, w in enumerate(orbit_segment(entry.op, candidate, entry.family)):
-        if np.any(w.coords[split:] != 0):
+    orbit = images(entry.op, candidate.coords[None], entry.family)[:, 0]
+    for i, w in enumerate(orbit):
+        if np.any(w[split:] != 0):
             problems.append(f"orbit member {i} leaks into the second block")
     if screen_necessary_conditions(Identity(), split, horizon=8).passed:
         problems.append("identity block unexpectedly passed the screen")

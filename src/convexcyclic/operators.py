@@ -724,17 +724,6 @@ def eval_poly(P: ConvexPolynomial, op: OperatorSpec, v: TruncVector) -> TruncVec
     return v.with_coords(images(op, v.coords[None], [P])[0, 0])
 
 
-def compose_polys(P: ConvexPolynomial, Q: ConvexPolynomial) -> ConvexPolynomial:
-    """Coefficient convolution: (P*Q)(T) = P(T) Q(T).
-
-    Convexity is preserved: products of nonnegative coefficients summing
-    to one again sum to one.
-    """
-    coeffs = np.convolve(np.asarray(P.coeffs), np.asarray(Q.coeffs))
-    return ConvexPolynomial(tuple(float(c) for c in coeffs),
-                            allow_signed=P.allow_signed or Q.allow_signed)
-
-
 # ---------------------------------------------------------------------------
 # Finite search families standing in for "all convex polynomials"
 # ---------------------------------------------------------------------------

@@ -367,21 +367,9 @@ def materialize_subspace(spec: SubspaceSpec, dim: int) -> BasisIndexSet:
     raise TypeError(f"unknown subspace spec {type(spec).__name__}")
 
 
-def project(v: TruncVector, m: BasisIndexSet) -> TruncVector:
-    """Zero every coordinate outside the subspace's index set.
-
-    This is the orthogonal projection for p = 2 and the metric-nearest
-    point in the span for every p, because the span is coordinate-aligned.
-    Idempotent by construction.
-    """
-    if v.dim != m.dim:
-        raise DimensionMismatch(f"vector dim {v.dim} != subspace dim {m.dim}")
-    out = np.where(m.mask(), v.coords, 0.0)
-    return TruncVector(out.astype(v.coords.dtype), p=v.p)
-
-
 def distance_to_subspace(v: TruncVector, m: BasisIndexSet) -> float:
-    """Norm of the residual v - project(v): zero iff v lies in the span."""
+    """Norm of v's coordinates outside the subspace's index set: its distance
+    to the coordinate-aligned span for every p, zero iff v lies in the span."""
     if v.dim != m.dim:
         raise DimensionMismatch(f"vector dim {v.dim} != subspace dim {m.dim}")
     return float(off_span_norms(v.coords[None], m.mask(), v.p)[0])

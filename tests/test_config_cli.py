@@ -16,7 +16,8 @@ import pytest
 from convexcyclic import cli, criteria
 from convexcyclic.cli import main
 from convexcyclic.config import (config_from_dict, config_to_dict,
-                                 dumps_config, entry_to_config, loads_config,
+                                 dumps_config, entry_to_config, load_config,
+                                 loads_config,
                                  op_from_dict, op_to_dict, subspace_from_dict,
                                  subspace_to_dict, vector_from_dict,
                                  vector_to_dict)
@@ -637,3 +638,48 @@ def test_builder_post_verification_failure_exits_2(tmp_path, capsys, monkeypatch
     data = json.loads(dumps_config(entry_to_config(build_entry("example_5_4"))))
     err = _run_invalid(tmp_path, capsys, data, ["build"])
     assert "BuildVerificationFailed" in err and "step 1" in err
+
+
+def _deep_operator_config(depth: int) -> bytes:
+    """example_5_4 with its operator wrapped in ``depth`` scale levels."""
+    data = json.loads(dumps_config(entry_to_config(build_entry("example_5_4"))))
+    data["operator"] = "OPERATOR"
+    deep = ('{"kind": "scale", "factor": 1.0, "inner": ' * depth
+            + '{"kind": "backward_shift", "weight": 1.0}' + "}" * depth)
+    return json.dumps(data).replace('"OPERATOR"', deep).encode()
+
+
+@pytest.mark.parametrize("raw", [b"\xff\xfe{", _deep_operator_config(20_000)],
+                         ids=["not_utf8", "nested_too_deeply"])
+def test_unreadable_config_exits_2(tmp_path, capsys, raw):
+    # Undecodable bytes and nesting past the parser's recursion limit are
+    # config errors, like a missing file or invalid JSON.
+    path = tmp_path / "cfg.json"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigError, match="^config: "):
+        load_config(path)
+    code = main(["screen", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("config error: config: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["density"], "afile"), (["criterion", "--which", "I"], "afile"),
+    (["criterion", "--which", "II"], "afile"), (["transitivity"], "afile"),
+    (["build"], "afile"), (["screen"], "afile"),
+    (["gallery", "dump", "example_5_4"], "missing/dir/x.json"),
+    (["gallery", "verify-all"], "afile/x"),
+], ids=["density", "criterion_I", "criterion_II", "transitivity", "build", "screen",
+        "gallery_dump", "gallery_verify_all"])
+def test_unusable_out_exits_2(tmp_path, capsys, argv, out):
+    # An --out that names a file, or lies under a file or a missing
+    # directory, makes the run invalid rather than ending in a traceback.
+    (tmp_path / "afile").write_text("")
+    if argv[0] != "gallery":
+        argv = argv + ["--config", gallery_config(tmp_path, "example_5_4")]
+    code = main(argv + ["--out", str(tmp_path / out)])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.err.startswith("error: cannot write") and captured.err.count("\n") == 1
+    assert captured.out == ""  # it fails before any work is reported

@@ -5,8 +5,8 @@ import pytest
 
 from convexcyclic import (BallPair, ConvexPolynomial, Identity, LambdaTooSmall,
                           Monomials, TruncVector, Verdict, density_score,
-                          eval_poly, materialize_subspace, norm,
-                          orbit_segment, screen_necessary_conditions,
+                          eval_poly, images, materialize_subspace, norm,
+                          screen_necessary_conditions,
                           transitivity_search, verify_entry)
 from convexcyclic.config import dumps_config, entry_to_config
 from convexcyclic.gallery import (REGISTRY, build_entry, entry_direct_sum,
@@ -21,8 +21,8 @@ class TestDirectSum:
         entry = entry_direct_sum(dim)
         split = entry.notes["split"]
         candidate = entry.notes["candidate"]
-        for w in orbit_segment(entry.op, candidate, entry.family):
-            assert np.all(w.coords[split:] == 0)
+        for w in images(entry.op, candidate.coords[None], entry.family)[:, 0]:
+            assert np.all(w[split:] == 0)
 
     def test_identity_block_fails_screen(self):
         entry = entry_direct_sum(8)

@@ -12,8 +12,8 @@ from convexcyclic import (BackwardShift, CesaroMeans, ConvexPolynomial,
                           Dense, DimensionMismatch, DirectSum, ForwardShift,
                           Identity, Monomials, NumericalOverflow,
                           RandomSimplex, Scale, SimplexGrid, TruncVector,
-                          TruncationOverflow, apply,
-                          compose_polys, eval_poly, operator_norm_estimate,
+                          TruncationOverflow, apply, eval_poly,
+                          operator_norm_estimate,
                           screen_necessary_conditions, to_dense)
 from convexcyclic.operators import TermTable, power_norm_estimate, term_table
 from oracles import dense_eval, random_triple
@@ -192,19 +192,30 @@ class TestConvexPolynomial:
         assert ConvexPolynomial((0.5, 0.0, 0.5)).degree_profile() == (0, 2)
 
 
+def composed(P, Q, op, v):
+    """P(T)(Q(T)v): two polynomial images, one after the other."""
+    return eval_poly(P, op, eval_poly(Q, op, v))
+
+
 class TestCompose:
+    V = TruncVector(np.linspace(1.0, 2.0, 12))
+
     def test_identity_neutral(self):
         P = ConvexPolynomial((0.25, 0.5, 0.25))
-        assert compose_polys(P, ConvexPolynomial.identity()).coeffs == P.coeffs
+        assert np.array_equal(composed(ConvexPolynomial.identity(), P, TWO_B, self.V).coords,
+                              eval_poly(P, TWO_B, self.V).coords)
 
     def test_half_half_squared(self):
         P = ConvexPolynomial((0.5, 0.5))
-        assert compose_polys(P, P).coeffs == (0.25, 0.5, 0.25)
+        square = eval_poly(ConvexPolynomial((0.25, 0.5, 0.25)), TWO_B, self.V)
+        assert np.allclose(composed(P, P, TWO_B, self.V).coords, square.coords,
+                           rtol=1e-14, atol=0)
 
     def test_monomials_add_degrees(self):
         a = ConvexPolynomial.monomial(3)
         b = ConvexPolynomial.monomial(4)
-        assert compose_polys(a, b).coeffs == ConvexPolynomial.monomial(7).coeffs
+        assert np.array_equal(composed(a, b, TWO_B, self.V).coords,
+                              eval_poly(ConvexPolynomial.monomial(7), TWO_B, self.V).coords)
 
 
 class TestNormEstimates:
@@ -386,13 +397,18 @@ def normalized(cs):
 @given(raw_coeffs, raw_coeffs)
 @settings(max_examples=200, deadline=None)
 def test_compose_closure(cs1, cs2):
-    out = compose_polys(normalized(cs1), normalized(cs2))
-    assert all(c >= 0 for c in out.coeffs)
-    assert abs(math.fsum(out.coeffs) - 1.0) <= 1e-12
+    # The coefficient convolution of two convex polynomials is convex, and
+    # its image is the image of one polynomial taken after the other.
+    P, Q = normalized(cs1), normalized(cs2)
+    PQ = ConvexPolynomial(tuple(float(c) for c in np.convolve(P.coeffs, Q.coeffs)))
+    v = TruncVector.basis(PQ.degree, PQ.degree + 1)
+    assert np.allclose(composed(P, Q, TWO_B, v).coords, eval_poly(PQ, TWO_B, v).coords,
+                       rtol=1e-12, atol=1e-12 * 2.0 ** PQ.degree)
 
 
 @given(st.integers(0, 8), st.integers(0, 8))
 @settings(max_examples=100, deadline=None)
 def test_compose_degree(a, b):
-    out = compose_polys(ConvexPolynomial.monomial(a), ConvexPolynomial.monomial(b))
-    assert out.degree == a + b
+    v = TruncVector.basis(a + b, a + b + 1)
+    out = composed(ConvexPolynomial.monomial(a), ConvexPolynomial.monomial(b), TWO_B, v)
+    assert np.array_equal(out.coords, 2.0 ** (a + b) * TruncVector.basis(0, a + b + 1).coords)
