@@ -26,8 +26,8 @@ are the errors, raised in the order of the per-vector loops: the first
 failing row, then its first failing member; in condition 2 the recovery
 rule's errors, orbit faults and distance overflows interleave in (y, k)
 order.  The builder's step loop is inherently sequential (each step
-depends on the previous selections); each candidate is scored in two
-walks.
+depends on the previous selections); each candidate is scored in one
+walk.
 """
 
 from __future__ import annotations
@@ -447,24 +447,22 @@ class BuildResult:
 def _four_term_bound(inst: CriterionInstance, xc: TruncVector, y: TruncVector,
                      P: ConvexPolynomial, chosen_k: list, chosen_x: list) -> float:
     """||xc|| + ||P(T) xc - y|| plus the worst cross term ||P(T) x_i|| +
-    ||P_{k_i}(T) xc|| over the earlier steps i, from two engine walks:
-    P(T) on xc and every earlier summand, and each earlier P_{k_i}(T) on
-    xc.  Errors come in the order of the terms."""
-    rows = [xc] + chosen_x
+    ||P_{k_i}(T) xc|| over the earlier steps i, from one engine walk of xc
+    and every earlier summand through P and every earlier P_{k_i}.  Errors
+    come in the order of the terms."""
 
     def measure(j0, r0, out):
         values = _norms(out, xc.p)
-        if r0 == 0:
+        if j0 == r0 == 0:
             values[0][0] = _distance(out[0, 0], xc.p, y)
         return values
 
-    ahead = _walk(inst.op, [v.coords for v in rows], [P], measure)
-    back = _walk(inst.op, [xc.coords], [inst.poly(k) for k in chosen_k],
-                 lambda j0, r0, out: _norms(out, xc.p))
-    base = norm(xc) + _value(ahead, (0, 0))
+    table = _walk(inst.op, [v.coords for v in [xc] + chosen_x],
+                  [P] + [inst.poly(k) for k in chosen_k], measure)
+    base = norm(xc) + _value(table, (0, 0))
     worst_cross = 0.0
     for i in range(len(chosen_k)):
-        cross = _value(ahead, (0, i + 1)) + _value(back, (i, 0))
+        cross = _value(table, (0, i + 1)) + _value(table, (i + 1, 0))
         worst_cross = max(worst_cross, cross)
     return base + worst_cross
 

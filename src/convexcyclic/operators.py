@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import repeat, zip_longest
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -345,83 +345,67 @@ def to_dense(op: OperatorSpec, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _window_products(weights: np.ndarray, n: int) -> float:
-    """max |product of n consecutive weights|, or 0 if no window fits."""
-    if n == 0:
-        return 1.0
-    if len(weights) < n:
-        return 0.0
-    windows = np.lib.stride_tricks.sliding_window_view(np.abs(weights), n)
-    return float(np.prod(windows, axis=1).max())
-
-
-def _power_iteration_norm(mat: np.ndarray, iters: int = 200) -> float:
-    """2-norm estimate of a dense matrix by power iteration on M*M."""
-    dim = mat.shape[0]
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(dim)
-    if np.iscomplexobj(mat):
-        v = v.astype(np.complex128)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    herm = mat.conj().T @ mat
-    for _ in range(iters):
-        w = herm @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = w / nw
-        sigma = nw
-    return float(math.sqrt(sigma))
-
-
-def power_norm_estimate(op: OperatorSpec, n: int, dim: int) -> float:
-    """Estimate of ||T^n|| on the truncation.
-
-    Exact for shift-built specs (weight-window products); dense blocks use
-    explicit matrix powers.  Always the truncation's value, which lower
-    bounds the full operator norm.  An estimate outside the float range
-    raises NumericalOverflow.
-    """
+def power_norm_estimates(op: OperatorSpec, horizon: int, dim: int) -> tuple:
+    """Exact ||T^n|| on the truncation (a lower bound for the full operator
+    norm) for n = 1..horizon, in one pass: a running product over every
+    window of n consecutive |shift weights|, and a dense block's 2-norm of
+    one running matrix power, with no power iteration.  A power that
+    vanishes on the truncation reads 0, whatever factor scales it; a value
+    outside the float range raises NumericalOverflow at its degree."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if dim < 1:
+        raise ValueError("dimension must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
-        estimate = _power_norm(op, n, dim)
-    if not math.isfinite(estimate):
-        raise NumericalOverflow(n, "the norm estimate of T^n")
-    return estimate
+        norms = _live_power_norms(op, horizon, dim)
+    for n, estimate in enumerate(norms, 1):
+        if not math.isfinite(estimate):
+            raise NumericalOverflow(n, "the norm estimate of T^n")
+    return tuple(norms) + (0.0,) * (horizon - len(norms))
 
 
-def _power_norm(op: OperatorSpec, n: int, dim: int) -> float:
-    if n == 0:
-        return 1.0
-    if isinstance(op, BackwardShift):
-        w = _weight_array(op.weight, dim, "backward shift")[1:]
-        return _window_products(w, n)
-    if isinstance(op, ForwardShift):
-        w = _weight_array(op.weight, max(dim - 1, 0), "forward shift")
-        return _window_products(w, n)
-    if isinstance(op, Scale):
-        try:
-            factor = abs(op.factor) ** n
-        except OverflowError:
-            return math.inf
-        return factor * _power_norm(op.inner, n, dim)
-    if isinstance(op, DirectSum):
-        return max(_power_norm(op.left, n, op.split),
-                   _power_norm(op.right, n, dim - op.split))
-    if isinstance(op, Dense):
-        mat = np.linalg.matrix_power(op.matrix, n)
-        return _power_iteration_norm(mat)
-    if isinstance(op, Identity):
-        return 1.0
-    raise TypeError(f"unknown operator spec {type(op).__name__}")
+def _live_power_norms(op: OperatorSpec, horizon: int, dim: int) -> list:
+    """||T^n|| for n = 1, 2, ... up to the horizon or to the first T^n
+    that is exactly zero on the truncation, which it leaves out."""
+    norms = []
+    if isinstance(op, (BackwardShift, ForwardShift)):
+        if isinstance(op, BackwardShift):
+            w = _weight_array(op.weight, dim, "backward shift")[1:]
+        else:
+            w = _weight_array(op.weight, max(dim - 1, 0), "forward shift")
+        windows = w = np.abs(w)
+        while len(norms) < horizon and len(windows):
+            norms.append(float(windows.max()))
+            windows = windows[:-1] * w[len(norms):]
+    elif isinstance(op, Scale):
+        inner = _live_power_norms(op.inner, horizon, dim)
+        for n, estimate in enumerate(inner if op.factor else (), 1):
+            try:
+                norms.append(abs(op.factor) ** n * estimate)
+            except OverflowError:
+                norms.append(math.inf)
+    elif isinstance(op, DirectSum):
+        left = _live_power_norms(op.left, horizon, op.split)
+        right = _live_power_norms(op.right, horizon, dim - op.split)
+        norms = [max(a, b) for a, b in zip_longest(left, right, fillvalue=0.0)]
+    elif isinstance(op, Dense):
+        power = op.matrix
+        while len(norms) < horizon and power.any():
+            if not np.isfinite(power).all():  # the SVD would fail, later powers too
+                return norms + [math.inf]
+            norms.append(float(np.linalg.norm(power, 2)))
+            power = power @ op.matrix
+    elif isinstance(op, Identity):
+        norms = [1.0] * horizon
+    else:
+        raise TypeError(f"unknown operator spec {type(op).__name__}")
+    return norms
 
 
 def operator_norm_estimate(op: OperatorSpec, dim: int) -> float:
-    """||T|| on the truncation: exact for shift-type specs, power iteration
-    for dense blocks (p = 2).  A lower bound for the full operator norm."""
-    if dim < 1:
-        raise ValueError("dimension must be positive")
-    return power_norm_estimate(op, 1, dim)
+    """Exact ||T|| on the truncation (p = 2 for a dense block), the first of
+    ``power_norm_estimates``: a lower bound for the full operator norm."""
+    return power_norm_estimates(op, 1, dim)[0]
 
 
 @dataclass(frozen=True)
@@ -447,13 +431,10 @@ def screen_necessary_conditions(op: OperatorSpec, dim: int,
                                 horizon: int) -> ScreenReport:
     """Check ||T|| > 1 and that ||T^n|| estimates reach GROWTH_THRESHOLD
     within the horizon."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    nrm = operator_norm_estimate(op, dim)
-    powers = (nrm,) + tuple(power_norm_estimate(op, n, dim) for n in range(2, horizon + 1))
+    powers = power_norm_estimates(op, horizon, dim)
     return ScreenReport(
-        norm_estimate=nrm,
-        norm_exceeds_one=nrm > 1.0 + 1e-12,
+        norm_estimate=powers[0],
+        norm_exceeds_one=powers[0] > 1.0 + 1e-12,
         power_norms=powers,
         growth_threshold=GROWTH_THRESHOLD,
         growth_attained=max(powers) >= GROWTH_THRESHOLD,

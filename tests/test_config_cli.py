@@ -567,11 +567,25 @@ def test_ball_sample_overflow_exits_2(tmp_path, capsys):
 
 
 def test_screen_norm_overflow_exits_2(tmp_path, capsys):
-    # The estimate of ||(2B)^n|| is 2^n, past the float range at n = 1024.
-    data = json.loads(dumps_config(entry_to_config(build_entry("example_5_4"))))
-    data["horizon"] = 1100
+    # At dim 1025, ||(2B)^n|| = 2^n up to n = 1024, past the float range there.
+    data = {"dim": 1025, "horizon": 1100,
+            "operator": {"kind": "scale", "factor": 2.0,
+                         "inner": {"kind": "backward_shift"}}}
     err = _run_invalid(tmp_path, capsys, data, ["screen"])
     assert "NumericalOverflow" in err and "degree 1024" in err
+
+
+def test_screen_power_that_vanishes_on_the_truncation_exits_0(tmp_path):
+    # example_5_4's T = 2B at dim 64: 2^n leaves the float range at n = 1024,
+    # but T^n is zero on the truncation from n = 64, and so is its norm.
+    data = json.loads(dumps_config(entry_to_config(build_entry("example_5_4"))))
+    data["horizon"] = 1100
+    cfg = write_config(tmp_path, "cfg.json", json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["screen", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    norms = json.loads((tmp_path / "o" / "report.json").read_text())["power_norms"]
+    assert norms[:63] == [2.0 ** n for n in range(1, 64)] and set(norms[63:]) == {0.0}
 
 
 def test_screen_power_norm_product_overflow_exits_2(tmp_path, capsys):

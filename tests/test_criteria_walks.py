@@ -16,7 +16,7 @@ from convexcyclic import (BackwardShift, BallPair, CesaroMeans,
                           ExplicitRecovery, ForwardShift, IndexSet, Monomials,
                           Scale, ShiftRecovery, SimplexGrid, TruncVector,
                           build_cyclic_vector, check_criterion_I,
-                          check_criterion_II, density_score,
+                          check_criterion_II, criteria, density_score,
                           materialize_subspace, operators,
                           transitivity_search)
 from convexcyclic.gallery import entry_lemma_5_1, entry_prop_4_8
@@ -263,3 +263,19 @@ def test_a_search_past_one_block_of_samples_matches_the_image_loop(monkeypatch):
     assert not got.per_pair[0].found
     assert repr(got) == repr(want)
     assert sorted(shape[0] for _, shape in calls) == [44] * 8 + [128] * 16
+
+
+def test_a_builder_candidate_is_scored_in_one_walk(monkeypatch):
+    # Step 2 of lemma_5_1's builder: the candidate xc and the step-1
+    # summand x_1 walk together through P and P_{k_1}, one step per degree
+    # of P over their live window.  A second walk of xc through P_{k_1}
+    # would repeat the steps up to P_{k_1}'s degree.
+    inst = entry_lemma_5_1().instance
+    steps = build_cyclic_vector(inst, 2).steps
+    k1, k2 = steps[0].k, steps[1].k
+    xc, x1 = inst.recovery_vector(1, k2), inst.recovery_vector(0, k1)
+    calls = _record_acts(monkeypatch)
+    bound = criteria._four_term_bound(inst, xc, inst.Y[1], inst.poly(k2), [k1], [x1])
+    assert bound == steps[1].four_term_bound
+    assert inst.poly(k1).degree < inst.poly(k2).degree
+    assert calls == backward_windows(np.array([xc.coords, x1.coords]), inst.poly(k2).degree)

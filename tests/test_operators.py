@@ -15,7 +15,7 @@ from convexcyclic import (BackwardShift, CesaroMeans, ConvexPolynomial,
                           TruncationOverflow, apply, eval_poly,
                           operator_norm_estimate,
                           screen_necessary_conditions, to_dense)
-from convexcyclic.operators import TermTable, power_norm_estimate, term_table
+from convexcyclic.operators import TermTable, power_norm_estimates, term_table
 from oracles import dense_eval, random_triple
 
 TWO_B = Scale(2.0, BackwardShift())
@@ -235,11 +235,10 @@ class TestNormEstimates:
                             float(np.linalg.norm(to_dense(op, 8), 2)),
                             rel_tol=1e-12)
 
-    def test_dense_power_iteration(self):
+    def test_dense_two_norm(self):
         rng = np.random.default_rng(3)
         mat = rng.standard_normal((10, 10))
-        est = operator_norm_estimate(Dense(mat), 10)
-        assert math.isclose(est, float(np.linalg.norm(mat, 2)), rel_tol=1e-8)
+        assert operator_norm_estimate(Dense(mat), 10) == float(np.linalg.norm(mat, 2))
 
     def test_weighted_shift_windows(self):
         op = BackwardShift((1.0, 0.5, 3.0, 0.25, 2.0))
@@ -251,13 +250,21 @@ class TestNormEstimates:
         (ForwardShift(tuple(np.random.default_rng(5).uniform(0.2, 3.0, 8))), 9),
         (BackwardShift(tuple(np.random.default_rng(6).uniform(0.2, 3.0, 9))), 9),
         (Scale(-1.5j, ForwardShift((2.0, 0.5, 4.0, 1.0, 0.25))), 6),
+        (DirectSum(BackwardShift((1, 3, 0.5, 2)), Scale(2.0, ForwardShift((1, 4, 0.5, 1))), 4), 9),
+        (Scale(4.0, BackwardShift()), 8),
+        (Dense(np.random.default_rng(7).standard_normal((6, 6)) / 3), 6),
     ])
     def test_per_index_weight_powers_match_the_dense_oracle(self, op, dim):
         # Every window of n consecutive weights counts, the last ones too:
-        # ForwardShift((1, 1, 5, 1)) keeps ||T^n|| = 5 up to n = 3.
-        for n in range(dim + 2):
-            want = np.linalg.norm(np.linalg.matrix_power(to_dense(op, dim), n), 2)
-            assert math.isclose(power_norm_estimate(op, n, dim), want, rel_tol=1e-12)
+        # ForwardShift((1, 1, 5, 1)) keeps ||T^n|| = 5 up to n = 3.  4^n
+        # leaves the float range at n = 512, but (4B)^n is zero from n = 8
+        # at dim 8.  A dense block's norms are the oracle's, bit for bit.
+        got = power_norm_estimates(op, 600, dim)
+        mat, power = to_dense(op, dim), np.eye(dim)
+        tol = 0.0 if isinstance(op, Dense) else 1e-12
+        for n in range(1, 601):
+            power = power @ mat
+            assert math.isclose(got[n - 1], float(np.linalg.norm(power, 2)), rel_tol=tol)
 
 
 class TestScreen:
@@ -290,6 +297,11 @@ class TestScreen:
         with pytest.raises(NumericalOverflow, match="norm estimate") as info:
             screen_necessary_conditions(op, 1024, 600)
         assert info.value.degree == 512
+        # An underflowed factor is no exact zero: ||T^2|| = 1e100, but
+        # 1e-400 reads 0 and 1e500 reads inf.
+        with pytest.raises(NumericalOverflow) as info:
+            screen_necessary_conditions(Scale(1e-200, BackwardShift(1e250)), 8, 2)
+        assert info.value.degree == 2
 
 
 class TestFamilies:
