@@ -16,8 +16,7 @@ from .operators import (BackwardShift, CesaroMeans, ConvexPolynomial, Dense,
                         DirectSum, ForwardShift, Identity, Monomials,
                         OperatorSpec, PolynomialFamily, RandomSimplex, Scale,
                         ScreenReport, SimplexGrid, apply, eval_poly, images,
-                        operator_norm_estimate, screen_necessary_conditions,
-                        to_dense)
+                        screen_necessary_conditions, to_dense)
 from .dynamics import (BallPair, DensityReport, InvarianceResult, PairResult,
                        TargetScore, TransitivityReport, Verdict,
                        default_density_targets, density_score,

@@ -33,8 +33,9 @@ CONFIG_VERSION = 1
 #: Caps on the config sizes that allocate, checked when a config is parsed
 #: so that an oversized value exits 2 instead of exhausting memory.  A
 #: vector has at most MAX_DIM coordinates; polynomial degrees and the
-#: horizon are at most MAX_DEGREE; a family, a ball's samples and a
-#: default target list have at most MAX_MEMBERS members.
+#: horizon are at most MAX_DEGREE; a family, a ball's samples, a default
+#: target list and every config list of vectors, polys or pairs have at
+#: most MAX_MEMBERS members.
 MAX_DIM = 1 << 16
 MAX_DEGREE = 1 << 12
 MAX_MEMBERS = 1 << 12
@@ -54,11 +55,19 @@ def _req(data: dict, key: str, context: str):
     return data[key]
 
 
-def _list(data: dict, key: str, context: str) -> list:
-    """A required config field that must be a JSON array."""
-    value = _req(data, key, context)
+def _list(data: dict, key: str, context: str, most: float = math.inf) -> list:
+    """A required config field that must be a JSON array of at most
+    ``most`` entries."""
+    return _capped(_req(data, key, context), f"{context}.{key}", most)
+
+
+def _capped(value, context: str, most: float) -> list:
+    """A config value that must be a JSON array of at most ``most`` entries
+    (a list that allocates per entry is capped when it is parsed)."""
     if not isinstance(value, list):
-        raise ConfigError(f"{context}.{key}: expected a list, got {value!r}")
+        raise ConfigError(f"{context}: expected a list, got {value!r}")
+    if len(value) > most:
+        raise ConfigError(f"{context}: expected at most {most} entries, got {len(value)}")
     return value
 
 
@@ -370,8 +379,7 @@ def polys_to_dict(polys: Sequence[ConvexPolynomial]) -> dict:
             "coefficients": [list(P.coeffs) for P in polys]}
 
 
-def polys_from_dict(data: dict, context: str = "polys",
-                    allow_signed: bool = False) -> Tuple[ConvexPolynomial, ...]:
+def polys_from_dict(data: dict, context: str = "polys") -> Tuple[ConvexPolynomial, ...]:
     if not isinstance(data, dict):
         raise ConfigError(f"{context}: expected a polynomial-sequence object")
     kind = _req(data, "kind", context)
@@ -380,14 +388,12 @@ def polys_from_dict(data: dict, context: str = "polys",
             _check_keys(data, {"kind", "degrees"}, context)
             return tuple(
                 ConvexPolynomial.monomial(_count(d, f"{context}.degrees[{i}]", 0, MAX_DEGREE))
-                for i, d in enumerate(_list(data, "degrees", context)))
+                for i, d in enumerate(_list(data, "degrees", context, MAX_MEMBERS)))
         if kind == "explicit":
             _check_keys(data, {"kind", "coefficients"}, context)
-            rows = _list(data, "coefficients", context)
-            if not all(isinstance(row, list) for row in rows):
-                raise ConfigError(f"{context}.coefficients: expected a list of rows")
-            return tuple(ConvexPolynomial(tuple(_real(c, context) for c in row),
-                                          allow_signed=allow_signed)
+            rows = [_capped(row, f"{context}.coefficients[{i}]", MAX_DEGREE + 1)
+                    for i, row in enumerate(_list(data, "coefficients", context, MAX_MEMBERS))]
+            return tuple(ConvexPolynomial(tuple(_real(c, context) for c in row))
                          for row in rows)
     except ValueError as err:
         raise ConfigError(f"{context}: {err}") from err
@@ -424,7 +430,7 @@ def recovery_from_dict(data, context: str, vec):
         _check_keys(data, {"kind", "vectors"}, context)
         vectors = tuple(
             None if v is None else vec(v, f"{context}.vectors[{i}]")
-            for i, v in enumerate(_list(data, "vectors", context)))
+            for i, v in enumerate(_list(data, "vectors", context, MAX_MEMBERS)))
         return ExplicitRecovery(vectors)
     raise ConfigError(f"{context}: unknown recovery kind {kind!r}")
 
@@ -481,7 +487,6 @@ class ExperimentConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
     subspace: Optional[SubspaceSpec] = None
     family: Optional[PolynomialFamily] = None
-    allow_signed_coefficients: bool = False
     label: Optional[str] = None
     density: Optional[DensityBlock] = None
     criterion: Optional[CriterionBlock] = None
@@ -513,9 +518,8 @@ class ExperimentConfig:
 
 
 _TOP_KEYS = {"version", "scalar_field", "dim", "p", "seed", "horizon",
-             "tolerances", "operator", "subspace", "family",
-             "allow_signed_coefficients", "label", "density", "criterion",
-             "transitivity", "build"}
+             "tolerances", "operator", "subspace", "family", "label",
+             "density", "criterion", "transitivity", "build"}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -560,10 +564,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     family = None
     if data.get("family") is not None:
         family = family_from_dict(data["family"], "config.family")
-    allow_signed = data.get("allow_signed_coefficients", False)
-    if not isinstance(allow_signed, bool):
-        raise ConfigError("config.allow_signed_coefficients: expected true or false, "
-                          f"got {allow_signed!r}")
     label = data.get("label")
     if not (label is None or isinstance(label, str)):
         raise ConfigError(f"config.label: expected a string, got {label!r}")
@@ -586,7 +586,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             targets = "default"
         else:
             targets = tuple(_vec(t, f"config.density.targets[{i}]")
-                            for i, t in enumerate(_list(block, "targets", "config.density")))
+                            for i, t in enumerate(_list(block, "targets", "config.density",
+                                                        MAX_MEMBERS)))
             if not targets:
                 raise ConfigError("config.density.targets: expected at least one target")
         density = DensityBlock(
@@ -603,11 +604,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         _check_keys(block, {"X", "Y", "polys", "recovery"}, "config.criterion")
         criterion = CriterionBlock(
             X=tuple(_vec(v, f"config.criterion.X[{i}]")
-                    for i, v in enumerate(_list(block, "X", "config.criterion"))),
+                    for i, v in enumerate(_list(block, "X", "config.criterion", MAX_MEMBERS))),
             Y=tuple(_vec(v, f"config.criterion.Y[{i}]")
-                    for i, v in enumerate(_list(block, "Y", "config.criterion"))),
+                    for i, v in enumerate(_list(block, "Y", "config.criterion", MAX_MEMBERS))),
             polys=polys_from_dict(_req(block, "polys", "config.criterion"),
-                                  "config.criterion.polys", allow_signed),
+                                  "config.criterion.polys"),
             recovery=recovery_from_dict(block.get("recovery"),
                                         "config.criterion.recovery", _vec),
         )
@@ -616,7 +617,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         block = data["transitivity"]
         _check_keys(block, {"pairs", "samples_per_ball"}, "config.transitivity")
         pairs = []
-        for i, pair in enumerate(_list(block, "pairs", "config.transitivity")):
+        for i, pair in enumerate(_list(block, "pairs", "config.transitivity", MAX_MEMBERS)):
             context = f"config.transitivity.pairs[{i}]"
             _check_keys(pair, {"u_center", "v_center", "radius"}, context)
             pairs.append(BallPair(
@@ -644,7 +645,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         dim=dim, operator=operator, scalar_field=scalar_field,
         p=p, seed=seed, horizon=horizon, tolerances=tolerances,
         subspace=subspace, family=family,
-        allow_signed_coefficients=allow_signed,
         label=label,
         density=density, criterion=criterion, transitivity=transitivity,
         build=build,
@@ -671,8 +671,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         out["subspace"] = subspace_to_dict(cfg.subspace)
     if cfg.family is not None:
         out["family"] = family_to_dict(cfg.family)
-    if cfg.allow_signed_coefficients:
-        out["allow_signed_coefficients"] = True
     if cfg.label is not None:
         out["label"] = cfg.label
     if cfg.density is not None:

@@ -439,10 +439,6 @@ class BuildResult:
     x: TruncVector
     steps: tuple
 
-    @property
-    def chosen_indices(self) -> tuple:
-        return tuple(s.k for s in self.steps)
-
 
 def _four_term_bound(inst: CriterionInstance, xc: TruncVector, y: TruncVector,
                      P: ConvexPolynomial, chosen_k: list, chosen_x: list) -> float:

@@ -589,9 +589,8 @@ def _verify_example_5_2_extras(entry: GalleryEntry, verdict, problems: list):
         problems.append("index 2 should be outside the materialized span")
 
 
-def _verify_example_5_4_extras(entry: GalleryEntry, problems: list):
+def _verify_example_5_4_extras(entry: GalleryEntry, verdict, problems: list):
     m = materialize_subspace(entry.subspace, entry.dim)
-    inst = entry.instance
     results = invariance_checks(Monomials(16).members(), entry.op, m)
     for deg in range(0, 17, 2):
         if not results[deg].invariant:
@@ -599,14 +598,13 @@ def _verify_example_5_4_extras(entry: GalleryEntry, problems: list):
     for deg in range(1, 16, 2):
         if results[deg].invariant:
             problems.append(f"odd monomial degree {deg} should violate invariance")
+    # Criterion I's condition 2 holds ||x_k|| and ||P_k(T) x_k - y||.
     lam = entry.notes["lam"]
-    for y_index, y in enumerate(inst.Y):
+    for y, (norms, errors) in zip(entry.instance.Y, verdict.cond2.decay):
         for k in (1, 4, 8):
-            xk = inst.recovery_vector(y_index, k)
-            err = norm(eval_poly(inst.poly(k), inst.op, xk) - y)
-            if err > 1e-12:
-                problems.append(f"recovery identity off by {err:.2e} at k={k}")
-            if abs(norm(xk) - norm(y) / abs(complex(lam)) ** (2 * k)) > 1e-12:
+            if errors[k - 1] > 1e-12:
+                problems.append(f"recovery identity off by {errors[k - 1]:.2e} at k={k}")
+            if abs(norms[k - 1] - norm(y) / abs(complex(lam)) ** (2 * k)) > 1e-12:
                 problems.append(f"recovery norm decay off at k={k}")
 
 
@@ -615,10 +613,10 @@ def verify_entry(entry: GalleryEntry) -> list:
     against the expected verdicts.  Returns a list of mismatch strings."""
     problems: list = []
     exp = entry.expected
-    verdict_II = None
+    verdict_I = verdict_II = None
     if exp.criterion_I is not None:
-        v = check_criterion_I(entry.instance, entry.horizon, entry.tol)
-        got = (v.cond1.passed, v.cond2.passed, v.cond3.passed)
+        verdict_I = check_criterion_I(entry.instance, entry.horizon, entry.tol)
+        got = (verdict_I.cond1.passed, verdict_I.cond2.passed, verdict_I.cond3.passed)
         if got != exp.criterion_I:
             problems.append(f"criterion one: expected {exp.criterion_I}, got {got}")
     if exp.criterion_II is not None:
@@ -664,8 +662,8 @@ def verify_entry(entry: GalleryEntry) -> list:
         _verify_direct_sum(entry, problems)
     if entry.name == "example_5_2" and verdict_II is not None:
         _verify_example_5_2_extras(entry, verdict_II, problems)
-    if entry.name == "example_5_4":
-        _verify_example_5_4_extras(entry, problems)
+    if entry.name == "example_5_4" and verdict_I is not None:
+        _verify_example_5_4_extras(entry, verdict_I, problems)
     return problems
 
 

@@ -217,6 +217,17 @@ def _widen(X: np.ndarray, lo: int, dim: int) -> np.ndarray:
     return out
 
 
+def _check_fits(op: OperatorSpec, dim: int):
+    """Raise DimensionMismatch for a direct sum whose split does not
+    partition ``dim`` or a dense block of another size."""
+    if isinstance(op, DirectSum) and not op.split < dim:
+        raise DimensionMismatch(
+            f"direct-sum split {op.split} does not partition dimension {dim}")
+    if isinstance(op, Dense) and op.matrix.shape[0] != dim:
+        raise DimensionMismatch(
+            f"dense operator dim {op.matrix.shape[0]} != vector dim {dim}")
+
+
 def _act_window(op: OperatorSpec, X: np.ndarray, lo: int,
                 dim: int) -> Tuple[np.ndarray, int, list]:
     """Act with ``op`` on every row of a window: ``(out, lo, failed)``.
@@ -259,17 +270,13 @@ def _act_window(op: OperatorSpec, X: np.ndarray, lo: int,
         out, lo, failed = _act_window(op.inner, X, lo, dim)
         out = _mul(op.factor, out)
     elif isinstance(op, DirectSum):
-        if not op.split < dim:
-            raise DimensionMismatch(
-                f"direct-sum split {op.split} does not partition dimension {dim}")
+        _check_fits(op, dim)
         X, lo = _widen(X, lo, dim), 0
         left, left_failed = _act(op.left, X[:, : op.split])
         right, right_failed = _act(op.right, X[:, op.split:])
         out, failed = np.concatenate([left, right], axis=1), left_failed + right_failed
     elif isinstance(op, Dense):
-        if op.matrix.shape[0] != dim:
-            raise DimensionMismatch(
-                f"dense operator dim {op.matrix.shape[0]} != vector dim {dim}")
+        _check_fits(op, dim)
         X, lo = _widen(X, lo, dim), 0
         out = np.array([op.matrix @ row for row in X])
     else:
@@ -320,10 +327,8 @@ def to_dense(op: OperatorSpec, dim: int) -> np.ndarray:
         return np.diag(w, k=-1)
     if isinstance(op, Scale):
         return op.factor * to_dense(op.inner, dim)
+    _check_fits(op, dim)
     if isinstance(op, DirectSum):
-        if not op.split < dim:
-            raise DimensionMismatch(
-                f"direct-sum split {op.split} does not partition dimension {dim}")
         left = to_dense(op.left, op.split)
         right = to_dense(op.right, dim - op.split)
         out = np.zeros((dim, dim), dtype=np.result_type(left, right))
@@ -331,9 +336,6 @@ def to_dense(op: OperatorSpec, dim: int) -> np.ndarray:
         out[op.split:, op.split:] = right
         return out
     if isinstance(op, Dense):
-        if op.matrix.shape[0] != dim:
-            raise DimensionMismatch(
-                f"dense operator dim {op.matrix.shape[0]} != requested dim {dim}")
         return np.array(op.matrix)
     if isinstance(op, Identity):
         return np.eye(dim)
@@ -367,6 +369,7 @@ def power_norm_estimates(op: OperatorSpec, horizon: int, dim: int) -> tuple:
 def _live_power_norms(op: OperatorSpec, horizon: int, dim: int) -> list:
     """||T^n|| for n = 1, 2, ... up to the horizon or to the first T^n
     that is exactly zero on the truncation, which it leaves out."""
+    _check_fits(op, dim)
     norms = []
     if isinstance(op, (BackwardShift, ForwardShift)):
         if isinstance(op, BackwardShift):
@@ -400,12 +403,6 @@ def _live_power_norms(op: OperatorSpec, horizon: int, dim: int) -> list:
     else:
         raise TypeError(f"unknown operator spec {type(op).__name__}")
     return norms
-
-
-def operator_norm_estimate(op: OperatorSpec, dim: int) -> float:
-    """Exact ||T|| on the truncation (p = 2 for a dense block), the first of
-    ``power_norm_estimates``: a lower bound for the full operator norm."""
-    return power_norm_estimates(op, 1, dim)[0]
 
 
 @dataclass(frozen=True)
@@ -448,17 +445,15 @@ def screen_necessary_conditions(op: OperatorSpec, dim: int,
 
 @dataclass(frozen=True)
 class ConvexPolynomial:
-    """Coefficients (a_0, ..., a_n) with sum 1, nonnegative by default.
+    """Coefficients (a_0, ..., a_n), always nonnegative, with sum 1.
 
     Each coefficient is an int, a float or a numpy real scalar; a string or
     a boolean, which ``float`` would convert, is rejected.  Trailing zero
     coefficients are trimmed on construction so the stored degree is
-    meaningful.  ``allow_signed=True`` relaxes nonnegativity for
-    exploratory runs while keeping the unit-sum constraint.
+    meaningful.
     """
 
     coeffs: tuple
-    allow_signed: bool = False
 
     def __post_init__(self):
         cs = tuple(map(float, self.coeffs))
@@ -472,8 +467,8 @@ class ConvexPolynomial:
         while end > 1 and cs[end - 1] == 0.0:
             end -= 1
         cs = cs[:end]
-        if not self.allow_signed and min(cs) < 0:
-            raise ValueError("coefficients must be nonnegative (set allow_signed to relax)")
+        if min(cs) < 0:
+            raise ValueError("coefficients must be nonnegative")
         total = math.fsum(cs)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"coefficients must sum to 1 within 1e-12, got {total!r}")
@@ -482,10 +477,6 @@ class ConvexPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @classmethod
-    def identity(cls) -> "ConvexPolynomial":
-        return cls((1.0,))
 
     @classmethod
     def monomial(cls, degree: int) -> "ConvexPolynomial":

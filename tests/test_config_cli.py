@@ -149,11 +149,12 @@ class TestStrictParsing:
             "polys": {"kind": "explicit", "coefficients": [[1.5, -0.5]]},
             "recovery": None,
         }
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="coefficients must be nonnegative"):
             config_from_dict(data)
+        # Convex polynomials have nonnegative coefficients: no key relaxes that.
         data["allow_signed_coefficients"] = True
-        cfg = config_from_dict(data)
-        assert cfg.criterion.polys[0].coeffs == (1.5, -0.5)
+        with pytest.raises(ConfigError, match="allow_signed_coefficients"):
+            config_from_dict(data)
 
 
 def write_config(tmp_path, name, cfg_text):
@@ -355,6 +356,13 @@ def _run_invalid(tmp_path, capsys, data: dict, argv) -> str:
     return err
 
 
+class _Repeated(list):
+    """A config list of one repeated entry, with a short test id."""
+
+    def __repr__(self):
+        return f"[{self[0]!r}]*{len(self)}"
+
+
 SCALAR_RULES = [
     # (gallery entry, field, bad value, subcommand)
     ("lemma_5_1", "p", 0.5, ["screen"]),
@@ -407,6 +415,20 @@ SCALAR_RULES = [
     ("example_5_4", "horizon", 29, ["criterion", "--which", "I"]),
     ("example_5_4", "transitivity.samples_per_ball", 10 ** 15, ["transitivity"]),
     ("example_5_4", "density.target_count", 10 ** 15, ["density"]),
+    # Lists that allocate per entry: MAX_MEMBERS entries, MAX_DEGREE + 1
+    # coefficients in an explicit row.
+    ("example_5_4", "criterion.polys.degrees", _Repeated([2] * 4097),
+     ["criterion", "--which", "I"]),
+    ("example_5_4", "criterion.polys",
+     {"kind": "explicit", "coefficients": [_Repeated([1.0] * 4098)]},
+     ["criterion", "--which", "I"]),
+    ("example_5_4", "criterion.X", _Repeated([{"dim": 64, "entries": []}] * 4097),
+     ["criterion", "--which", "I"]),
+    ("example_5_4", "criterion.Y", _Repeated([{"dim": 64, "entries": []}] * 4097),
+     ["criterion", "--which", "I"]),
+    ("example_5_4", "density.targets", _Repeated([{"dim": 64, "entries": []}] * 4097),
+     ["density"]),
+    ("example_5_4", "transitivity.pairs", _Repeated([5] * 4097), ["transitivity"]),
     # At dim 1 the even-parity-zero subspace spans nothing.
     ("example_5_4", "dim", 1, ["density"]),
     ("example_5_4", "dim", 1, ["transitivity"]),

@@ -186,7 +186,7 @@ class TestBuilder:
         result = build_cyclic_vector(entry.instance, j_max=6, c=1.0)
         assert len(result.steps) == 6
         xs = xi_schedule(6, 1.0)
-        ks = result.chosen_indices
+        ks = [s.k for s in result.steps]
         assert all(a < b for a, b in zip(ks, ks[1:]))
         for step in result.steps:
             tail = math.fsum(xs[step.j:])
@@ -201,7 +201,7 @@ class TestBuilder:
         degrees = entry.notes["degrees"]
         placements = dict(entry.notes["placements"])
         starts = entry.notes["starts"]
-        chosen_degrees = [degrees[k - 1] for k in result.chosen_indices]
+        chosen_degrees = [degrees[s.k - 1] for s in result.steps]
         for earlier, later in zip(chosen_degrees, chosen_degrees[1:]):
             assert later - earlier > starts[placements[later]]
 

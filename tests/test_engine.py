@@ -397,7 +397,7 @@ def test_forward_overflow_still_raised():
 def test_overflow_fails_only_the_members_and_rows_that_reach_it():
     X = np.array([[0.0, 0.0, 1.0],    # top mass: the first shift overflows
                   [1.0, 0.0, 0.0]])   # headroom for two shifts
-    polys = [ConvexPolynomial.identity(), ConvexPolynomial.monomial(1),
+    polys = [ConvexPolynomial.monomial(0), ConvexPolynomial.monomial(1),
              ConvexPolynomial.monomial(2), ConvexPolynomial.monomial(3)]
     out, fault = operators._images(ForwardShift(), X, polys)
     assert sorted(fault) == [(1, 0), (2, 0), (3, 0), (3, 1)]
@@ -411,7 +411,7 @@ def test_non_finite_power_raises_value_error():
     with pytest.raises(ValueError, match="finite"):
         images(Scale(2.0, BackwardShift()), x, [ConvexPolynomial.monomial(2)])
     # Members below the failing degree are unaffected.
-    out = images(Scale(2.0, BackwardShift()), x, [ConvexPolynomial.identity()])
+    out = images(Scale(2.0, BackwardShift()), x, [ConvexPolynomial.monomial(0)])
     assert np.array_equal(out[0], x)
 
 
@@ -425,9 +425,10 @@ def test_numerical_overflow_carries_the_degree():
     with pytest.raises(NumericalOverflow) as info:
         apply(Scale(2.0, BackwardShift()), TruncVector(np.array([0.0, 1e308])))
     assert info.value.degree == 1
-    # A sum of finite signed terms that overflows names the member's degree.
-    P = ConvexPolynomial((-1.0, 0.0, 0.0, 2.0), allow_signed=True)
-    out, fault = operators._images(Identity(), np.array([[1e308]]), [P])
+    # A sum of finite terms that overflows names the member's degree: the
+    # unit sum is checked to 1e-12, so a convex sum can pass the float range.
+    P = ConvexPolynomial((0.5, 0.0, 0.0, 0.5 + 5e-13))
+    out, fault = operators._images(Identity(), np.array([[np.finfo(float).max]]), [P])
     assert list(fault) == [(0, 0)]
     assert isinstance(fault[0, 0], NumericalOverflow)
     assert fault[0, 0].degree == 3

@@ -1,5 +1,7 @@
 """Named instances reproduce their expected verdicts end to end."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from convexcyclic import (BallPair, ConvexPolynomial, Identity, LambdaTooSmall,
                           eval_poly, images, materialize_subspace, norm,
                           screen_necessary_conditions,
                           transitivity_search, verify_entry)
+from convexcyclic import gallery
 from convexcyclic.config import dumps_config, entry_to_config
 from convexcyclic.gallery import (REGISTRY, build_entry, entry_direct_sum,
                                   entry_example_5_2, entry_example_5_4,
@@ -136,6 +139,30 @@ class TestExample52:
 class TestExample54:
     def test_default_verifies(self):
         assert verify_entry(entry_example_5_4()) == []
+
+    def test_recovery_checks_walk_no_orbit(self, monkeypatch):
+        # Criterion I's condition 2 already holds ||x_k|| and
+        # ||P_k(T) x_k - y|| for every target and k up to the horizon.
+        def walk(*args):
+            raise AssertionError("eval_poly re-walked a recovery orbit")
+
+        monkeypatch.setattr(gallery, "eval_poly", walk)
+        assert verify_entry(build_entry("example_5_4")) == []
+
+    def test_recovery_problems_read_the_decay_table(self, monkeypatch):
+        check = gallery.check_criterion_I
+
+        def corrupted(inst, horizon, tol):
+            verdict = check(inst, horizon, tol)
+            decay = list(verdict.cond2.decay)
+            norms, errors = decay[2]
+            decay[2] = (norms[:7] + (1.0,), errors[:3] + (1e-9,) + errors[4:])
+            return dataclasses.replace(
+                verdict, cond2=dataclasses.replace(verdict.cond2, decay=tuple(decay)))
+
+        monkeypatch.setattr(gallery, "check_criterion_I", corrupted)
+        assert verify_entry(build_entry("example_5_4")) == [
+            "recovery identity off by 1.00e-09 at k=4", "recovery norm decay off at k=8"]
 
     def test_lambda_boundary_rejected(self):
         with pytest.raises(LambdaTooSmall):

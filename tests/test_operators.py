@@ -13,7 +13,6 @@ from convexcyclic import (BackwardShift, CesaroMeans, ConvexPolynomial,
                           Identity, Monomials, NumericalOverflow,
                           RandomSimplex, Scale, SimplexGrid, TruncVector,
                           TruncationOverflow, apply, eval_poly,
-                          operator_norm_estimate,
                           screen_necessary_conditions, to_dense)
 from convexcyclic.operators import TermTable, power_norm_estimates, term_table
 from oracles import dense_eval, random_triple
@@ -91,7 +90,7 @@ class TestApply:
 class TestEvalPoly:
     def test_identity_polynomial(self):
         v = TruncVector(np.array([0.2, -0.4, 1.0]))
-        out = eval_poly(ConvexPolynomial.identity(), TWO_B, v)
+        out = eval_poly(ConvexPolynomial.monomial(0), TWO_B, v)
         assert np.array_equal(out.coords, v.coords)
 
     def test_monomial_on_basis(self):
@@ -142,10 +141,6 @@ class TestConvexPolynomial:
         with pytest.raises(ValueError):
             ConvexPolynomial((1.5, -0.5))
 
-    def test_signed_mode(self):
-        P = ConvexPolynomial((1.5, -0.5), allow_signed=True)
-        assert P.degree == 1
-
     def test_trailing_zeros_trimmed(self):
         P = ConvexPolynomial((1.0, 0.0, 0.0))
         assert P.coeffs == (1.0,)
@@ -158,17 +153,13 @@ class TestConvexPolynomial:
     @pytest.mark.parametrize("coeffs,kwargs,error,message", [
         ((), {}, ValueError, "a convex polynomial needs at least one coefficient"),
         ((0.5, math.nan), {}, ValueError, "coefficients must be finite"),
-        ((math.inf, -math.inf), {"allow_signed": True}, ValueError,
-         "coefficients must be finite"),
+        ((math.inf, -math.inf), {}, ValueError, "coefficients must be finite"),
         # Finiteness is checked before signs, signs before the sum.
         ((-1.0, math.nan), {}, ValueError, "coefficients must be finite"),
-        ((1.5, -0.5), {}, ValueError,
-         "coefficients must be nonnegative (set allow_signed to relax)"),
-        ((-0.5, 0.25), {}, ValueError,
-         "coefficients must be nonnegative (set allow_signed to relax)"),
+        ((1.5, -0.5), {}, ValueError, "coefficients must be nonnegative"),
+        ((-0.5, 0.25), {}, ValueError, "coefficients must be nonnegative"),
         ((0.5, 0.4), {}, ValueError, "coefficients must sum to 1 within 1e-12, got 0.9"),
-        ((2.0, -0.5), {"allow_signed": True}, ValueError,
-         "coefficients must sum to 1 within 1e-12, got 1.5"),
+        ((2.0, -0.5), {}, ValueError, "coefficients must be nonnegative"),
         ((0.0,), {}, ValueError, "coefficients must sum to 1 within 1e-12, got 0.0"),
         (("half", 0.5), {}, ValueError, "could not convert string to float: 'half'"),
         ((None,), {}, TypeError, "float() argument must be a string or a"),
@@ -202,7 +193,7 @@ class TestCompose:
 
     def test_identity_neutral(self):
         P = ConvexPolynomial((0.25, 0.5, 0.25))
-        assert np.array_equal(composed(ConvexPolynomial.identity(), P, TWO_B, self.V).coords,
+        assert np.array_equal(composed(ConvexPolynomial.monomial(0), P, TWO_B, self.V).coords,
                               eval_poly(P, TWO_B, self.V).coords)
 
     def test_half_half_squared(self):
@@ -220,29 +211,29 @@ class TestCompose:
 
 class TestNormEstimates:
     def test_two_b(self):
-        est = operator_norm_estimate(TWO_B, 8)
+        est = power_norm_estimates(TWO_B, 1, 8)[0]
         assert est == 2.0
         oracle = float(np.linalg.norm(to_dense(TWO_B, 8), 2))
         assert math.isclose(est, oracle, rel_tol=1e-12)
 
     def test_identity(self):
-        assert operator_norm_estimate(Identity(), 8) == 1.0
+        assert power_norm_estimates(Identity(), 1, 8)[0] == 1.0
 
     def test_three_b(self):
         op = Scale(3.0, BackwardShift())
-        assert operator_norm_estimate(op, 8) == 3.0
-        assert math.isclose(operator_norm_estimate(op, 8),
+        assert power_norm_estimates(op, 1, 8)[0] == 3.0
+        assert math.isclose(power_norm_estimates(op, 1, 8)[0],
                             float(np.linalg.norm(to_dense(op, 8), 2)),
                             rel_tol=1e-12)
 
     def test_dense_two_norm(self):
         rng = np.random.default_rng(3)
         mat = rng.standard_normal((10, 10))
-        assert operator_norm_estimate(Dense(mat), 10) == float(np.linalg.norm(mat, 2))
+        assert power_norm_estimates(Dense(mat), 1, 10)[0] == float(np.linalg.norm(mat, 2))
 
     def test_weighted_shift_windows(self):
         op = BackwardShift((1.0, 0.5, 3.0, 0.25, 2.0))
-        assert operator_norm_estimate(op, 5) == 3.0
+        assert power_norm_estimates(op, 1, 5)[0] == 3.0
 
     @pytest.mark.parametrize("op, dim", [
         (ForwardShift((1, 1, 5, 1)), 4),
@@ -302,6 +293,23 @@ class TestScreen:
         with pytest.raises(NumericalOverflow) as info:
             screen_necessary_conditions(Scale(1e-200, BackwardShift(1e250)), 8, 2)
         assert info.value.degree == 2
+
+    @pytest.mark.parametrize("op, dim", [
+        (DirectSum(Identity(), Identity(), 8), 4),
+        (DirectSum(Identity(), BackwardShift(), 8), 4),
+        (Dense(np.eye(3)), 5),
+    ], ids=["direct_sum_split", "direct_sum_split_shift", "dense_size"])
+    def test_an_operator_that_does_not_fit_dim_raises(self, op, dim):
+        # The screen, the engine and the dense oracle give one message.
+        messages = set()
+        for call in (lambda: screen_necessary_conditions(op, dim, 3),
+                     lambda: power_norm_estimates(op, 3, dim),
+                     lambda: apply(op, TruncVector.zeros(dim)),
+                     lambda: to_dense(op, dim)):
+            with pytest.raises(DimensionMismatch) as info:
+                call()
+            messages.add(str(info.value))
+        assert len(messages) == 1
 
 
 class TestFamilies:

@@ -170,7 +170,7 @@ class TestProjectAndDistance:
         assert distance_to_subspace(v, m) > tol
         with pytest.raises(ValueError, match="outside the subspace"):
             CriterionInstance(op=Identity(), subspace=IndexSet((0, 2)), dim=4,
-                              X=(v,), Y=(), polys=(ConvexPolynomial.identity(),))
+                              X=(v,), Y=(), polys=(ConvexPolynomial.monomial(0),))
 
     def test_norm_of_overflowing_row_emits_no_warning(self):
         with warnings.catch_warnings():
