@@ -35,10 +35,13 @@ CONFIG_VERSION = 1
 #: vector has at most MAX_DIM coordinates; polynomial degrees and the
 #: horizon are at most MAX_DEGREE; a family, a ball's samples, a default
 #: target list and every config list of vectors, polys or pairs have at
-#: most MAX_MEMBERS members.
+#: most MAX_MEMBERS members.  A list or count that makes one vector per
+#: entry (two per transitivity pair) also holds at most MAX_COORDINATES
+#: coordinates: at dim 65,536, 64 vectors.
 MAX_DIM = 1 << 16
 MAX_DEGREE = 1 << 12
 MAX_MEMBERS = 1 << 12
+MAX_COORDINATES = 1 << 22
 
 
 def _check_keys(data: dict, allowed, context: str):
@@ -412,8 +415,9 @@ def recovery_to_dict(rule) -> Optional[dict]:
     raise ConfigError(f"cannot serialize recovery rule {type(rule).__name__}")
 
 
-def recovery_from_dict(data, context: str, vec):
-    """The recovery rule of ``data``; ``vec(obj, context)`` parses a vector."""
+def recovery_from_dict(data, context: str, vec, most: int):
+    """The recovery rule of ``data``; ``vec(obj, context)`` parses a vector,
+    of which an explicit rule lists at most ``most``."""
     if data is None:
         return None
     if not isinstance(data, dict):
@@ -430,7 +434,7 @@ def recovery_from_dict(data, context: str, vec):
         _check_keys(data, {"kind", "vectors"}, context)
         vectors = tuple(
             None if v is None else vec(v, f"{context}.vectors[{i}]")
-            for i, v in enumerate(_list(data, "vectors", context, MAX_MEMBERS)))
+            for i, v in enumerate(_list(data, "vectors", context, most)))
         return ExplicitRecovery(vectors)
     raise ConfigError(f"{context}: unknown recovery kind {kind!r}")
 
@@ -568,6 +572,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if not (label is None or isinstance(label, str)):
         raise ConfigError(f"config.label: expected a string, got {label!r}")
 
+    # The most entries of a list or count that makes one vector per entry.
+    most_vectors = min(MAX_MEMBERS, MAX_COORDINATES // dim)
+
     def _vec(obj, context):
         v = vector_from_dict(obj, context, p, complex_field)
         if v.dim != dim:
@@ -587,14 +594,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         else:
             targets = tuple(_vec(t, f"config.density.targets[{i}]")
                             for i, t in enumerate(_list(block, "targets", "config.density",
-                                                        MAX_MEMBERS)))
+                                                        most_vectors)))
             if not targets:
                 raise ConfigError("config.density.targets: expected at least one target")
         density = DensityBlock(
             candidate=candidate,
             targets=targets,
             target_count=_count(block.get("target_count", 32),
-                                "config.density.target_count", most=MAX_MEMBERS),
+                                "config.density.target_count", most=most_vectors),
             target_radius=_positive(block.get("target_radius", 1.0),
                                     "config.density.target_radius"),
         )
@@ -604,20 +611,21 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         _check_keys(block, {"X", "Y", "polys", "recovery"}, "config.criterion")
         criterion = CriterionBlock(
             X=tuple(_vec(v, f"config.criterion.X[{i}]")
-                    for i, v in enumerate(_list(block, "X", "config.criterion", MAX_MEMBERS))),
+                    for i, v in enumerate(_list(block, "X", "config.criterion", most_vectors))),
             Y=tuple(_vec(v, f"config.criterion.Y[{i}]")
-                    for i, v in enumerate(_list(block, "Y", "config.criterion", MAX_MEMBERS))),
+                    for i, v in enumerate(_list(block, "Y", "config.criterion", most_vectors))),
             polys=polys_from_dict(_req(block, "polys", "config.criterion"),
                                   "config.criterion.polys"),
             recovery=recovery_from_dict(block.get("recovery"),
-                                        "config.criterion.recovery", _vec),
+                                        "config.criterion.recovery", _vec, most_vectors),
         )
     transitivity = None
     if data.get("transitivity") is not None:
         block = data["transitivity"]
         _check_keys(block, {"pairs", "samples_per_ball"}, "config.transitivity")
         pairs = []
-        for i, pair in enumerate(_list(block, "pairs", "config.transitivity", MAX_MEMBERS)):
+        for i, pair in enumerate(_list(block, "pairs", "config.transitivity",
+                                       min(MAX_MEMBERS, MAX_COORDINATES // (2 * dim)))):
             context = f"config.transitivity.pairs[{i}]"
             _check_keys(pair, {"u_center", "v_center", "radius"}, context)
             pairs.append(BallPair(
@@ -629,7 +637,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             pairs=tuple(pairs),
             samples_per_ball=_count(block.get("samples_per_ball", 8),
                                     "config.transitivity.samples_per_ball",
-                                    most=MAX_MEMBERS),
+                                    most=most_vectors),
         )
     build = None
     if data.get("build") is not None:

@@ -33,11 +33,17 @@ window: a zero there can differ in sign from the loop's (+0.0 for the
 power where a negative weight or factor gave -0.0), which no norm,
 distance or argmax reads.
 
+A walk resolves its step once (``_stepper``): every choice that depends
+only on the op, ``dim`` and the rows' dtype (unit shift or weighted, the
+weight array, one multiply or row by row, the fit checks, a direct sum's
+halves) is made at its first step in an engine block, and again only when
+the power turns complex under a complex op.  An operator that does not
+fit ``dim`` raises there, failing every row at the first degree that acts.
+
 A step reports the rows it fails, with the error each row's single-vector
 application raises; a failed row is zeroed and fails every member of at
 least that degree.  A failing row costs no extra step: every degree is one
-block application whether rows fail or not.  A faulted image reads 0.  An
-operator that does not fit ``dim`` fails every row with its error.
+block application whether rows fail or not.  A faulted image reads 0.
 
 ``image_stream`` is the one loop over engine blocks that the diagnostics
 read: it splits large member x row products into blocks of at most
@@ -179,32 +185,25 @@ def _weight_array(weight, count: int, label: str) -> np.ndarray:
     return np.full(count, weight)
 
 
-def _mul(w, X: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``w * X``, into ``out`` if given (of the product's dtype or wider).
+def _multiplier(w, dtype: np.dtype):
+    """``(mul, out_dtype)``: ``mul(w, X)`` is ``w * X``, of ``out_dtype``,
+    for rows ``X`` of ``dtype``.
 
     Complex-by-complex products go row by row: numpy rounds them
     differently in different loops (fused multiply-add or not), and a row
     is what single-vector evaluation multiplied.  Every other product is
     rounded once, whatever the loop.
     """
-    if out is None:
-        out = np.empty(X.shape, np.result_type(w, X))
-    if np.iscomplexobj(w) and np.iscomplexobj(X):
+    out_dtype = np.result_type(w, dtype)
+    if not (np.iscomplexobj(w) and dtype.kind == "c"):
+        return np.multiply, out_dtype
+
+    def by_rows(w, X):
+        out = np.empty(X.shape, out_dtype)
         for r, row in enumerate(X):
             out[r] = w * row
-    else:
-        np.multiply(w, X, out=out)
-    return out
-
-
-def _unit(weight, X: np.ndarray) -> bool:
-    """Whether a shift with ``weight`` only moves real ``X``, unmultiplied.
-
-    1.0 * x == x bit for bit on real rows.  Complex rows keep the multiply:
-    numpy multiplies them by 1 + 0j, which can flip the sign of a zero
-    part (-0.0 - 5j becomes 0.0 - 5j).
-    """
-    return not isinstance(weight, tuple) and weight == 1.0 and not np.iscomplexobj(X)
+        return out
+    return by_rows, out_dtype
 
 
 def _widen(X: np.ndarray, lo: int, dim: int) -> np.ndarray:
@@ -228,70 +227,91 @@ def _check_fits(op: OperatorSpec, dim: int):
             f"dense operator dim {op.matrix.shape[0]} != vector dim {dim}")
 
 
-def _act_window(op: OperatorSpec, X: np.ndarray, lo: int,
-                dim: int) -> Tuple[np.ndarray, int, list]:
-    """Act with ``op`` on every row of a window: ``(out, lo, failed)``.
+def _stepper(op: OperatorSpec, dim: int, dtype: np.dtype):
+    """The step of ``op`` on windows of rows of length ``dim`` and dtype
+    ``dtype``, with every choice that depends on them made once:
+    ``(step, out_dtype)``.
 
-    ``X`` holds columns lo..lo + width - 1 of rows of length ``dim``; every
-    other column is zero, and so is every column of the image outside the
+    ``step(X, lo)`` returns ``(out, lo, failed)``.  ``X`` holds columns
+    lo..lo + width - 1 of the rows; every other column is zero, and so is
+    every column of the image ``out`` (of ``out_dtype``) outside the
     returned window.  A shift moves the window one index, and drops a
     column its action annihilates or checks for overflow; with unit weight
-    on real rows that is a view, not a copy.  Weights are read from the
-    global weight array, whose length is checked against ``dim`` however
-    narrow the window.  A direct sum or a dense matrix widens the window
-    to the full row.  Each row of the window gets exactly the arithmetic of
-    a single-vector application.  ``failed`` lists (rows, error) pairs, in
-    the order a single-vector application meets them, for the rows it
-    would have raised on; the rows of ``out`` that are not finite are left
-    to the caller, which checks them once.  An operator that does not fit
-    ``dim`` raises its error for every row.
+    on real rows that is a view, not a copy.  Weights are sliced from the
+    global weight array, read here, so its length is checked against
+    ``dim`` however narrow the window.  A direct sum or a dense matrix
+    widens the window to the full row.  Each row gets exactly the
+    arithmetic of a single-vector application.  ``failed`` lists (rows,
+    error) pairs, in the order a single-vector application meets them, for
+    the rows it would have raised on; the rows of ``out`` that are not
+    finite are left to the caller, which checks them once.  An operator
+    that does not fit ``dim`` raises its error here.
     """
-    failed = []
+    _check_fits(op, dim)
     if isinstance(op, Identity):
-        return X, lo, failed
-    if isinstance(op, BackwardShift):
-        w = None if _unit(op.weight, X) else _weight_array(op.weight, dim, "backward shift")
-        if lo == 0:
-            X, lo = X[:, 1:], 1  # e_0 is annihilated
-        out = X if w is None else _mul(w[lo: lo + X.shape[1]], X)
-        lo -= 1
-    elif isinstance(op, ForwardShift):
-        w = None if _unit(op.weight, X) else _weight_array(op.weight, dim - 1, "forward shift")
-        if X.shape[1] and lo + X.shape[1] == dim:
-            top = X[:, -1] != 0
-            if top.any():
-                failed.append((top, TruncationOverflow(
-                    f"forward shift would push mass past index {dim - 1}; "
-                    "enlarge the truncation")))
-            X = X[:, :-1]
-        out = X if w is None else _mul(w[lo: lo + X.shape[1]], X)
-        lo += 1
-    elif isinstance(op, Scale):
-        out, lo, failed = _act_window(op.inner, X, lo, dim)
-        out = _mul(op.factor, out)
-    elif isinstance(op, DirectSum):
-        _check_fits(op, dim)
-        X, lo = _widen(X, lo, dim), 0
-        left, left_failed = _act(op.left, X[:, : op.split])
-        right, right_failed = _act(op.right, X[:, op.split:])
-        out, failed = np.concatenate([left, right], axis=1), left_failed + right_failed
-    elif isinstance(op, Dense):
-        _check_fits(op, dim)
-        X, lo = _widen(X, lo, dim), 0
-        out = np.array([op.matrix @ row for row in X])
-    else:
-        raise TypeError(f"unknown operator spec {type(op).__name__}")
-    return out, lo, failed
+        return (lambda X, lo: (X, lo, [])), dtype
+    if isinstance(op, (BackwardShift, ForwardShift)):
+        back = isinstance(op, BackwardShift)
+        # 1.0 * x == x bit for bit on real rows.  Complex rows keep the
+        # multiply: numpy multiplies them by 1 + 0j, which can flip the
+        # sign of a zero part (-0.0 - 5j becomes 0.0 - 5j).
+        w = mul = None
+        if isinstance(op.weight, tuple) or op.weight != 1.0 or dtype.kind == "c":
+            w = _weight_array(op.weight, dim if back else dim - 1,
+                              "backward shift" if back else "forward shift")
+            mul, dtype = _multiplier(w, dtype)
+
+        def step(X, lo):
+            failed = []
+            if back and lo == 0:
+                X, lo = X[:, 1:], 1  # e_0 is annihilated
+            elif not back and X.shape[1] and lo + X.shape[1] == dim:
+                top = X[:, -1] != 0
+                if top.any():
+                    failed.append((top, TruncationOverflow(
+                        f"forward shift would push mass past index {dim - 1}; "
+                        "enlarge the truncation")))
+                X = X[:, :-1]
+            out = X if w is None else mul(w[lo: lo + X.shape[1]], X)
+            return out, lo - 1 if back else lo + 1, failed
+        return step, dtype
+    if isinstance(op, Scale):
+        inner, inner_dtype = _stepper(op.inner, dim, dtype)
+        mul, dtype = _multiplier(op.factor, inner_dtype)
+
+        def step(X, lo):
+            out, lo, failed = inner(X, lo)
+            return mul(op.factor, out), lo, failed
+        return step, dtype
+    if isinstance(op, DirectSum):
+        left, left_dtype = _stepper(op.left, op.split, dtype)
+        right, right_dtype = _stepper(op.right, dim - op.split, dtype)
+
+        def step(X, lo):
+            X = _widen(X, lo, dim)
+            (a, a_failed), (b, b_failed) = (_on_rows(left, X[:, : op.split]),
+                                            _on_rows(right, X[:, op.split:]))
+            return np.concatenate([a, b], axis=1), 0, a_failed + b_failed
+        return step, np.result_type(left_dtype, right_dtype)
+    if isinstance(op, Dense):
+        def step(X, lo):
+            return np.array([op.matrix @ row for row in _widen(X, lo, dim)]), 0, []
+        return step, np.result_type(op.matrix, dtype)
+    raise TypeError(f"unknown operator spec {type(op).__name__}")
+
+
+def _on_rows(step, X: np.ndarray) -> Tuple[np.ndarray, list]:
+    """A resolved ``step`` on full rows: the image widened back to them,
+    and the failed rows, with the rows that are not finite last."""
+    out, lo, failed = step(X, 0)
+    if not np.isfinite(out).all():
+        failed.append((~np.isfinite(out).all(axis=1), NumericalOverflow(1)))
+    return _widen(out, lo, X.shape[1]), failed
 
 
 def _act(op: OperatorSpec, X: np.ndarray) -> Tuple[np.ndarray, list]:
-    """``_act_window`` on full rows: the image widened back to them, and
-    the failed rows, with the rows that are not finite last."""
-    out, lo, failed = _act_window(op, X, 0, X.shape[1])
-    bad = ~np.isfinite(out).all(axis=1)
-    if bad.any():
-        failed.append((bad, NumericalOverflow(1)))
-    return _widen(out, lo, X.shape[1]), failed
+    """One application of ``op`` to the full rows ``X`` (``_on_rows``)."""
+    return _on_rows(_stepper(op, X.shape[1], X.dtype)[0], X)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -602,34 +622,38 @@ def _images(op: OperatorSpec, X: np.ndarray, polys, walk: Optional[_Walk] = None
     elif powers.size and powers[0] <= walk.degree:
         walk.restart()
     dim = X.shape[1]
-    for i in range(walk.degree + 1, top + 1):
+    power, lo, failed_at, degree = walk.power, walk.lo, walk.failed_at, walk.degree
+    step = dtype = None
+    for i in range(degree + 1, top + 1):
         # An empty window stays empty.  The first step still acts, for the
         # power's dtype and the errors the op raises.
-        if i == 1 or walk.power.shape[1]:
+        if i == 1 or power.shape[1]:
             try:
-                walk.power, walk.lo, failed = _act_window(op, walk.power, walk.lo, dim)
-                bad = ~np.isfinite(walk.power).all(axis=1)
-                if bad.any():
-                    failed.append((bad, NumericalOverflow(i)))
+                if step is None or power.dtype != dtype:  # again if the rows turn complex
+                    step, dtype = _stepper(op, dim, power.dtype)[0], power.dtype
+                power, lo, failed = step(power, lo)
+                if not np.isfinite(power).all():
+                    failed.append((~np.isfinite(power).all(axis=1), NumericalOverflow(i)))
             except (DimensionMismatch, ValueError, TypeError) as exc:
                 failed = [(np.ones(len(X), dtype=bool), exc)]
             for rows, error in failed:
                 if isinstance(error, NumericalOverflow):
                     error = NumericalOverflow(i)  # a direct sum's half counts from 1
-                for r in np.flatnonzero(rows & (walk.failed_at > i)):
-                    walk.failed_at[r], walk.errors[r] = i, error
+                for r in np.flatnonzero(rows & (failed_at > i)):
+                    failed_at[r], walk.errors[r] = i, error
             if failed:
-                walk.power = (walk.power[:, :0] if (walk.failed_at <= i).all() else
-                              np.where((walk.failed_at == i)[:, None], 0, walk.power))
-        walk.degree = i
-        if walk.power.dtype != out.dtype:
-            out = out.astype(np.result_type(out, walk.power))
-        if not walk.power.shape[1]:
-            walk.degree = top  # every later power is zero
+                power = (power[:, :0] if (failed_at <= i).all() else
+                         np.where((failed_at == i)[:, None], 0, power))
+        degree = i
+        if power.dtype != out.dtype:
+            out = out.astype(np.result_type(out, power))
+        if not power.shape[1]:
+            degree = top  # every later power is zero
             break
-        lo, hi = walk.lo, walk.lo + walk.power.shape[1]
+        hi = lo + power.shape[1]
         for s in range(bounds[i], bounds[i + 1]):
-            out[members[s], :, lo:hi] += coeffs[s] * walk.power
+            out[members[s], :, lo:hi] += coeffs[s] * power
+    walk.power, walk.lo, walk.degree = power, lo, degree
     nonfinite = ~np.isfinite(out).all(axis=2)
     faulted = nonfinite | (walk.failed_at[None, :] <= degrees[:, None])
     fault = {}

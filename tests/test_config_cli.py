@@ -429,6 +429,11 @@ SCALAR_RULES = [
     ("example_5_4", "density.targets", _Repeated([{"dim": 64, "entries": []}] * 4097),
      ["density"]),
     ("example_5_4", "transitivity.pairs", _Repeated([5] * 4097), ["transitivity"]),
+    # ... and MAX_COORDINATES coordinates: at dim 1,024, 2,048 pairs.
+    ("prop_4_8", "transitivity.pairs",
+     _Repeated([{"u_center": {"dim": 1024, "entries": []},
+                 "v_center": {"dim": 1024, "entries": []}, "radius": 1.0}] * 2049),
+     ["screen"]),
     # At dim 1 the even-parity-zero subspace spans nothing.
     ("example_5_4", "dim", 1, ["density"]),
     ("example_5_4", "dim", 1, ["transitivity"]),
@@ -443,6 +448,31 @@ def test_invalid_config_scalar_exits_2(tmp_path, capsys, entry, field, value, ar
     assert "config." + re.sub(r"\.(\d+)(?=\.|$)", r"[\1]", field) in err
     if field == "family":
         assert "config.family.seed" in err
+
+
+_EMPTY = {"dim": 1 << 16, "entries": []}
+_POLYS = {"kind": "monomials_at", "degrees": [1]}
+
+
+@pytest.mark.parametrize("block,field", [
+    ({"criterion": {"X": [_EMPTY] * 65, "Y": [], "polys": _POLYS}}, "config.criterion.X"),
+    ({"criterion": {"X": [], "Y": [_EMPTY] * 65, "polys": _POLYS}}, "config.criterion.Y"),
+    ({"criterion": {"X": [], "Y": [], "polys": _POLYS,
+                    "recovery": {"kind": "explicit", "vectors": [_EMPTY] * 65}}},
+     "config.criterion.recovery.vectors"),
+    ({"density": {"candidate": _EMPTY, "targets": [_EMPTY] * 65}}, "config.density.targets"),
+    ({"density": {"candidate": _EMPTY, "target_count": 65}}, "config.density.target_count"),
+    ({"transitivity": {"pairs": [{"u_center": _EMPTY, "v_center": _EMPTY,
+                                  "radius": 1.0}] * 33}}, "config.transitivity.pairs"),
+    ({"transitivity": {"pairs": [], "samples_per_ball": 65}},
+     "config.transitivity.samples_per_ball"),
+], ids=["X", "Y", "recovery", "targets", "target_count", "pairs", "samples_per_ball"])
+def test_vector_lists_at_the_largest_dim_hold_64_vectors(tmp_path, capsys, block, field):
+    # MAX_COORDINATES // 65,536 = 64 vectors of dim 65,536 (32 MiB), and a
+    # pair counts as two; the 65th entry is rejected before any is parsed.
+    data = {"dim": 1 << 16, "operator": {"kind": "backward_shift"}, **block}
+    err = _run_invalid(tmp_path, capsys, data, ["screen"])
+    assert re.search(f"{field}( must be <= 64|: expected at most (64|32) entries)", err), err
 
 
 @pytest.mark.parametrize("family,field", [

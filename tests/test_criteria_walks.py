@@ -132,22 +132,27 @@ def test_batched_checks_match_the_serial_loops(rows, kind, seed, complex_field):
 
 
 def _record_acts(monkeypatch) -> list:
-    """The window, as (first column, block shape), of every later
-    outermost ``_act_window`` call: one per engine step."""
+    """The window, as (first column, block shape), of every later call of
+    an outermost resolved step: one per engine step."""
     calls = []
     depth = [0]
-    act = operators._act_window
+    stepper = operators._stepper
 
-    def outermost(op, X, lo, dim):
-        if not depth[0]:
-            calls.append((lo, X.shape))
+    def outermost(op, dim, dtype):
         depth[0] += 1
         try:
-            return act(op, X, lo, dim)
+            step, out_dtype = stepper(op, dim, dtype)
         finally:
             depth[0] -= 1
+        if depth[0]:
+            return step, out_dtype
 
-    monkeypatch.setattr(operators, "_act_window", outermost)
+        def counting(X, lo):
+            calls.append((lo, X.shape))
+            return step(X, lo)
+        return counting, out_dtype
+
+    monkeypatch.setattr(operators, "_stepper", outermost)
     return calls
 
 

@@ -149,23 +149,31 @@ def test_short_per_index_weights_raise_inside_their_range(shift, need):
         apply(shift, x)
 
 
-def _record_acts(monkeypatch) -> list:
-    """The window, as (first column, block shape), of every later
-    outermost ``_act_window`` call: one per engine step."""
+def _record_acts(monkeypatch, resolved=None) -> list:
+    """The window, as (first column, block shape), of every later call of
+    an outermost resolved step: one per engine step.  ``resolved``, if
+    given, gets the row dtype of every outermost resolution."""
     calls = []
     depth = [0]
-    act = operators._act_window
+    stepper = operators._stepper
 
-    def counting(op, X, lo, dim):
-        if not depth[0]:
-            calls.append((lo, X.shape))
+    def outermost(op, dim, dtype):
         depth[0] += 1
         try:
-            return act(op, X, lo, dim)
+            step, out_dtype = stepper(op, dim, dtype)
         finally:
             depth[0] -= 1
+        if depth[0]:
+            return step, out_dtype
+        if resolved is not None:
+            resolved.append(dtype)
 
-    monkeypatch.setattr(operators, "_act_window", counting)
+        def counting(X, lo):
+            calls.append((lo, X.shape))
+            return step(X, lo)
+        return counting, out_dtype
+
+    monkeypatch.setattr(operators, "_stepper", outermost)
     return calls
 
 
@@ -449,3 +457,67 @@ def test_unit_weight_shifts_keep_the_loop_bits(shift):
         got, _ = operators._act(shift, X)
         for r in range(len(X)):
             assert got[r].tobytes() == loop_apply(shift, X[r]).tobytes()
+
+
+def test_weights_are_resolved_once_per_walk(monkeypatch):
+    # A walk reads the per-index weights of dim 8,192 once, not once per
+    # degree, and its images keep the loop's bits.
+    rng = np.random.default_rng(2)
+    dim = 8192
+    op = BackwardShift(tuple(rng.uniform(0.9, 1.1, dim)))
+    x = np.zeros((1, dim))
+    x[0, 7000:] = rng.uniform(0.5, 1.5, dim - 7000)
+    reads = []
+    weight_array = operators._weight_array
+
+    def counting(weight, count, label):
+        reads.append(count)
+        return weight_array(weight, count, label)
+
+    monkeypatch.setattr(operators, "_weight_array", counting)
+    got = images(op, x, Monomials(200))
+    assert reads == [dim]
+    members = Monomials(200).members()
+    for j in (0, 1, 2, 100, 200):
+        assert got[j, 0].tobytes() == loop_images(op, x[0], [members[j]])[0].tobytes()
+
+
+@pytest.mark.parametrize("op", [
+    BackwardShift(2j),
+    Scale(1j, ForwardShift(tuple(np.linspace(-2.0, 2.0, 11) + 0.05))),
+    DirectSum(Scale(1j, BackwardShift()), Identity(), split=5),
+], ids=["backward", "scaled_forward", "direct_sum"])
+def test_real_rows_through_a_complex_operator(op, monkeypatch):
+    # The first step turns the real rows complex; the walk then resolves
+    # the step again for complex rows (a unit shift multiplies them by
+    # 1 + 0j) and still takes one step per degree.  The rows are
+    # nonnegative, so no zero outside the window differs in sign from the
+    # loop's (see the operators module).
+    rng = np.random.default_rng(13)
+    X = abs(_windowed_rows(rng, 12, [(3, 9), (5, 7), (0, 0)], False))
+    members = Monomials(6).members() + CesaroMeans(4).members()
+    resolved = []
+    calls = _record_acts(monkeypatch, resolved)
+    out, fault = operators._images(op, X, members)
+    assert resolved == [np.dtype(float), np.dtype(complex)]
+    assert len(calls) == 6
+    for r, x in enumerate(X):
+        for j, P in enumerate(members):
+            try:
+                want = loop_images(op, x, [P])[0]
+            except TruncationOverflow:
+                assert isinstance(fault.get((j, r)), TruncationOverflow)
+                continue
+            assert (j, r) not in fault
+            # A degree-0 member stays real in the loop.
+            assert out[j, r].tobytes() == want.astype(out.dtype).tobytes()
+    # The running power of a walk to each degree keeps the loop's bits in
+    # its window, zero signs included: no accumulator absorbs them here.
+    loop = list(X)
+    for degree in range(1, 7):
+        walk = operators._Walk(X)
+        operators._images(op, X, Monomials(degree), walk)
+        lo, hi = walk.lo, walk.lo + walk.power.shape[1]
+        for r in np.flatnonzero(walk.failed_at > degree):
+            loop[r] = loop_apply(op, loop[r])
+            assert walk.power[r].tobytes() == loop[r][lo:hi].tobytes()
