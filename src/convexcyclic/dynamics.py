@@ -289,7 +289,8 @@ def transitivity_search(op: OperatorSpec, m: BasisIndexSet,
     the U-ball and inside the subspace (relatively open sets of the
     subspace contain only subspace points).  The first (family member,
     sample) hit in enumeration order wins, and the witness's invariance
-    residual over the whole subspace is recorded alongside.  ``found ==
+    residual over the whole subspace is recorded alongside, computed once
+    per witness in a search.  ``found ==
     False`` means no witness in this family at this sampling resolution:
     evidence of non-transitivity, not proof.
     """
@@ -303,6 +304,7 @@ def transitivity_search(op: OperatorSpec, m: BasisIndexSet,
 
     table = term_table(family)
     mask = m.mask()
+    residuals = {}  # each witness's invariance residual, from its first hit
 
     def search_one(p_idx: int) -> PairResult:
         pair = pairs[p_idx]
@@ -325,9 +327,10 @@ def transitivity_search(op: OperatorSpec, m: BasisIndexSet,
                     if np.isnan(dists[events[0]]):  # an overflow: raise row_distance's error
                         row_distance(W[inside[events[0]]], p, pair.u_center)
                     j = j0 + int(inside[events[0]]) // out.shape[1]
-                    residual = invariance_check(table.member(j), op, m,
-                                                membership_rtol=membership_rtol).max_residual
-                    return PairResult(True, table.member(j), j, residual)
+                    if j not in residuals:
+                        residuals[j] = invariance_check(
+                            table.member(j), op, m, membership_rtol=membership_rtol).max_residual
+                    return PairResult(True, table.member(j), j, residuals[j])
             if fault:
                 raise next(iter(fault.values()))
         return PairResult(False, None, None, 0.0)

@@ -13,8 +13,8 @@ in O(D); any other family, or a plain polynomial sequence, is read through
 its members once per diagnostic call, and a ``ConvexPolynomial`` is built
 again only for a witness or a payload.  The engine walks the degrees once
 in ascending order with a single running power block T^i X, adding
-a_i T^i X into each member's accumulator where a_i is nonzero: one block
-application per degree, no stored power table.  The arithmetic is the
+a_i T^i X into each member's accumulator where a_i is nonzero: at most
+one block application per degree, no stored power table.  The arithmetic is the
 elementwise axpy of the single-vector recurrence, so each image is bit for
 bit what a per-member ascending-degree loop gives, up to the sign of a
 zero (below).
@@ -40,6 +40,18 @@ halves) is made at its first step in an engine block, and again only when
 the power turns complex under a complex op.  An operator that does not
 fit ``dim`` raises there, failing every row at the first degree that acts.
 
+A walk of T = +-2^e S on real rows does not step every degree: for
+scales around a shift with a scalar weight, where every factor and the
+weight is each a real +-2^k with k >= 0 (``_dyadic_shift``), T^n X is
+(-1)^n 2^(n e) S^n X bit for bit while it is finite, since no factor
+rounds.  Such a walk jumps from its power straight to the next degree that
+carries a term: the power there is a column slice of the window, scaled
+by ``np.ldexp``.  A jump stops where the window's largest entry would
+leave the float range (its frexp exponent + n e <= 1024) or a forward
+window would reach past the top index, and the walk steps from there; so
+every overflow, truncation failure and error still comes from a step.
+Any other op, and complex rows, step every degree.
+
 A step reports the rows it fails, with the error each row's single-vector
 application raises; a failed row is zeroed and fails every member of at
 least that degree.  A failing row costs no extra step: every degree is one
@@ -49,7 +61,8 @@ block application whether rows fail or not.  A faulted image reads 0.
 read: it splits large member x row products into blocks of at most
 BLOCK_BYTES, carries each row slice's walk from one member block to the
 next wherever the next block's terms all lie above the degree reached (so
-``Monomials(D)`` costs at most D block applications per slice), and
+``Monomials(D)`` costs at most D steps or jumps per slice, and a walk
+under +-2^e S one jump per degree that carries a term), and
 yields each block once, with its member and row offsets and the errors
 its images' single-vector evaluations would raise.  ``TruncVector`` wraps
 results only at the public boundary (``apply``, ``eval_poly``); ``apply``
@@ -58,6 +71,7 @@ acts on the full row through the same windowed step and widens it back.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from itertools import repeat, zip_longest
@@ -589,6 +603,59 @@ class _Walk:
         self.errors = [None] * len(self.X)
 
 
+#: The largest frexp exponent of a finite float64: m * 2**e with 0.5 <= m < 1.
+_MAX_EXPONENT = 1024
+
+
+def _dyadic_shift(op: OperatorSpec):
+    """``(back, negate, e)`` when ``op`` is -2^e S (``negate``) or 2^e S
+    for a backward (``back``) or forward shift S: scales around a shift
+    with a scalar weight, where every factor and the weight is each a real
+    +-2^k with k >= 0.  On real rows T^n X is then (-1)^n 2^(n e) S^n X
+    bit for bit while it is finite: no factor rounds.  None for any other
+    op, also for 2 * (0.5 * S), whose 0.5 can round a subnormal."""
+    factors = []
+    while isinstance(op, Scale):
+        factors.append(op.factor)
+        op = op.inner
+    if not isinstance(op, (BackwardShift, ForwardShift)) or isinstance(op.weight, tuple):
+        return None
+    negate, e = False, 0
+    for f in factors + [op.weight]:
+        if isinstance(f, complex):
+            return None
+        mantissa, k = math.frexp(abs(f))
+        if mantissa != 0.5 or k < 1:
+            return None
+        negate, e = negate != (f < 0), e + k - 1
+    return isinstance(op, BackwardShift), negate, e
+
+
+def _peak_exponent(power: np.ndarray) -> int:
+    """The frexp exponent of the largest |entry| of the real block
+    ``power``, read from its max and min; past _MAX_EXPONENT if an entry
+    is not finite."""
+    peak = max(power.max(), -power.min())
+    return math.frexp(peak)[1] if math.isfinite(peak) else _MAX_EXPONENT + 1
+
+
+def _dyadic_power(power: np.ndarray, lo: int, n: int, dyadic) -> Tuple[np.ndarray, int]:
+    """T^n of the window ``power`` at column ``lo`` in closed form, for a
+    ``_dyadic_shift`` op: a column slice, scaled by ``np.ldexp`` and
+    negated, with the window's new first column.  The caller keeps every
+    entry finite and a forward window below the top index."""
+    back, negate, e = dyadic
+    if back:  # columns below n - lo reach index 0 and are annihilated
+        power, lo = power[:, max(0, n - lo):], max(0, lo - n)
+    else:
+        lo += n
+    if e:
+        power = np.ldexp(power, n * e)
+    if negate and n % 2:
+        power = np.negative(power, out=power if e else None)
+    return power, lo
+
+
 # Overflow is detected and reported as NumericalOverflow; numpy's warnings
 # would only repeat it (here and in ``apply``).
 @np.errstate(over="ignore", invalid="ignore")
@@ -616,7 +683,7 @@ def _images(op: OperatorSpec, X: np.ndarray, polys, walk: Optional[_Walk] = None
     powers = table.powers[order]
     members = np.repeat(np.arange(len(table)), np.diff(table.ptr))[order].tolist()
     coeffs = table.coeffs[order].tolist()
-    bounds = np.searchsorted(powers, np.arange(top + 2)).tolist()
+    bounds = np.searchsorted(powers, np.arange(top + 2))
     if walk is None:
         walk = _Walk(X)
     elif powers.size and powers[0] <= walk.degree:
@@ -624,34 +691,58 @@ def _images(op: OperatorSpec, X: np.ndarray, polys, walk: Optional[_Walk] = None
     dim = X.shape[1]
     power, lo, failed_at, degree = walk.power, walk.lo, walk.failed_at, walk.degree
     step = dtype = None
-    for i in range(degree + 1, top + 1):
-        # An empty window stays empty.  The first step still acts, for the
-        # power's dtype and the errors the op raises.
-        if i == 1 or power.shape[1]:
-            try:
-                if step is None or power.dtype != dtype:  # again if the rows turn complex
-                    step, dtype = _stepper(op, dim, power.dtype)[0], power.dtype
-                power, lo, failed = step(power, lo)
-                if not np.isfinite(power).all():
-                    failed.append((~np.isfinite(power).all(axis=1), NumericalOverflow(i)))
-            except (DimensionMismatch, ValueError, TypeError) as exc:
-                failed = [(np.ones(len(X), dtype=bool), exc)]
-            for rows, error in failed:
-                if isinstance(error, NumericalOverflow):
-                    error = NumericalOverflow(i)  # a direct sum's half counts from 1
-                for r in np.flatnonzero(rows & (failed_at > i)):
-                    failed_at[r], walk.errors[r] = i, error
-            if failed:
-                power = (power[:, :0] if (failed_at <= i).all() else
-                         np.where((failed_at == i)[:, None], 0, power))
-        degree = i
+    dyadic = _dyadic_shift(op)
+    back, _, e = dyadic or (None, None, 0)
+    # Where a closed-form jump stops: every degree carrying a term, and the top.
+    stops = np.flatnonzero(np.diff(bounds)).tolist() + [top]
+    bounds = bounds.tolist()
+    exponent = None  # bounds the frexp exponent of the power's largest |entry|
+    while degree < top:
+        n = 0
+        if dyadic and power.shape[1] and power.dtype == np.float64:
+            n = stops[bisect.bisect_right(stops, degree)] - degree
+            if not back:  # no mass reaches the top index on the way
+                n = min(n, dim - lo - power.shape[1])
+            if exponent is None or exponent + n * e > _MAX_EXPONENT:
+                exponent = _peak_exponent(power)
+            if exponent > _MAX_EXPONENT:
+                n = 0
+            elif e:
+                n = min(n, (_MAX_EXPONENT - exponent) // e)
+        if n > 0:
+            power, lo = _dyadic_power(power, lo, n, dyadic)
+            degree += n
+            exponent += n * e
+        else:
+            exponent = None
+            i = degree + 1
+            # An empty window stays empty.  The first step still acts, for
+            # the power's dtype and the errors the op raises.
+            if i == 1 or power.shape[1]:
+                try:
+                    if step is None or power.dtype != dtype:  # again if the rows turn complex
+                        step, dtype = _stepper(op, dim, power.dtype)[0], power.dtype
+                    power, lo, failed = step(power, lo)
+                    if not np.isfinite(power).all():
+                        failed.append((~np.isfinite(power).all(axis=1), NumericalOverflow(i)))
+                except (DimensionMismatch, ValueError, TypeError) as exc:
+                    failed = [(np.ones(len(X), dtype=bool), exc)]
+                for rows, error in failed:
+                    if isinstance(error, NumericalOverflow):
+                        error = NumericalOverflow(i)  # a direct sum's half counts from 1
+                    for r in np.flatnonzero(rows & (failed_at > i)):
+                        failed_at[r], walk.errors[r] = i, error
+                if failed:
+                    power = (power[:, :0] if (failed_at <= i).all() else
+                             np.where((failed_at == i)[:, None], 0, power))
+            degree = i
         if power.dtype != out.dtype:
             out = out.astype(np.result_type(out, power))
         if not power.shape[1]:
             degree = top  # every later power is zero
             break
         hi = lo + power.shape[1]
-        for s in range(bounds[i], bounds[i + 1]):
+        for s in range(bounds[degree], bounds[degree + 1]):
             out[members[s], :, lo:hi] += coeffs[s] * power
     walk.power, walk.lo, walk.degree = power, lo, degree
     nonfinite = ~np.isfinite(out).all(axis=2)
@@ -668,10 +759,10 @@ def images(op: OperatorSpec, X: np.ndarray, polys) -> np.ndarray:
     """P(T) X for every P in ``polys``: an array (len(polys), batch, dim).
 
     ``X`` is a raw float64 or complex128 block with one row per vector, and
-    ``polys`` a polynomial sequence, a family or a term table.  One block
-    application per degree up to the largest member degree, or until the
-    live window is empty; raises the error the first failing (member, row)
-    evaluation raises.
+    ``polys`` a polynomial sequence, a family or a term table.  At most one
+    block application per degree up to the largest member degree, or until
+    the live window is empty (one jump per term degree under +-2^e S);
+    raises the error the first failing (member, row) evaluation raises.
     """
     out, fault = _images(op, X, polys)
     if fault:
@@ -696,9 +787,10 @@ def image_stream(op: OperatorSpec, X: np.ndarray, polys):
     Each row slice has one walk, carried from one member block to the
     next: a block whose terms of positive degree all lie above the degree
     reached so far resumes from the running power there (every later
-    ``Monomials`` block does, so ``Monomials(D)`` costs at most D block
-    applications per slice in any number of blocks); any other block walks
-    again from the slice's rows.
+    ``Monomials`` block does, so ``Monomials(D)`` costs at most D steps or
+    jumps per slice in any number of blocks, and a walk under +-2^e S one
+    jump per degree that carries a term); any other block walks again from
+    the slice's rows.
     """
     table = term_table(polys)
     batch, dim = X.shape

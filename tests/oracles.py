@@ -109,6 +109,23 @@ def backward_windows(X, degree):
     return windows
 
 
+def backward_jumps(X, degrees):
+    """The closed-form walk of X under +-2^e B through ``degrees``
+    (ascending, each within the float range): one jump to each degree, as
+    (degrees jumped, first column, block shape) of the window it lands on,
+    up to the first empty window."""
+    cols = np.flatnonzero((X != 0).any(axis=0))
+    lo, hi = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
+    jumps, last = [], 0
+    for d in degrees:
+        a, b = max(lo - d, 0), max(hi - d, 0)
+        jumps.append((d - last, a, (len(X), b - a)))
+        if a == b:
+            break
+        last = d
+    return jumps
+
+
 def random_convex_poly(rng, max_degree=6):
     degree = int(rng.integers(0, max_degree + 1))
     coeffs = rng.dirichlet(np.ones(degree + 1))

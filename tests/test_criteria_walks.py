@@ -20,7 +20,7 @@ from convexcyclic import (BackwardShift, BallPair, CesaroMeans,
                           materialize_subspace, operators,
                           transitivity_search)
 from convexcyclic.gallery import entry_lemma_5_1, entry_prop_4_8
-from oracles import (OPERATOR_KINDS, backward_windows, random_convex_poly,
+from oracles import (OPERATOR_KINDS, backward_jumps, random_convex_poly,
                      random_operator, serial_build, serial_criterion_I,
                      serial_criterion_II, serial_density, serial_transitivity)
 
@@ -159,21 +159,40 @@ def _record_acts(monkeypatch) -> list:
 def test_criterion_II_walks_X_once_and_the_recovery_vectors_once(monkeypatch):
     # lemma_5_1's polys have degrees 15, 56, 97 and 212; the per-vector
     # loops cost 2 * 12 * 212 (X) + 4 * 380 (recovery) = 6,608 applications.
-    # Each of the two walks steps once per degree over its live window: the
-    # X window [19, 110) is empty after degree 110, the recovery window
-    # lasts to degree 212.
+    # Under 2B each of the two walks jumps in closed form to each of the
+    # four degrees over its live window, and steps nowhere: the X window
+    # [19, 110) is empty at degree 212, the recovery window is not.
     entry = entry_lemma_5_1()
     inst = entry.instance
     calls = _record_acts(monkeypatch)
+    jumps = _record_jumps(monkeypatch)
     verdict = check_criterion_II(inst, entry.horizon, entry.tol)
     assert verdict.all_passed
     X = np.array([x.coords for x in inst.X])
     recovery = np.array([inst.recovery_vector(y, k).coords
                          for k in range(1, 5) for y in range(len(inst.Y))])
     assert X.shape == (12, 512) and recovery.shape == (16, 512)
-    assert calls == backward_windows(X, 212) + backward_windows(recovery, 212)
-    assert len(calls) == 110 + 212
-    assert all(width < 512 for _, (_, width) in calls)
+    degrees = [P.degree for P in inst.polys]
+    assert degrees == [15, 56, 97, 212]
+    assert calls == []
+    assert jumps == backward_jumps(X, degrees) + backward_jumps(recovery, degrees)
+    assert len(jumps) == 8 and jumps[3] == (115, 0, (12, 0))
+    assert all(shape[1] < 512 for _, _, shape in jumps)
+
+
+def _record_jumps(monkeypatch) -> list:
+    """Every later closed-form jump, as (degrees jumped, first column,
+    block shape) of the window it lands on."""
+    jumps = []
+    jump = operators._dyadic_power
+
+    def recording(power, lo, n, dyadic):
+        power, lo = jump(power, lo, n, dyadic)
+        jumps.append((n, lo, power.shape))
+        return power, lo
+
+    monkeypatch.setattr(operators, "_dyadic_power", recording)
+    return jumps
 
 
 def test_rows_walked_past_their_degree_overflow_without_warnings():
@@ -257,30 +276,37 @@ def test_block_diagnostics_match_the_image_loops(rows, kind, seed, complex_field
 def test_a_search_past_one_block_of_samples_matches_the_image_loop(monkeypatch):
     # prop_4_8's first cross-gap pair finds nothing.  At dim 1024 a block
     # holds 128 rows, so 300 samples walk in slices of 128, 128 and 44,
-    # each carried through Monomials(8): 3 x 8 block applications.
+    # each carried through Monomials(8): 3 x 8 closed-form jumps of one
+    # degree under 2B, and no step.
     entry = entry_prop_4_8()
     m = materialize_subspace(entry.subspace, entry.dim)
     args = (entry.op, m, entry.pairs[:1], entry.family, 300, 5)
     assert operators.block_rows(entry.dim) == 128
     want = serial_transitivity(*args)
     calls = _record_acts(monkeypatch)
+    jumps = _record_jumps(monkeypatch)
     got = transitivity_search(*args)
     assert not got.per_pair[0].found
     assert repr(got) == repr(want)
-    assert sorted(shape[0] for _, shape in calls) == [44] * 8 + [128] * 16
+    assert calls == []
+    assert sorted(shape[0] for _, _, shape in jumps) == [44] * 8 + [128] * 16
+    assert {n for n, _, _ in jumps} == {1}
 
 
 def test_a_builder_candidate_is_scored_in_one_walk(monkeypatch):
     # Step 2 of lemma_5_1's builder: the candidate xc and the step-1
-    # summand x_1 walk together through P and P_{k_1}, one step per degree
-    # of P over their live window.  A second walk of xc through P_{k_1}
-    # would repeat the steps up to P_{k_1}'s degree.
+    # summand x_1 walk together through P_{k_1} and P, in closed form under
+    # 2B: one jump to each degree over their live window.  A second walk of
+    # xc through P_{k_1} would repeat the jump to P_{k_1}'s degree.
     inst = entry_lemma_5_1().instance
     steps = build_cyclic_vector(inst, 2).steps
     k1, k2 = steps[0].k, steps[1].k
     xc, x1 = inst.recovery_vector(1, k2), inst.recovery_vector(0, k1)
     calls = _record_acts(monkeypatch)
+    jumps = _record_jumps(monkeypatch)
     bound = criteria._four_term_bound(inst, xc, inst.Y[1], inst.poly(k2), [k1], [x1])
     assert bound == steps[1].four_term_bound
     assert inst.poly(k1).degree < inst.poly(k2).degree
-    assert calls == backward_windows(np.array([xc.coords, x1.coords]), inst.poly(k2).degree)
+    assert calls == []
+    assert jumps == backward_jumps(np.array([xc.coords, x1.coords]),
+                                   [inst.poly(k1).degree, inst.poly(k2).degree])

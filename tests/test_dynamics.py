@@ -17,9 +17,10 @@ from convexcyclic import (BackwardShift, BallPair, BasisIndexSet,
                           distance_to_subspace, eval_poly, images,
                           invariance_check, materialize_subspace, norm,
                           operators, sample_ball, transitivity_search)
+from convexcyclic import dynamics
 from convexcyclic.dynamics import BallCenterOutsideSubspace, invariance_checks
 from convexcyclic.gallery import entry_example_5_4
-from oracles import dense_eval
+from oracles import dense_eval, serial_transitivity
 
 TWO_B = Scale(2.0, BackwardShift())
 
@@ -296,6 +297,26 @@ class TestTransitivity:
         density = density_score(entry.op, result.x, m, entry.family,
                                 list(entry.instance.Y), entry.epsilon)
         assert density.verdict == Verdict.DENSE_AT_SCALE
+
+    def test_each_witness_residual_is_computed_once_per_search(self):
+        # example_5_4's three pairs all hit at member 8: one invariance
+        # check of T^8 serves all three, with the serial loop's report.
+        entry = entry_example_5_4()
+        m = materialize_subspace(entry.subspace, entry.dim)
+        args = (entry.op, m, list(entry.pairs), entry.family,
+                entry.samples_per_ball, entry.seed)
+        checked = []
+        check = dynamics.invariance_check
+
+        def counting(P, *rest, **kwargs):
+            checked.append(P.degree)
+            return check(P, *rest, **kwargs)
+
+        with mock.patch.object(dynamics, "invariance_check", counting):
+            report = transitivity_search(*args)
+        assert [r.witness_index for r in report.per_pair] == [8, 8, 8]
+        assert checked == [8]
+        assert repr(report) == repr(serial_transitivity(*args))
 
 
 # ---------------------------------------------------------------------------

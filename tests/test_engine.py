@@ -11,7 +11,7 @@ from convexcyclic import (BackwardShift, CesaroMeans, ConvexPolynomial,
                           NumericalOverflow, RandomSimplex, Scale, SimplexGrid,
                           TruncationOverflow, TruncVector, apply, eval_poly,
                           images, operators)
-from oracles import (OPERATOR_KINDS, backward_windows, dense_eval,
+from oracles import (OPERATOR_KINDS, backward_jumps, backward_windows, dense_eval,
                      dense_poly_matrix, loop_apply, loop_images, random_operator,
                      random_vector)
 
@@ -181,13 +181,14 @@ def _record_acts(monkeypatch, resolved=None) -> list:
 def test_monomials_cost_one_block_application_per_degree(degree, monkeypatch):
     # The window [100, 128) moves down one column a degree; from degree 100
     # on it loses column 0 each time, and it is empty after degree 128.
+    # Weight 3 is no power of two, so the walk steps every degree.
     calls = _record_acts(monkeypatch)
     x = np.zeros((1, 128))
     x[0, 100:] = 1.0
-    got = images(BackwardShift(2.0), x, Monomials(degree).members())
+    got = images(BackwardShift(3.0), x, Monomials(degree).members())
     assert calls == backward_windows(x, degree)
     assert len(calls) == min(degree, 128)
-    for j, want in enumerate(loop_images(BackwardShift(2.0), x[0],
+    for j, want in enumerate(loop_images(BackwardShift(3.0), x[0],
                                          Monomials(degree).members())):
         assert np.array_equal(got[j, 0], want)
 
@@ -200,6 +201,21 @@ def test_an_all_zero_block_costs_one_application(monkeypatch):
     assert calls == backward_windows(np.zeros((2, 8)), 5) == [(0, (2, 0))]
     assert got.dtype == np.complex128 and not got[1:].any()
     assert np.array_equal(got[0], np.zeros((2, 8)))
+
+
+def _record_jumps(monkeypatch) -> list:
+    """Every later closed-form jump, as (degrees jumped, first column,
+    block shape) of the window it lands on."""
+    jumps = []
+    jump = operators._dyadic_power
+
+    def recording(power, lo, n, dyadic):
+        power, lo = jump(power, lo, n, dyadic)
+        jumps.append((n, lo, power.shape))
+        return power, lo
+
+    monkeypatch.setattr(operators, "_dyadic_power", recording)
+    return jumps
 
 
 def _record_blocks(mp) -> list:
@@ -225,12 +241,12 @@ def _flat(stream):
 def test_monomials_cost_one_block_application_per_degree_across_blocks(monkeypatch):
     # At dim 2048 one block holds 64 members: Monomials(400) comes in 7
     # blocks, and each resumes where the previous one stopped, window and
-    # all.
+    # all.  Weight 1.5 is no power of two, so the walk steps every degree.
     calls = _record_acts(monkeypatch)
     blocks = _record_blocks(monkeypatch)
     x = np.zeros((1, 2048))
     x[0, 1600:] = 1.0
-    stream = list(_flat(operators.image_stream(BackwardShift(2.0), x, Monomials(400))))
+    stream = list(_flat(operators.image_stream(BackwardShift(1.5), x, Monomials(400))))
     assert [(j, r) for j, r, _, _ in stream] == [(j, 0) for j in range(401)]
     assert blocks == [64] * 6 + [17]
     assert calls == backward_windows(x, 400)
@@ -240,16 +256,18 @@ def test_monomials_cost_one_block_application_per_degree_across_blocks(monkeypat
 def test_the_walk_stops_when_the_window_empties(monkeypatch):
     # Rows e_2 and e_5 leave a window [2, 6) that is empty after degree 6;
     # the later blocks of Monomials(40) resume the empty walk and apply
-    # nothing.
+    # nothing.  -2B walks in closed form, one jump to each degree.
     calls = _record_acts(monkeypatch)
+    jumps = _record_jumps(monkeypatch)
     X = np.zeros((2, 64))
     X[0, 2], X[1, 5] = 1.0, -3.0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operators, "BLOCK_BYTES", 16 * 64 * 2 * 4)
         stream = list(_flat(operators.image_stream(Scale(-2.0, BackwardShift()), X,
                                                    Monomials(40))))
-    assert calls == backward_windows(X, 40)
-    assert len(calls) == 6
+    assert calls == []
+    assert jumps == backward_jumps(X, range(1, 41))
+    assert len(jumps) == 6 and jumps[-1] == (1, 0, (2, 0))
     want = [loop_images(Scale(-2.0, BackwardShift()), x, Monomials(40).members())
             for x in X]
     assert all(np.array_equal(w, want[r][j]) for j, r, w, _ in stream)
@@ -258,7 +276,8 @@ def test_the_walk_stops_when_the_window_empties(monkeypatch):
 def test_each_row_slice_carries_one_walk(monkeypatch):
     # At dim 512 a block holds 256 rows, so 600 rows stream in slices of
     # 256, 256 and 88, one member per block.  Each slice walks once through
-    # Monomials(100), window and all: 3 x 100 block applications.
+    # Monomials(100), window and all: 3 x 100 closed-form jumps of one
+    # degree, where a walk started again would jump from degree 0.
     rng = np.random.default_rng(11)
     X = np.zeros((600, 512))
     for r0, (lo, hi) in zip((0, 256, 512), ((40, 300), (150, 512), (100, 201))):
@@ -267,36 +286,41 @@ def test_each_row_slice_carries_one_walk(monkeypatch):
     op, family = Scale(2.0, BackwardShift()), Monomials(100)
     want, want_faults = operators._images(op, X, family)
     calls = _record_acts(monkeypatch)
+    jumps = _record_jumps(monkeypatch)
     windows = {0: [], 256: [], 512: []}
     faults = {}
     for j0, r0, out, fault in operators.image_stream(op, X, family):
-        windows[r0] += calls[sum(map(len, windows.values())):]
+        windows[r0] += jumps[sum(map(len, windows.values())):]
         assert out.shape[0] == 1
         # Zeros outside a slice's window may differ in sign from the
         # whole block's (see the operators module).
         assert np.array_equal(out[0], want[j0, r0: r0 + out.shape[1]])
         faults.update(((j0 + j, r0 + r), e) for (j, r), e in fault.items())
-    assert len(calls) == 300
+    assert calls == [] and len(jumps) == 300
     for r0, got in windows.items():
-        assert got == backward_windows(X[r0: r0 + 256], 100)
+        assert got == backward_jumps(X[r0: r0 + 256], range(1, 101))
     assert faults == want_faults == {}
 
 
 def test_a_failing_row_costs_no_extra_step(monkeypatch):
-    # One entry of 1e300 in row 300 overflows under 2B at degree 28, so
-    # the row fails members 28..100; its slice still takes one block
-    # application per degree, and every faulted image reads 0.
+    # One entry of 1e300 (frexp exponent 997) in row 300 overflows under
+    # 2B at degree 28, so the row fails members 28..100.  Its slice jumps
+    # in closed form to degree 27, the bound, steps once to degree 28 and
+    # jumps on: every slice still takes one block operation per degree,
+    # and every faulted image reads 0.
     rng = np.random.default_rng(5)
     X = rng.standard_normal((600, 512))
     X[300, 400] = 1e300
     calls = _record_acts(monkeypatch)
+    jumps = _record_jumps(monkeypatch)
     faults = {}
     for j0, r0, out, fault in operators.image_stream(Scale(2.0, BackwardShift()), X,
                                                      Monomials(100)):
         for (j, r), e in fault.items():
             assert not out[j, r].any()
             faults[j0 + j, r0 + r] = e
-    assert len(calls) == 300
+    assert calls == [(0, (256, 512 - 27))]
+    assert len(jumps) == 299 and {n for n, _, _ in jumps} == {1}
     assert sorted(faults) == [(j, 300) for j in range(28, 101)]
     assert all(type(e) is NumericalOverflow and e.degree == 28 for e in faults.values())
 
@@ -521,3 +545,150 @@ def test_real_rows_through_a_complex_operator(op, monkeypatch):
         for r in np.flatnonzero(walk.failed_at > degree):
             loop[r] = loop_apply(op, loop[r])
             assert walk.power[r].tobytes() == loop[r][lo:hi].tobytes()
+
+
+def _streamed(op, X, members, rows):
+    """Every image of ``image_stream`` at a bound of ``rows`` rows (the
+    default bound for None), as one array, and its faults described."""
+    block = operators.BLOCK_BYTES if rows is None else 16 * X.shape[1] * rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "BLOCK_BYTES", block)
+        stream = list(_flat(operators.image_stream(op, X, members)))
+    got = np.array([w for _, _, w, _ in stream]).reshape((len(members),) + X.shape)
+    return got, _describe({(j, r): e for j, r, _, e in stream if e is not None})
+
+
+def _stepped(op, X, members, rows):
+    """``_streamed`` with the closed form switched off: every degree steps."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_dyadic_shift", lambda op: None)
+        return _streamed(op, X, members, rows)
+
+
+#: Monomials and sparse members whose degrees pass the truncation of 24.
+SPARSE_MEMBERS = (Monomials(9).members()
+                  + (ConvexPolynomial((0.25,) + (0.0,) * 3 + (0.5,) + (0.0,) * 4 + (0.25,)),
+                     ConvexPolynomial((0.0,) * 13 + (0.75,) + (0.0,) * 6 + (0.25,)),
+                     ConvexPolynomial.monomial(30)))
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("shift", [BackwardShift, ForwardShift])
+@pytest.mark.parametrize("factor", [1.0, -1.0, 2.0, -2.0, 4.0])
+def test_closed_form_walks_keep_the_stepped_bits(factor, shift, rows, monkeypatch):
+    # f * S with weight 2 jumps in closed form.  Its images and faults are
+    # the stepped walk's byte for byte, -0.0 entries included; a forward
+    # window reaching the top index steps there and fails its row.
+    rng = np.random.default_rng(17)
+    X = abs(_windowed_rows(rng, 24, [(3, 9), (10, 21), (0, 24), (0, 0), (18, 24)], False))
+    X[1, 12] = X[2, 5] = -0.0
+    op = Scale(factor, shift(2.0))
+    got, faults = _streamed(op, X, SPARSE_MEMBERS, rows)
+    want, want_faults = _stepped(op, X, SPARSE_MEMBERS, rows)
+    assert got.tobytes() == want.tobytes()
+    assert faults == want_faults
+    for r, x in enumerate(X):
+        for j, P in enumerate(SPARSE_MEMBERS):
+            try:
+                loop = loop_images(op, x, [P])[0]
+            except TruncationOverflow:
+                assert faults[j, r][0] is TruncationOverflow
+                continue
+            assert (j, r) not in faults
+            assert np.array_equal(got[j, r], loop)
+            if not np.signbit(x).any():  # zero signs aside (see the operators module)
+                assert got[j, r].tobytes() == loop.tobytes()
+    if shift is BackwardShift:  # only the all-zero row's first step acts
+        calls = _record_acts(monkeypatch)
+        _streamed(op, X, SPARSE_MEMBERS, rows)
+        assert all(shape[1] == 0 for _, shape in calls)
+
+
+@pytest.mark.parametrize("op", [Scale(-2.0, BackwardShift(2.0)), Scale(4.0, ForwardShift())])
+def test_the_closed_form_power_keeps_the_loop_bits(op):
+    # The running power in its window after a walk to each degree, -0.0
+    # entries and the signs of a negative factor included.
+    X = np.zeros((2, 16))
+    X[0, 3:8] = [1.5, -0.0, -2.0, 0.0, 3.0]
+    X[1, 5:7] = [-0.0, 0.25]
+    loop = list(X)
+    for degree in range(1, 9):
+        walk = operators._Walk(X)
+        operators._images(op, X, [ConvexPolynomial.monomial(degree)], walk)
+        lo, hi = walk.lo, walk.lo + walk.power.shape[1]
+        for r in range(len(X)):
+            loop[r] = loop_apply(op, loop[r])
+            assert walk.power[r].tobytes() == loop[r][lo:hi].tobytes()
+
+
+def test_overflow_at_and_past_the_jump_bound(monkeypatch):
+    # Under 2 * (2B), e = 2: 1.5 * 2^1000 (frexp exponent 1001) stays
+    # finite to degree 11 and overflows at 12; 1.5 * 2^998 one degree
+    # later.  The walk jumps to degrees 5 and 11, then steps to 12 and 13,
+    # where each row fails, and then every row has failed.
+    X = np.zeros((2, 128))
+    X[0, 100], X[1, 90] = 1.5 * 2.0 ** 1000, 1.5 * 2.0 ** 998
+    op = Scale(2.0, BackwardShift(2.0))
+    members = [ConvexPolynomial.monomial(d) for d in (5, 11, 12, 13, 14, 40)]
+    calls = _record_acts(monkeypatch)
+    jumps = _record_jumps(monkeypatch)
+    out, fault = operators._images(op, X, members)
+    assert jumps == [(5, 85, (2, 11)), (6, 79, (2, 11))]
+    assert calls == [(79, (2, 11)), (78, (2, 11))]
+    assert _describe(fault) == {
+        **{(j, 0): (NumericalOverflow, str(NumericalOverflow(12)), 12) for j in (2, 3, 4, 5)},
+        **{(j, 1): (NumericalOverflow, str(NumericalOverflow(13)), 13) for j in (3, 4, 5)}}
+    assert out[1, 0, 89] == 1.5 * 2.0 ** 1022 and out[2, 1, 78] == 1.5 * 2.0 ** 1022
+    monkeypatch.setattr(operators, "_dyadic_shift", lambda op: None)
+    want, want_fault = operators._images(op, X, members)
+    assert out.tobytes() == want.tobytes()
+    assert _describe(fault) == _describe(want_fault)
+
+
+def test_a_forward_window_reaching_the_top_at_the_jump_target(monkeypatch):
+    # The window [2, 6) reaches index 15 = dim - 1 at degree 10, the jump
+    # target; the step to degree 11 pushes mass past it.
+    X = np.zeros((1, 16))
+    X[0, 2:6] = [1.0, -0.0, 2.0, 3.0]
+    calls = _record_acts(monkeypatch)
+    jumps = _record_jumps(monkeypatch)
+    members = [ConvexPolynomial.monomial(d) for d in (10, 11, 12)]
+    out, fault = operators._images(ForwardShift(2.0), X, members)
+    assert jumps == [(10, 12, (1, 4))] and calls == [(12, (1, 4))]
+    assert sorted(fault) == [(1, 0), (2, 0)]
+    assert all(type(e) is TruncationOverflow for e in fault.values())
+    assert np.array_equal(out[0, 0], loop_images(ForwardShift(2.0), X[0], members[:1])[0])
+
+
+@pytest.mark.parametrize("op, complex_field", [
+    (Scale(2.0, Scale(0.5, BackwardShift())), False),  # 0.5 can round a subnormal
+    (Scale(2.0, BackwardShift()), True),
+    (Scale(2j, BackwardShift()), False),
+    (BackwardShift((2.0,) * 12), False),
+])
+def test_other_ops_and_complex_rows_still_step(op, complex_field, monkeypatch):
+    rng = np.random.default_rng(19)
+    X = abs(_windowed_rows(rng, 12, [(4, 10), (6, 8)], False))
+    X[0, 4] = 5e-324
+    if complex_field:
+        X = X * (1 + 1j)
+    calls = _record_acts(monkeypatch)
+    jumps = _record_jumps(monkeypatch)
+    out, fault = operators._images(op, X, Monomials(6).members())
+    assert jumps == [] and len(calls) == 6 and not fault
+    for j, want in enumerate(loop_images(op, X[0], Monomials(6).members())):
+        assert np.array_equal(out[j, 0], want)
+
+
+def test_a_walk_within_the_bound_resolves_no_step(monkeypatch):
+    # 2B on e_1100 at dim 1101 through degrees 300 and 1023: two jumps, and
+    # the step is never even resolved.
+    resolved = []
+    calls = _record_acts(monkeypatch, resolved)
+    jumps = _record_jumps(monkeypatch)
+    x = TruncVector.basis(1100, 1101)
+    members = [ConvexPolynomial.monomial(300), ConvexPolynomial.monomial(1023)]
+    got = images(Scale(2.0, BackwardShift()), x.coords[None], members)
+    assert resolved == calls == []
+    assert jumps == [(300, 800, (1, 1)), (723, 77, (1, 1))]
+    assert got[1, 0, 77] == 2.0 ** 1023
