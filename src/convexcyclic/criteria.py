@@ -43,12 +43,12 @@ from .errors import (BuildVerificationFailed, DimensionMismatch,
                      DimensionTooSmall, NumericalOverflow,
                      RecoveryRuleMissing, ScheduleInfeasible,
                      TruncationOverflow)
-from .dynamics import invariance_checks
+from .dynamics import first_outside, invariance_checks
 from .operators import (ConvexPolynomial, OperatorSpec, block_rows,
                         image_stream)
 from .spaces import (MEMBERSHIP_RTOL, BasisIndexSet, SubspaceSpec,
                      TruncVector, distance_to_subspace,
-                     materialize_subspace, membership_tolerance, norm,
+                     materialize_subspace, norm,
                      off_span_argmax, row_distance, row_norms)
 
 
@@ -80,12 +80,12 @@ class ShiftRecovery:
         d = poly.degree
         if d == 0:
             return y
-        tail = y.coords[y.dim - d:]
-        if np.any(tail != 0):
+        kept = max(0, y.dim - d)
+        if np.any(y.coords[kept:] != 0):
             raise TruncationOverflow(
                 f"shifting support by {d} leaves the truncation of size {y.dim}")
         out = np.zeros_like(y.coords)
-        out[d:] = y.coords[: y.dim - d]
+        out[d:] = y.coords[:kept]
         try:
             factor = self.scale ** (-d)
         except OverflowError:
@@ -156,11 +156,17 @@ class CriterionInstance:
             if v.p != p:
                 raise ValueError(f"{name} has exponent p = {v.p}, not {p} as the first vector")
 
+        mask = m.mask()
         for label, vectors in (("X", self.X), ("Y", self.Y)):
-            for i, v in enumerate(vectors):
-                check(f"{label}[{i}]", v)
-                if distance_to_subspace(v, m) > membership_tolerance(v, self.membership_rtol):
-                    raise ValueError(f"{label}[{i}] lies outside the subspace span")
+            # Each list is measured at once, up to its first vector that
+            # fails ``check``, whose error comes after any outside ahead of it.
+            bad = next((i for i, v in enumerate(vectors)
+                        if v.dim != self.dim or v.p != p), len(vectors))
+            i = first_outside(vectors[:bad], mask, self.membership_rtol)
+            if i is not None:
+                raise ValueError(f"{label}[{i}] lies outside the subspace span")
+            if bad < len(vectors):
+                check(f"{label}[{bad}]", vectors[bad])
         for k, v in enumerate(recovered, start=1):
             if v is not None:
                 check(f"recovery vector x_{k}", v)

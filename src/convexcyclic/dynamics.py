@@ -10,14 +10,19 @@ result is evidence, never proof.
 Every diagnostic reads its orbit points from ``operators.image_stream``,
 one engine block at a time, from the family's term table: no polynomial
 is built except a witness.  Each block is measured at once, with the
-batched row kernels of ``spaces`` (off-span residuals, tolerances and the
-distances to each target), which give every row the bits of its one-row
-norm.  The results are then read in (member, row) order, so the first
-hit, the first error and every tie-break are those of a loop over single
-images: density scores the family's images in order, invariance applies
-every P(T) asked for to the span's identity rows in one walk, and
-transitivity scans each pair's (member, sample) images in enumeration
-order.
+batched row kernels of ``spaces`` (off-span residuals, tolerances and,
+from one ``target_distances`` call, the distances to every target, each
+taken on the block patched over that target's support window), which
+give every row the bits of its one-row norm; density measures only the
+images whose norms leave them a chance to be nearest a target.  The
+vector lists a caller passes in (density targets, ball centers) are
+validated the same way, as one block per list (``first_outside``), with
+the error a loop over the vectors would raise first.  The results are
+then read in (member, row) order, so the first hit, the first error and
+every tie-break are those of a loop over single images: density scores
+the family's images in order, invariance applies every P(T) asked for to
+the span's identity rows in one walk, and transitivity scans each pair's
+(member, sample) images in enumeration order.
 """
 
 from __future__ import annotations
@@ -34,9 +39,9 @@ from .errors import DimensionMismatch
 from .operators import (ConvexPolynomial, OperatorSpec, PolynomialFamily,
                         block_rows, image_stream, images, term_table)
 from .spaces import (MEMBERSHIP_RTOL, BasisIndexSet, TruncVector,
-                     distance_to_subspace, membership_tolerance,
-                     off_span_argmax, off_span_norms, row_distance,
-                     row_distances, row_norms, row_tolerances)
+                     check_target, distance_overflow, off_span_argmax,
+                     off_span_norms, row_distances, row_norms,
+                     row_tolerances, target_distances)
 
 
 class Verdict(enum.Enum):
@@ -114,6 +119,63 @@ class InvarianceResult:
     landing_index: Optional[int]
 
 
+def first_outside(vectors: Sequence[TruncVector], mask: np.ndarray,
+                  rtol: float = MEMBERSHIP_RTOL) -> Optional[int]:
+    """The index of the first vector outside the span of ``mask``, or None.
+
+    A vector v is outside when ``distance_to_subspace(v, m) >
+    membership_tolerance(v, rtol)``.  The list is measured a block at a
+    time, each block a run of at most ``block_rows`` vectors of one
+    exponent p, with one ``off_span_norms`` and one ``row_tolerances``
+    call that give every row the bits of its one-vector measure.  A vector
+    of another dim raises DimensionMismatch, as ``distance_to_subspace``
+    does, when no vector ahead of it is outside.
+    """
+    dim = mask.size
+    cap = block_rows(dim)
+    i = 0
+    while i < len(vectors):
+        v = vectors[i]
+        if v.dim != dim:
+            raise DimensionMismatch(f"vector dim {v.dim} != subspace dim {dim}")
+        j = i + 1
+        while (j < len(vectors) and j - i < cap and vectors[j].dim == dim
+               and vectors[j].p == v.p):
+            j += 1
+        rows = np.stack([u.coords for u in vectors[i:j]])
+        outside = np.flatnonzero(off_span_norms(rows, mask, v.p)
+                                 > row_tolerances(rows, v.p, rtol))
+        if outside.size:
+            return i + int(outside[0])
+        i = j
+    return None
+
+
+def _may_be_nearest(norms: np.ndarray, target_norms: np.ndarray,
+                    best: np.ndarray, p: float, dim: int) -> np.ndarray:
+    """(targets x rows): False where row w cannot measure within 1e-12 of
+    the least distance to target y that density can report, True elsewhere.
+
+    ``best[t]`` is at least that least distance; it is first lowered to
+    the rows' upper bounds (||w|| + ||y||)(1 + rel) + eta.  Then
+    | ||w|| - ||y|| | <= ||w - y|| rules a row out when it exceeds
+    best + rel (||w|| + ||y|| + best) + 2 eta + 2e-12.  rel = 1e-6 covers
+    the relative rounding of every measured norm and distance (at most
+    about dim * 2^-53), and eta = 4 (dim 2^-1074)^(1/p) the underflow of
+    its terms, so a ruled-out row's measured distance, had it been
+    measured, would exceed the least one by more than 1e-12 plus the
+    rounding of that sum.  A row or target of norm 2^1022 or more is never
+    ruled out, so every difference that can overflow is measured.
+    """
+    rel, eta = 1e-6, 4.0 * (dim * 2.0 ** -1074) ** (1.0 / p)
+    w, y = norms[None, :], target_norms[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        best[:] = np.fmin(best, ((w + y) * (1 + rel) + eta).min(axis=1, initial=math.inf))
+        b = best[:, None]
+        return (~(np.abs(w - y) > b + rel * (w + y + b) + 2 * eta + 2e-12)
+                | ~(w < 2.0 ** 1022) | ~(y < 2.0 ** 1022))
+
+
 def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
                   family: PolynomialFamily, targets: Sequence[TruncVector],
                   epsilon: float, *,
@@ -125,8 +187,11 @@ def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
     intersected with the subspace before density is asked for.  The verdict
     is DenseAtScale exactly when every best distance is <= epsilon.
     Witnesses break ties toward the first family member within 1e-12 of
-    the minimum.  The orbit is streamed and never held whole: only the
-    admissible members' distances are kept.
+    the minimum.  The orbit is streamed and never held whole.  An
+    admissible image is measured against a target only where its norm
+    leaves it a chance to come within 1e-12 of the least distance
+    (``_may_be_nearest``), and only those distances are kept; the result
+    is that of measuring every admissible image.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -134,16 +199,22 @@ def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
         raise ValueError("at least one target is required")
     if len(m) == 0:
         raise ValueError("the zero subspace admits no density diagnostic")
-    for t_idx, y in enumerate(targets):
-        if distance_to_subspace(y, m) > membership_tolerance(y, membership_rtol):
-            raise TargetOutsideSubspace(
-                f"target {t_idx} lies outside the subspace span")
+    mask = m.mask()
+    t_idx = first_outside(targets, mask, membership_rtol)
+    if t_idx is not None:
+        raise TargetOutsideSubspace(f"target {t_idx} lies outside the subspace span")
     if x.dim != m.dim:
         raise DimensionMismatch(f"vector dim {x.dim} != subspace dim {m.dim}")
 
     table = term_table(family)
-    mask = m.mask()
-    admissible = []
+    # The targets of x's exponent are measured together against each block.
+    live = [t_idx for t_idx, y in enumerate(targets) if y.p == x.p]
+    live_targets = [targets[t_idx] for t_idx in live]
+    target_norms = np.array([row_norms(y.coords[None], x.p)[0] for y in live_targets])
+    best = np.full(len(live), math.inf)  # bounds each target's best distance
+    admissible = 0
+    # The members each target was measured against, and their distances.
+    measured = [[] for _ in targets]
     distances = [[] for _ in targets]
     # A distance error is raised only after the whole orbit is evaluated,
     # and for the first target in order, as when the orbit was held.
@@ -152,33 +223,39 @@ def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
         if fault:
             raise next(iter(fault.values()))
         W = out[:, 0]
-        keep = ~(off_span_norms(W, mask, x.p) > row_tolerances(W, x.p, membership_rtol))
-        if not keep.any():
+        rows = np.flatnonzero(
+            ~(off_span_norms(W, mask, x.p) > row_tolerances(W, x.p, membership_rtol)))
+        admissible += rows.size
+        if not rows.size:
             continue
-        W = W[keep]
-        admissible.append(j0 + np.flatnonzero(keep))
-        for t_idx, y in enumerate(targets):
-            try:
-                dists = row_distances(W, x.p, y)
-                if np.isnan(dists).any():  # an overflow: raise row_distance's error
-                    row_distance(W[np.isnan(dists)][0], x.p, y)
-            except ValueError as err:
-                errors[t_idx] = errors[t_idx] or err
-                continue
+        rows = rows[_may_be_nearest(row_norms(W, x.p)[rows], target_norms, best,
+                                    x.p, x.dim).any(axis=0)]
+        if not rows.size:
+            continue
+        # W[rows] is a private copy, which target_distances patches in place.
+        members = j0 + rows
+        for k, (t_idx, dists) in enumerate(
+                zip(live, target_distances(W[rows], x.p, live_targets))):
+            if np.isnan(dists).any():
+                errors[t_idx] = errors[t_idx] or distance_overflow()
+            else:
+                best[k] = min(best[k], dists.min())
+            measured[t_idx].append(members)
             distances[t_idx].append(dists)
-    for err in errors:
+    for t_idx, err in enumerate(errors):
         if err is not None:
             raise err
-    admissible = np.concatenate(admissible) if admissible else np.array([], dtype=int)
+        if admissible:  # a target of another exponent fails at any image
+            check_target(x.dim, x.p, targets[t_idx])
 
     scores = []
-    for dists in distances:
+    for members, dists in zip(measured, distances):
         if not dists:
             scores.append(TargetScore(math.inf, None, None))
             continue
         dists = np.concatenate(dists)
         pos = int(np.flatnonzero(dists <= dists.min() + 1e-12)[0])
-        idx = int(admissible[pos])
+        idx = int(np.concatenate(members)[pos])
         scores.append(TargetScore(float(dists[pos]), table.member(idx), idx))
     verdict = (Verdict.DENSE_AT_SCALE
                if all(s.best_distance <= epsilon for s in scores)
@@ -190,7 +267,7 @@ def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
         verdict=verdict,
         family=family,
         orbit_size=len(table),
-        admissible_orbit_size=len(admissible),
+        admissible_orbit_size=admissible,
     )
 
 
@@ -296,14 +373,14 @@ def transitivity_search(op: OperatorSpec, m: BasisIndexSet,
     """
     if len(m) == 0:
         raise ValueError("the zero subspace admits no transitivity search")
-    for p_idx, pair in enumerate(pairs):
-        for label, center in (("U", pair.u_center), ("V", pair.v_center)):
-            if distance_to_subspace(center, m) > membership_tolerance(center, membership_rtol):
-                raise BallCenterOutsideSubspace(
-                    f"pair {p_idx}: {label} center lies outside the subspace span")
+    mask = m.mask()
+    i = first_outside([c for pair in pairs for c in (pair.u_center, pair.v_center)],
+                      mask, membership_rtol)
+    if i is not None:
+        raise BallCenterOutsideSubspace(
+            f"pair {i // 2}: {'UV'[i % 2]} center lies outside the subspace span")
 
     table = term_table(family)
-    mask = m.mask()
     residuals = {}  # each witness's invariance residual, from its first hit
 
     def search_one(p_idx: int) -> PairResult:
@@ -324,8 +401,8 @@ def transitivity_search(op: OperatorSpec, m: BasisIndexSet,
                 # The first image that lands in the U-ball or overflows.
                 events = np.flatnonzero(~(dists > pair.radius))
                 if events.size:
-                    if np.isnan(dists[events[0]]):  # an overflow: raise row_distance's error
-                        row_distance(W[inside[events[0]]], p, pair.u_center)
+                    if np.isnan(dists[events[0]]):
+                        raise distance_overflow()
                     j = j0 + int(inside[events[0]]) // out.shape[1]
                     if j not in residuals:
                         residuals[j] = invariance_check(

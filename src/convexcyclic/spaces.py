@@ -5,14 +5,16 @@ Subspaces are always spans of canonical basis subsets, described
 symbolically and materialized to an explicit index set at a chosen
 truncation.  All values are immutable after construction and every
 operation is a pure function, so everything here is safe to share
-between threads.
+between threads; the one exception is ``target_distances``, which
+patches a caller's writable block and restores it before it returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import cached_property
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -63,6 +65,12 @@ class TruncVector:
     def dim(self) -> int:
         return int(self.coords.size)
 
+    @cached_property
+    def support_window(self) -> tuple:
+        """``(a, b)``: the coordinates outside [a, b) vanish; (0, 0) for 0."""
+        nonzero = self.coords.nonzero()[0]
+        return (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
+
     @classmethod
     def zeros(cls, dim: int, p: float = 2.0, complex_field: bool = False) -> "TruncVector":
         dtype = np.complex128 if complex_field else np.float64
@@ -81,18 +89,12 @@ class TruncVector:
     def with_coords(self, coords) -> "TruncVector":
         return TruncVector(coords, p=self.p)
 
-    def _check_same_space(self, other: "TruncVector"):
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dims differ: {self.dim} vs {other.dim}")
-        if self.p != other.p:
-            raise ValueError(f"norm exponents differ: {self.p} vs {other.p}")
-
     def __add__(self, other: "TruncVector") -> "TruncVector":
-        self._check_same_space(other)
+        check_target(self.dim, self.p, other)
         return TruncVector(self.coords + other.coords, p=self.p)
 
     def __sub__(self, other: "TruncVector") -> "TruncVector":
-        self._check_same_space(other)
+        check_target(self.dim, self.p, other)
         return TruncVector(self.coords - other.coords, p=self.p)
 
     def __mul__(self, scalar) -> "TruncVector":
@@ -381,24 +383,65 @@ def row_distance(row: np.ndarray, p: float, y: TruncVector) -> float:
     A difference that overflows raises NumericalOverflow (a ValueError)."""
     dist = row_distances(row[None], p, y)[0]
     if math.isnan(dist):
-        raise NumericalOverflow(None, "the distance ||w - y||")
+        raise distance_overflow()
     return float(dist)
+
+
+def distance_overflow() -> NumericalOverflow:
+    """The error ``row_distance`` raises for a difference that overflows."""
+    return NumericalOverflow(None, "the distance ||w - y||")
 
 
 def row_distances(rows: np.ndarray, p: float, y: TruncVector) -> np.ndarray:
     """``row_distance`` of every row of a raw block to y, with its checks;
     NaN marks a row whose difference overflows, where ``row_distance``
-    raises."""
-    if rows.shape[1] != y.dim:
-        raise DimensionMismatch(f"dims differ: {rows.shape[1]} vs {y.dim}")
+    raises.  The one-target case of ``target_distances``."""
+    return target_distances(rows, p, (y,))[0]
+
+
+def check_target(dim: int, p: float, y: TruncVector):
+    """Raise what ``TruncVector`` arithmetic raises for a row of length
+    ``dim`` and exponent ``p`` with y: DimensionMismatch or ValueError."""
+    if dim != y.dim:
+        raise DimensionMismatch(f"dims differ: {dim} vs {y.dim}")
     if p != y.p:
         raise ValueError(f"norm exponents differ: {p} vs {y.p}")
-    with np.errstate(over="ignore"):
-        diff = rows - y.coords
-    dists = row_norms(diff, p)
-    inf = np.flatnonzero(~np.isfinite(dists))
-    if inf.size:
-        dists[inf[~np.isfinite(diff[inf]).all(axis=1)]] = np.nan
+
+
+def target_distances(rows: np.ndarray, p: float,
+                     targets: Sequence[TruncVector]) -> np.ndarray:
+    """``row_distances`` of a raw block to every target (targets x rows),
+    with the checks of ``check_target``, first failing target first.
+
+    ``rows - y`` differs from ``rows`` only on y's ``support_window``
+    [a, b), found once per vector: outside it w - 0.0 is w, and a signed
+    zero of either side changes no norm.  So for each target the window
+    of the block is overwritten with ``rows[:, a:b] - y[a:b]``, the whole
+    block is measured by ``row_norms`` with the bits of the full
+    difference, and the window is restored from a saved copy.  The block
+    is patched in place unless a target's field promotes it or it is
+    read-only, in which case one promoted copy is patched instead; either
+    way the caller's bytes are as they were when this returns.
+    """
+    for y in targets:
+        check_target(rows.shape[1], p, y)
+    dtype = np.result_type(rows, *(y.coords for y in targets))
+    if dtype != rows.dtype or not rows.flags.writeable:
+        rows = rows.astype(dtype)
+    dists = np.empty((len(targets), len(rows)))
+    for t, y in enumerate(targets):
+        a, b = y.support_window
+        window = rows[:, a:b]
+        saved = window.copy()
+        try:
+            with np.errstate(over="ignore"):
+                np.subtract(window, y.coords[a:b], out=window)
+            dists[t] = row_norms(rows, p)
+            if not np.isfinite(dists[t]).all():
+                inf = np.flatnonzero(~np.isfinite(dists[t]))
+                dists[t, inf[~np.isfinite(rows[inf]).all(axis=1)]] = np.nan
+        finally:
+            window[...] = saved
     return dists
 
 

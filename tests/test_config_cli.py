@@ -588,6 +588,25 @@ def test_recovery_overflow_exits_2(tmp_path, capsys, which):
     assert "NumericalOverflow" in err and "degree 1100" in err
 
 
+@pytest.mark.parametrize("argv", [["criterion", "--which", "I"],
+                                  ["criterion", "--which", "II"], ["build"]])
+def test_recovery_shift_past_the_truncation(tmp_path, capsys, argv):
+    # example_5_4 (dim 64) with a degree-100 poly: its Y vectors have no
+    # mass in their top 36 coordinates, but x_k = 2^-100 S^100 y leaves the
+    # truncation.  The criteria exit 2; the builder stops its candidate
+    # scan at that poly and exits 1.
+    data = config_to_dict(entry_to_config(build_entry("example_5_4")))
+    data = _with(data, "criterion.polys",
+                 {"kind": "monomials_at", "degrees": [2, 4, 6, 8, 10, 12, 14, 100]})
+    if argv[0] == "criterion":
+        err = _run_invalid(tmp_path, capsys, data, argv)
+        assert "TruncationOverflow" in err
+        return
+    cfg = write_config(tmp_path, "cfg.json", json.dumps(data))
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_distance_overflow_exits_2(tmp_path, capsys):
     # Both vectors are finite, but w - y = 3.4e308 e_1 is not.
     data = {

@@ -10,7 +10,7 @@ from convexcyclic import (BackwardShift, ConvexPolynomial, CriterionInstance,
                           NumericalOverflow, ParityZero,
                           RecoveryRuleMissing,
                           Scale, ScheduleInfeasible, ShiftRecovery,
-                          TruncVector, build_cyclic_vector,
+                          TruncationOverflow, TruncVector, build_cyclic_vector,
                           check_criterion_I, check_criterion_II, eval_poly,
                           norm, xi_schedule)
 from convexcyclic.gallery import (entry_example_5_2, entry_example_5_4,
@@ -144,6 +144,15 @@ class TestCriterionChecks:
         assert info.value.degree == 20
         x = ShiftRecovery(0.5).recover(y, ConvexPolynomial.monomial(10))
         assert x.coords[10] == 1e305 * 2.0 ** 10
+
+    def test_shift_past_the_truncation_but_short_of_twice_it(self):
+        # dim < d < 2 dim: the kept part y[:dim - d] is empty and the tail
+        # that leaves the truncation is all of y.
+        y = TruncVector.basis(3, 64)
+        with pytest.raises(TruncationOverflow):
+            ShiftRecovery(2.0).recover(y, ConvexPolynomial.monomial(100))
+        zero = ShiftRecovery(2.0).recover(TruncVector.zeros(64), ConvexPolynomial.monomial(100))
+        assert zero.dim == 64 and not zero.coords.any()
 
     def test_complex_X_past_the_float_range_fails_condition_one(self):
         # ||B^k x|| = |1.5e308 (1 + i)| is past the float range for k <= 4;

@@ -273,6 +273,70 @@ def test_block_diagnostics_match_the_image_loops(rows, kind, seed, complex_field
     assert got == want
 
 
+@pytest.mark.parametrize("rows", [1, 3, None])
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 100.0]),
+       c=st.sampled_from([0.5, 0.999, 1.0, 1.0 + 2.0 ** -40, 1.001, 2.0, -1.0]),
+       e=st.integers(-1080, 1020) | st.integers(-4, 4))
+@settings(max_examples=60, deadline=None)
+def test_density_measures_every_image_that_can_be_nearest(rows, seed, p, c, e):
+    # The orbit c^n x has a continuum of norms, so density's norm bounds
+    # decide which images it measures; targets sit on orbit points, a hair
+    # off them (near ties) and at random, at scales from subnormal to near
+    # the float range, where underflowed terms and overflowing differences
+    # test the bounds' margins.
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 7))
+    span = sorted(int(i) for i in rng.choice(dim, size=int(rng.integers(1, dim + 1)),
+                                             replace=False))
+    m = materialize_subspace(IndexSet(tuple(span)), dim)
+    coords = np.zeros(dim)
+    coords[span] = np.ldexp(rng.standard_normal(len(span)), e)
+    x = TruncVector(coords, p=p)
+    op = Scale(c, operators.Identity())
+    targets = []
+    for _ in range(int(rng.integers(1, 5))):
+        y = np.zeros(dim)
+        kind = int(rng.integers(0, 3))
+        if kind < 2:
+            y[span] = coords[span] * c ** int(rng.integers(0, 8))
+            y[span] *= 1.0 + (1e-13 * rng.standard_normal(len(span)) if kind else 0.0)
+        else:
+            y[span] = np.ldexp(rng.standard_normal(len(span)), int(rng.integers(-1080, 1020)))
+        if np.isfinite(y).all():
+            targets.append(TruncVector(y, p=p))
+    if not targets:
+        return
+    family = Monomials(int(rng.integers(0, 40)))
+    want = _outcome(serial_density, op, x, m, family, targets, 1e-2)
+    block = operators.BLOCK_BYTES if rows is None else rows * dim * 16
+    with mock.patch.object(operators, "BLOCK_BYTES", block):
+        assert _outcome(density_score, op, x, m, family, targets, 1e-2) == want
+
+
+@pytest.mark.parametrize("rows", [1, None])
+@pytest.mark.parametrize("case", ["underflow", "overflow"])
+def test_density_norm_bounds_keep_their_margins(rows, case):
+    # underflow: at p = 100, ||2^n 1e-4|| reads 0 (its 100th power
+    # underflows), so | ||w|| - ||y|| | = 1 exceeds the distances 0.9999 and
+    # 0.9998 to y = 1; only the underflow margin keeps member 1 measured.
+    # overflow: member 0 lies 1e306 from y, ten times closer than the norm
+    # gap of member 1 (0.9e308), whose difference to y overflows: density
+    # must measure it and raise, as the loop does.
+    if case == "underflow":
+        op, x, y = Scale(2.0, operators.Identity()), [1e-4], [1.0]
+    else:
+        op, x, y = Scale(-0.9 / 0.99, operators.Identity()), [-0.99e308], [-1e308]
+    p = 100.0 if case == "underflow" else 2.0
+    m = materialize_subspace(IndexSet((0,)), 1)
+    args = (op, TruncVector(np.array(x), p=p), m, Monomials(1),
+            [TruncVector(np.array(y), p=p)], 1e-2)
+    want = _outcome(serial_density, *args)
+    assert want[0] == ("verdict" if case == "underflow" else "raised")
+    block = operators.BLOCK_BYTES if rows is None else rows * 16
+    with mock.patch.object(operators, "BLOCK_BYTES", block):
+        assert _outcome(density_score, *args) == want
+
+
 def test_a_search_past_one_block_of_samples_matches_the_image_loop(monkeypatch):
     # prop_4_8's first cross-gap pair finds nothing.  At dim 1024 a block
     # holds 128 rows, so 300 samples walk in slices of 128, 128 and 44,

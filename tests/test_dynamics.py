@@ -9,17 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexcyclic import (BackwardShift, BallPair, BasisIndexSet,
-                          ConvexPolynomial, Dense, DirectSum, Identity,
+                          ConvexPolynomial, CriterionInstance, Dense,
+                          DimensionMismatch, DimensionTooSmall, DirectSum,
+                          Identity,
                           IndexSet, Monomials, ParityZero, Scale, SimplexGrid,
                           TargetOutsideSubspace, TruncVector, Verdict,
                           build_cyclic_vector, default_density_targets,
                           density_score,
                           distance_to_subspace, eval_poly, images,
-                          invariance_check, materialize_subspace, norm,
-                          operators, sample_ball, transitivity_search)
+                          invariance_check, materialize_subspace,
+                          membership_tolerance, norm, operators, sample_ball,
+                          transitivity_search)
 from convexcyclic import dynamics
 from convexcyclic.dynamics import BallCenterOutsideSubspace, invariance_checks
 from convexcyclic.gallery import entry_example_5_4
+from convexcyclic.spaces import MEMBERSHIP_RTOL
 from oracles import dense_eval, serial_transitivity
 
 TWO_B = Scale(2.0, BackwardShift())
@@ -479,3 +483,108 @@ def test_density_builds_only_the_witnesses():
     assert all(s.witness == ConvexPolynomial.monomial(s.witness_index)
                for s in report.per_target)
     assert built.call_count <= 16
+
+
+class TestValidationOrder:
+    """Each vector list is validated as one block, with the first error of
+    a loop over its vectors."""
+
+    m = materialize_subspace(ParityZero("even"), 8)
+    inside = TruncVector.basis(1, 8)
+    outside = TruncVector.basis(2, 8)
+    short = TruncVector.basis(1, 6)
+
+    def density(self, targets):
+        return density_score(TWO_B, self.inside, self.m, Monomials(2), targets, 0.5)
+
+    def test_density_names_the_first_target_outside(self):
+        with pytest.raises(TargetOutsideSubspace, match="target 1 "):
+            self.density([self.inside, self.outside, self.short])
+
+    def test_density_raises_for_a_wrong_dim_target_ahead_of_one_outside(self):
+        with pytest.raises(DimensionMismatch):
+            self.density([self.inside, self.short, self.outside])
+
+    def test_transitivity_names_the_pair_and_checks_u_before_v(self):
+        good = BallPair(self.inside, self.inside, 0.1)
+        with pytest.raises(BallCenterOutsideSubspace, match="pair 2: V center"):
+            transitivity_search(TWO_B, self.m,
+                                [good, good, BallPair(self.inside, self.outside, 0.1)],
+                                Monomials(1))
+        with pytest.raises(BallCenterOutsideSubspace, match="pair 1: U center"):
+            transitivity_search(TWO_B, self.m, [good, BallPair(self.outside, self.outside, 0.1)],
+                                Monomials(1))
+
+    def test_criterion_instance_checks_x_in_order_then_y(self):
+        def instance(X, Y):
+            return CriterionInstance(op=TWO_B, subspace=ParityZero("even"), dim=8,
+                                     X=X, Y=Y, polys=(ConvexPolynomial.monomial(2),))
+        ok = self.inside
+        with pytest.raises(ValueError, match=r"X\[1\] lies outside"):
+            instance((ok, self.outside, ok, self.short), (self.outside,))
+        with pytest.raises(DimensionTooSmall, match=r"X\[3\]"):
+            instance((ok, ok, ok, self.short, self.outside), (self.outside,))
+        with pytest.raises(ValueError, match=r"X\[2\] has exponent"):
+            instance((ok, ok, TruncVector.basis(1, 8, p=1.0), self.outside), ())
+        with pytest.raises(ValueError, match=r"Y\[0\] lies outside"):
+            instance((ok, ok), (self.outside, self.short))
+
+    def test_each_vector_is_measured_at_its_own_exponent(self):
+        # Four off-span entries of 4e-10: 1.6e-9 in l^1, past the 1e-9
+        # tolerance, and 8e-10 in l^2, inside it.
+        coords = TruncVector.basis(1, 8).coords + 4e-10 * (np.arange(8) % 2 == 0)
+        vectors = [TruncVector(coords, p=2.0), TruncVector(coords, p=1.0)]
+        assert dynamics.first_outside(vectors, self.m.mask()) == 1
+        assert dynamics.first_outside(vectors[::-1], self.m.mask()) == 0
+        assert dynamics.first_outside(vectors[:1], self.m.mask()) is None
+
+    def test_density_builds_the_mask_once(self):
+        targets = default_density_targets(self.m, count=16)
+        with mock.patch.object(BasisIndexSet, "mask", autospec=True,
+                               side_effect=BasisIndexSet.mask) as mask:
+            self.density(targets)
+        assert mask.call_count == 1
+
+
+def test_a_norm_that_can_overflow_a_difference_is_always_measured():
+    # Row norms 2^1022 and just below, 2^1021 from a target of norm 1 whose
+    # best distance is 1: the norm gap rules out only the smaller row.
+    norms = np.array([2.0 ** 1022, np.nextafter(2.0 ** 1022, 0.0)])
+    near = dynamics._may_be_nearest(norms, np.array([1.0]), np.array([1.0]), 2.0, 4)
+    assert near.tolist() == [[True, False]]
+    near = dynamics._may_be_nearest(np.array([1.0]), np.array([2.0 ** 1022]),
+                                    np.array([1.0]), 2.0, 4)
+    assert near.tolist() == [[True]]
+
+
+def _first_outside_by_loop(vectors, m, rtol):
+    for i, v in enumerate(vectors):
+        if distance_to_subspace(v, m) > membership_tolerance(v, rtol):
+            return i
+    return None
+
+
+@given(st.data(), st.integers(2, 9), st.sampled_from([None, 1, 3]))
+@settings(max_examples=150, deadline=None)
+def test_first_outside_matches_the_per_vector_loop(data, dim, rows):
+    m = BasisIndexSet(tuple(data.draw(st.sets(st.integers(0, dim - 1), min_size=1),
+                                      label="span")), dim)
+    entry = st.sampled_from([0.0, -0.0, 1.0, 1e-12, 4e-10, 1e-8, 3.5, 1e200, 1.7e308])
+    vectors = []
+    for _ in range(data.draw(st.integers(0, 6), label="count")):
+        n = data.draw(st.sampled_from([dim, dim, dim, dim + 1]), label="dim")
+        coords = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)))
+        if data.draw(st.booleans(), label="complex"):
+            coords = coords * (1 - 1j)
+        vectors.append(TruncVector(coords, p=data.draw(st.sampled_from([1.0, 2.0]), label="p")))
+    try:
+        want = _first_outside_by_loop(vectors, m, MEMBERSHIP_RTOL)
+    except DimensionMismatch:
+        want = DimensionMismatch
+    block = operators.BLOCK_BYTES if rows is None else rows * dim * 16
+    with mock.patch.object(operators, "BLOCK_BYTES", block):
+        try:
+            got = dynamics.first_outside(vectors, m.mask(), MEMBERSHIP_RTOL)
+        except DimensionMismatch:
+            got = DimensionMismatch
+    assert got == want

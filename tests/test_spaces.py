@@ -16,7 +16,8 @@ from convexcyclic import (BasisIndexSet, ConvexPolynomial, CriterionInstance,
                           TruncVector, distance_to_subspace,
                           materialize_subspace, membership_tolerance, norm)
 from convexcyclic.spaces import (MEMBERSHIP_RTOL, off_span_norms, row_distance,
-                               row_distances, row_norms, row_tolerances)
+                               row_distances, row_norms, row_tolerances,
+                               target_distances)
 
 
 def scalar_loop_norm(coords, p):
@@ -306,6 +307,78 @@ class TestRowNorms:
 # ---------------------------------------------------------------------------
 # Property tests
 # ---------------------------------------------------------------------------
+
+# Signed zeros, entries whose differences overflow, and plain values.
+kernel_entry_st = (st.sampled_from([0.0, -0.0, 1.0, -2.5, 1.7e308, -1.7e308, 1e154])
+                   | st.floats(-1e3, 1e3, width=64))
+
+
+def _kernel_coords(draw, n, complex_field):
+    re = np.array(draw(st.lists(kernel_entry_st, min_size=n, max_size=n)), dtype=np.float64)
+    if not complex_field:
+        return re
+    out = np.empty(n, dtype=np.complex128)
+    out.real = re
+    out.imag = draw(st.lists(kernel_entry_st, min_size=n, max_size=n))
+    return out
+
+
+@st.composite
+def kernel_target(draw, dim, p):
+    """A target with an empty, full or drawn support window, whose zeros
+    outside the window may be -0.0."""
+    complex_field = draw(st.booleans(), label="complex target")
+    coords = draw(st.sampled_from([0.0, -0.0])) * np.ones(
+        dim, dtype=np.complex128 if complex_field else np.float64)
+    kind = draw(st.sampled_from(["zero", "full", "window"]), label="window kind")
+    a, b = {"zero": (0, 0), "full": (0, dim)}.get(kind, (None, None))
+    if kind == "window":
+        a = draw(st.integers(0, dim - 1), label="a")
+        b = draw(st.integers(a + 1, dim), label="b")
+    coords[a:b] = _kernel_coords(draw, b - a, complex_field)
+    if b > a:  # pin the window's ends, so it is [a, b) exactly
+        coords[[a, b - 1]] = np.where(coords[[a, b - 1]] == 0, 1.0, coords[[a, b - 1]])
+    return TruncVector(coords, p=p)
+
+
+@given(st.data(), st.integers(1, 10), st.integers(1, 4),
+       st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_target_distances_have_the_bits_of_the_full_difference(
+        data, dim, nrows, p, complex_rows, read_only):
+    rows = np.stack([_kernel_coords(data.draw, dim, complex_rows) for _ in range(nrows)])
+    targets = data.draw(st.lists(kernel_target(dim, p), min_size=1, max_size=3), label="targets")
+    rows.setflags(write=not read_only)
+    before = rows.tobytes()
+    got = target_distances(rows, p, targets)
+    assert rows.tobytes() == before
+    assert got.shape == (len(targets), nrows)
+    for t, y in enumerate(targets):
+        nonzero = np.flatnonzero(y.coords)
+        assert y.support_window == ((nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0))
+        with np.errstate(over="ignore"):
+            diff = rows - y.coords
+            want = row_norms(diff, p)
+        want[~np.isfinite(diff).all(axis=1)] = np.nan
+        assert got[t].tobytes() == want.tobytes()
+        assert target_distances(rows, p, [y]).tobytes() == want.tobytes()
+        for r, row in enumerate(rows):
+            if math.isnan(want[r]):
+                with pytest.raises(NumericalOverflow):
+                    row_distance(row, p, y)
+            else:
+                assert row_distance(row, p, y).hex() == float(want[r]).hex()
+
+
+def test_target_distances_check_every_target_first():
+    rows = np.zeros((2, 3))
+    good, long = TruncVector(np.ones(3)), TruncVector(np.ones(4))
+    p1 = TruncVector(np.ones(3), p=1.0)
+    with pytest.raises(DimensionMismatch):
+        target_distances(rows, 2.0, [good, long, p1])
+    with pytest.raises(ValueError, match="exponents differ"):
+        target_distances(rows, 2.0, [good, p1, long])
+
 
 coords_st = st.lists(st.floats(-1e6, 1e6, allow_nan=False, width=64),
                      min_size=1, max_size=24)
