@@ -12,10 +12,9 @@ from .spaces import (BasisIndexSet, DirectSumFactor, IndexSet, IntervalFamily,
                      ParityZero, RecursiveSpan, SubspaceSpec, TruncVector,
                      distance_to_subspace, materialize_subspace,
                      membership_tolerance, norm)
-from .operators import (BackwardShift, CesaroMeans, ConvexPolynomial, Dense,
-                        DirectSum, ForwardShift, Identity, Monomials,
-                        OperatorSpec, PolynomialFamily, RandomSimplex, Scale,
-                        ScreenReport, SimplexGrid, apply, eval_poly, images,
+from .operators import (BackwardShift, ConvexPolynomial, Dense, DirectSum,
+                        ForwardShift, Identity, Monomials, OperatorSpec,
+                        Scale, ScreenReport, apply, eval_poly, images,
                         screen_necessary_conditions, to_dense)
 from .dynamics import (BallPair, DensityReport, InvarianceResult, PairResult,
                        TargetScore, TransitivityReport, Verdict,

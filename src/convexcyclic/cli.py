@@ -118,7 +118,7 @@ def _subspace(cfg: ExperimentConfig, command: str):
 def run_density(cfg: ExperimentConfig, out: Path) -> int:
     m = _subspace(cfg, "density")
     if cfg.density.candidate == "build":
-        candidate = _build(cfg, cfg.build or BuildBlock(j_max=4)).x
+        candidate = _build(cfg, cfg.build).x
     else:
         candidate = cfg.density.candidate
     if cfg.density.targets == "default":

@@ -21,10 +21,9 @@ import numpy as np
 from .criteria import (CriterionInstance, ExplicitRecovery, ShiftRecovery)
 from .dynamics import BallPair
 from .errors import ConfigError, DimensionMismatch
-from .operators import (BackwardShift, CesaroMeans, ConvexPolynomial, Dense,
-                        DirectSum, ForwardShift, Identity, Monomials,
-                        OperatorSpec, PolynomialFamily, RandomSimplex, Scale,
-                        SimplexGrid, apply)
+from .operators import (BackwardShift, ConvexPolynomial, Dense, DirectSum,
+                        ForwardShift, Identity, Monomials, OperatorSpec,
+                        Scale, apply)
 from .spaces import (DirectSumFactor, IndexSet, IntervalFamily, ParityZero,
                      RecursiveSpan, SubspaceSpec, TruncVector)
 
@@ -320,51 +319,21 @@ def subspace_from_dict(data: dict, context: str = "subspace") -> SubspaceSpec:
 # ---------------------------------------------------------------------------
 
 
-def family_to_dict(family: PolynomialFamily) -> dict:
+def family_to_dict(family: Monomials) -> dict:
     if isinstance(family, Monomials):
         return {"kind": "monomials", "max_degree": family.max_degree}
-    if isinstance(family, CesaroMeans):
-        return {"kind": "cesaro_means", "max_degree": family.max_degree}
-    if isinstance(family, SimplexGrid):
-        return {"kind": "simplex_grid", "degree": family.degree,
-                "resolution": family.resolution}
-    if isinstance(family, RandomSimplex):
-        return {"kind": "random_simplex", "degree": family.degree,
-                "count": family.count, "seed": family.seed}
     raise ConfigError(f"cannot serialize family {type(family).__name__}")
 
 
-def family_from_dict(data: dict, context: str = "family") -> PolynomialFamily:
+def family_from_dict(data: dict, context: str = "family") -> Monomials:
     if not isinstance(data, dict):
         raise ConfigError(f"{context}: expected a family object")
     kind = _req(data, "kind", context)
-
-    def integer(key, least=0, most=math.inf):
-        return _count(_req(data, key, context), f"{context}.{key}", least, most)
-
-    try:
-        if kind == "monomials":
-            _check_keys(data, {"kind", "max_degree"}, context)
-            return Monomials(integer("max_degree", most=MAX_MEMBERS - 1))
-        if kind == "cesaro_means":
-            _check_keys(data, {"kind", "max_degree"}, context)
-            return CesaroMeans(integer("max_degree", most=MAX_MEMBERS - 1))
-        if kind == "simplex_grid":
-            _check_keys(data, {"kind", "degree", "resolution"}, context)
-            grid = SimplexGrid(integer("degree", most=MAX_DEGREE),
-                               integer("resolution", 1))
-            members = math.comb(grid.resolution + grid.degree, grid.degree)
-            if members > MAX_MEMBERS:
-                raise ConfigError(f"{context}: the grid has {members} members, "
-                                  f"more than {MAX_MEMBERS}")
-            return grid
-        if kind == "random_simplex":
-            _check_keys(data, {"kind", "degree", "count", "seed"}, context)
-            return RandomSimplex(integer("degree", most=MAX_DEGREE),
-                                 integer("count", 1, MAX_MEMBERS), integer("seed"))
-    except ValueError as err:
-        raise ConfigError(f"{context}: {err}") from err
-    raise ConfigError(f"{context}: unknown family kind {kind!r}")
+    if kind != "monomials":
+        raise ConfigError(f"{context}: unknown family kind {kind!r}")
+    _check_keys(data, {"kind", "max_degree"}, context)
+    return Monomials(_count(_req(data, "max_degree", context), f"{context}.max_degree",
+                           0, MAX_MEMBERS - 1))
 
 
 def polys_to_dict(polys: Sequence[ConvexPolynomial]) -> dict:
@@ -490,7 +459,7 @@ class ExperimentConfig:
     horizon: Optional[int] = None
     tolerances: Tolerances = field(default_factory=Tolerances)
     subspace: Optional[SubspaceSpec] = None
-    family: Optional[PolynomialFamily] = None
+    family: Optional[Monomials] = None
     label: Optional[str] = None
     density: Optional[DensityBlock] = None
     criterion: Optional[CriterionBlock] = None
@@ -649,6 +618,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             c=_positive(block.get("c", 1.0), "config.build.c"),
             k_step=_count(block.get("k_step", 64), "config.build.k_step"),
         )
+    if density is not None and density.candidate == "build" and build is None:
+        raise ConfigError("config.density.candidate: 'build' needs a 'build' block")
     return ExperimentConfig(
         dim=dim, operator=operator, scalar_field=scalar_field,
         p=p, seed=seed, horizon=horizon, tolerances=tolerances,

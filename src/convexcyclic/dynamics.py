@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import BallCenterOutsideSubspace, TargetOutsideSubspace
 from .errors import DimensionMismatch
-from .operators import (ConvexPolynomial, OperatorSpec, PolynomialFamily,
+from .operators import (ConvexPolynomial, Monomials, OperatorSpec,
                         block_rows, image_stream, images, term_table)
 from .spaces import (MEMBERSHIP_RTOL, BasisIndexSet, TruncVector,
                      check_target, distance_overflow, off_span_argmax,
@@ -64,7 +64,7 @@ class DensityReport:
     per_target: tuple
     epsilon: float
     verdict: Verdict
-    family: PolynomialFamily
+    family: Monomials | Sequence[ConvexPolynomial]
     orbit_size: int
     admissible_orbit_size: int
 
@@ -103,7 +103,7 @@ class PairResult:
 class TransitivityReport:
     pairs: tuple
     per_pair: tuple
-    family: PolynomialFamily
+    family: Monomials | Sequence[ConvexPolynomial]
     samples_per_ball: int
     seed: int
 
@@ -177,8 +177,8 @@ def _may_be_nearest(norms: np.ndarray, target_norms: np.ndarray,
 
 
 def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
-                  family: PolynomialFamily, targets: Sequence[TruncVector],
-                  epsilon: float, *,
+                  family: Monomials | Sequence[ConvexPolynomial],
+                  targets: Sequence[TruncVector], epsilon: float, *,
                   membership_rtol: float = MEMBERSHIP_RTOL) -> DensityReport:
     """How well do admissible orbit points cover the targets?
 
@@ -357,7 +357,8 @@ def _ball_block(center: TruncVector, m: BasisIndexSet, radius: float,
 
 
 def transitivity_search(op: OperatorSpec, m: BasisIndexSet,
-                        pairs: Sequence[BallPair], family: PolynomialFamily,
+                        pairs: Sequence[BallPair],
+                        family: Monomials | Sequence[ConvexPolynomial],
                         samples_per_ball: int = 8, seed: int = 0, *,
                         membership_rtol: float = MEMBERSHIP_RTOL) -> TransitivityReport:
     """Search for polynomials carrying part of each V-ball into each U-ball.

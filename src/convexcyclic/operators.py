@@ -8,16 +8,16 @@ would leave the truncation.
 Every orbit {P(T)x : P in a family} is computed by one engine, ``images``,
 on raw row blocks (batch x dim, one row per vector).  Its input is a term
 table (``TermTable``): each member's degree and constant term, and its
-nonzero terms of positive degree.  ``Monomials`` builds its table directly
-in O(D); any other family, or a plain polynomial sequence, is read through
-its members once per diagnostic call, and a ``ConvexPolynomial`` is built
-again only for a witness or a payload.  The engine walks the degrees once
-in ascending order with a single running power block T^i X, adding
-a_i T^i X into each member's accumulator where a_i is nonzero: at most
-one block application per degree, no stored power table.  The arithmetic is the
-elementwise axpy of the single-vector recurrence, so each image is bit for
-bit what a per-member ascending-degree loop gives, up to the sign of a
-zero (below).
+nonzero terms of positive degree.  ``Monomials``, the one family, builds
+its table directly in O(D); a plain polynomial sequence, or any object
+with ``members()``, is read once per diagnostic call, and a
+``ConvexPolynomial`` is built again only for a witness or a payload.
+The engine walks the degrees once in ascending order with a single
+running power block T^i X, adding a_i T^i X into each member's
+accumulator where a_i is nonzero: at most one block application per
+degree, no stored power table.  The arithmetic is the elementwise axpy
+of the single-vector recurrence, so each image is bit for bit what a
+per-member ascending-degree loop gives, up to the sign of a zero (below).
 
 The power block holds only its live column window [lo, hi), taken from
 X's nonzero columns when a walk starts; outside it T^i X is exactly zero.
@@ -813,7 +813,7 @@ def eval_poly(P: ConvexPolynomial, op: OperatorSpec, v: TruncVector) -> TruncVec
 
 
 # ---------------------------------------------------------------------------
-# Finite search families standing in for "all convex polynomials"
+# The finite search family standing in for "all convex polynomials"
 # ---------------------------------------------------------------------------
 
 
@@ -840,93 +840,3 @@ class Monomials:
                          np.concatenate(([0], np.arange(top + 1))),
                          np.arange(1, top + 1), np.ones(top),
                          ConvexPolynomial.monomial)
-
-
-@dataclass(frozen=True)
-class CesaroMeans:
-    """Uniform averages (T^0 + ... + T^k)/(k+1) for k <= max_degree."""
-
-    max_degree: int
-
-    def __post_init__(self):
-        if self.max_degree < 0:
-            raise ValueError("max_degree must be nonnegative")
-
-    def members(self) -> Tuple[ConvexPolynomial, ...]:
-        return tuple(map(_cesaro_mean, range(self.max_degree + 1)))
-
-    def terms(self) -> TermTable:
-        """The term table, with no polynomial built: member k has the
-        coefficient 1 / (k + 1) at every degree 0..k."""
-        k = np.arange(self.max_degree + 1)
-        ptr = np.concatenate(([0], np.cumsum(k)))
-        owner = np.repeat(k, k)
-        return TermTable(k, 1.0 / (k + 1), ptr, np.arange(ptr[-1]) - ptr[owner] + 1,
-                         1.0 / (owner + 1), _cesaro_mean)
-
-
-def _cesaro_mean(k: int) -> ConvexPolynomial:
-    """(T^0 + ... + T^k) / (k + 1)."""
-    return ConvexPolynomial(tuple([1.0 / (k + 1)] * (k + 1)))
-
-
-def _compositions(total: int, parts: int):
-    """All nonnegative integer tuples of length ``parts`` summing to ``total``,
-    in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-@dataclass(frozen=True)
-class SimplexGrid:
-    """All rational convex combinations with denominator ``resolution`` on
-    degrees 0..degree, enumerated lexicographically."""
-
-    degree: int
-    resolution: int
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
-        if self.resolution < 1:
-            raise ValueError("resolution must be >= 1")
-
-    def members(self) -> Tuple[ConvexPolynomial, ...]:
-        res = self.resolution
-        out = []
-        for comp in _compositions(res, self.degree + 1):
-            out.append(ConvexPolynomial(tuple(c / res for c in comp)))
-        return tuple(out)
-
-
-@dataclass(frozen=True)
-class RandomSimplex:
-    """Seeded Dirichlet(1,...,1) samples on degrees 0..degree."""
-
-    degree: int
-    count: int
-    seed: int
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-
-    def members(self) -> Tuple[ConvexPolynomial, ...]:
-        rng = np.random.default_rng(self.seed)
-        samples = rng.dirichlet(np.ones(self.degree + 1), size=self.count)
-        out = []
-        for row in samples:
-            row = row / math.fsum(row)
-            out.append(ConvexPolynomial(tuple(float(c) for c in row)))
-        return tuple(out)
-
-
-PolynomialFamily = Union[Monomials, CesaroMeans, SimplexGrid, RandomSimplex]

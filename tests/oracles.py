@@ -11,10 +11,13 @@ time, one engine walk per (vector, polynomial list), as the checkers did
 before they batched their walks.  The serial diagnostics score density
 and search transitivity one image at a time, with the block kernels of
 ``spaces`` applied to one row, as the diagnostics did before they
-measured engine blocks.
+measured engine blocks.  The exact recovery norms hold, in Fractions, the
+l^2 norm of each recovery vector 2^-d S^d y of the T = 2B gallery, with
+its correctly rounded float.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -202,6 +205,30 @@ def random_triple(rng, dim, max_degree=6):
 
 
 # ---------------------------------------------------------------------------
+# Exact recovery norms under T = 2B
+# ---------------------------------------------------------------------------
+
+
+def exact_recovery_norm_sq(y, degree):
+    """||2^-d S^d y||_2^2 for a real y, as an exact Fraction: 4^-d times the
+    sum of the squares of y's floats (each float is a dyadic rational)."""
+    return sum(Fraction(float(c)) ** 2 for c in y.coords) / 4 ** degree
+
+
+def rounded_sqrt(q):
+    """The float nearest sqrt(q), ties to even, for a Fraction q > 0 whose
+    root lies in the normal float range."""
+    k = max(0, 62 - (q.numerator.bit_length() - q.denominator.bit_length()) // 2)
+    scaled = q * 4 ** k
+    s = math.isqrt(math.floor(scaled))
+    if s * s == scaled:
+        return float(Fraction(s, 2 ** k))
+    # The root lies strictly inside (s, s + 1) and s has over 60 bits, so
+    # s + 1/2 rounds to the same float (Fraction to float rounds correctly).
+    return float(Fraction(2 * s + 1, 2 ** (k + 1)))
+
+
+# ---------------------------------------------------------------------------
 # Serial criterion reference: one vector at a time
 # ---------------------------------------------------------------------------
 
@@ -365,11 +392,16 @@ def serial_build(inst, j_max, c=1.0, *, k_step=64):
 # ---------------------------------------------------------------------------
 
 
+def members_of(family):
+    """The members of a family with ``members()``, or of a plain sequence."""
+    return tuple(family.members() if hasattr(family, "members") else family)
+
+
 def serial_density(op, x, m, family, targets, epsilon, rtol=MEMBERSHIP_RTOL):
     """``density_score`` image by image, for targets inside the span: an
     orbit error is raised where it occurs, a distance error after the whole
     orbit, for the first target."""
-    members = family.members()
+    members = members_of(family)
     mask = m.mask()
     admissible, distances, errors = [], [[] for _ in targets], [None] * len(targets)
     for j, P in enumerate(members):
@@ -401,7 +433,7 @@ def serial_density(op, x, m, family, targets, epsilon, rtol=MEMBERSHIP_RTOL):
 
 def serial_transitivity(op, m, pairs, family, samples_per_ball, seed, rtol=MEMBERSHIP_RTOL):
     """``transitivity_search`` image by image, in (member, sample) order."""
-    members = family.members()
+    members = members_of(family)
     mask = m.mask()
     results = []
     for p_idx, pair in enumerate(pairs):

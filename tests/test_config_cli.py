@@ -383,10 +383,6 @@ SCALAR_RULES = [
     ("example_5_4", "transitivity.pairs.0.radius", 0, ["transitivity"]),
     ("example_5_4", "seed", -1, ["transitivity"]),
     ("example_5_4", "seed", -1, ["density"]),
-    ("example_5_4", "family",
-     {"kind": "random_simplex", "degree": 3, "count": 5, "seed": -4}, ["transitivity"]),
-    ("example_5_4", "family",
-     {"kind": "random_simplex", "degree": 3, "count": 5, "seed": -4}, ["density"]),
     # Values of the wrong type or shape, and integers that are not integral.
     ("example_5_4", "version", "x", ["density"]),
     ("example_5_4", "density.target_radius", "abc", ["density"]),
@@ -475,17 +471,28 @@ def test_vector_lists_at_the_largest_dim_hold_64_vectors(tmp_path, capsys, block
     assert re.search(f"{field}( must be <= 64|: expected at most (64|32) entries)", err), err
 
 
-@pytest.mark.parametrize("family,field", [
-    ({"kind": "simplex_grid", "degree": 40, "resolution": 40}, "config.family:"),
-    ({"kind": "random_simplex", "degree": 3, "count": 10 ** 15, "seed": 0},
-     "config.family.count"),
-    ({"kind": "random_simplex", "degree": 10 ** 15, "count": 1, "seed": 0},
-     "config.family.degree"),
-])
-def test_oversized_family_exits_2(tmp_path, capsys, family, field):
+@pytest.mark.parametrize("command", ["density", "transitivity"])
+@pytest.mark.parametrize("family", [
+    {"kind": "cesaro_means", "max_degree": 3},
+    {"kind": "simplex_grid", "degree": 2, "resolution": 2},
+    {"kind": "random_simplex", "degree": 3, "count": 5, "seed": 0},
+], ids=lambda family: family["kind"])
+def test_removed_family_kind_exits_2(tmp_path, capsys, family, command):
+    # monomials is the one family kind; the sampled families are gone.
     data = json.loads(dumps_config(entry_to_config(build_entry("example_5_4"))))
     data["family"] = family
-    assert field in _run_invalid(tmp_path, capsys, data, ["density"])
+    err = _run_invalid(tmp_path, capsys, data, [command])
+    assert err == f"config error: config.family: unknown family kind {family['kind']!r}\n"
+
+
+def test_build_candidate_without_a_build_block_exits_2(tmp_path, capsys):
+    # The builder's j_max comes from the config, never from a default.
+    data = json.loads(dumps_config(entry_to_config(build_entry("example_5_4"))))
+    assert data["density"]["candidate"] == "build"
+    del data["build"]
+    err = _run_invalid(tmp_path, capsys, data, ["density"])
+    assert err == ("config error: config.density.candidate: 'build' needs a "
+                   "'build' block\n")
 
 
 @pytest.mark.parametrize("flag,value", [("--horizon", "0"), ("--horizon", "100000"),

@@ -12,7 +12,7 @@ from convexcyclic import (BackwardShift, BallPair, BasisIndexSet,
                           ConvexPolynomial, CriterionInstance, Dense,
                           DimensionMismatch, DimensionTooSmall, DirectSum,
                           Identity,
-                          IndexSet, Monomials, ParityZero, Scale, SimplexGrid,
+                          IndexSet, Monomials, ParityZero, Scale,
                           TargetOutsideSubspace, TruncVector, Verdict,
                           build_cyclic_vector, default_density_targets,
                           density_score,
@@ -24,7 +24,7 @@ from convexcyclic import dynamics
 from convexcyclic.dynamics import BallCenterOutsideSubspace, invariance_checks
 from convexcyclic.gallery import entry_example_5_4
 from convexcyclic.spaces import MEMBERSHIP_RTOL
-from oracles import dense_eval, serial_transitivity
+from oracles import dense_eval, random_convex_poly, serial_transitivity
 
 TWO_B = Scale(2.0, BackwardShift())
 
@@ -50,7 +50,9 @@ class TestOrbit:
     def test_direct_sum_confinement(self):
         op = DirectSum(TWO_B, Identity(), split=4)
         x = TruncVector(np.array([0.1, 0.7, 0.2, 0.4, 0, 0, 0, 0.0]))
-        for w in images(op, x.coords[None], SimplexGrid(3, 3))[:, 0]:
+        rng = np.random.default_rng(3)
+        family = [random_convex_poly(rng, 3) for _ in range(20)]
+        for w in images(op, x.coords[None], family)[:, 0]:
             assert np.all(w[4:] == 0)
 
 
@@ -253,7 +255,6 @@ class TestTransitivity:
         mat = 0.8 * rng.standard_normal((4, 4))
         op = Dense(mat)
         m = materialize_subspace(IndexSet((0, 1, 2)), 4)
-        family = SimplexGrid(2, 3)
         pairs = []
         for _ in range(4):
             u = np.zeros(4)
@@ -262,10 +263,11 @@ class TestTransitivity:
             v[:3] = rng.standard_normal(3)
             pairs.append(BallPair(TruncVector(u), TruncVector(v),
                                   float(rng.uniform(0.5, 2.0))))
+        family = [random_convex_poly(rng, 2) for _ in range(10)]
         report = transitivity_search(op, m, pairs, family,
                                      samples_per_ball=5, seed=13)
 
-        # Brute-force oracle over the same grid and samples, evaluated
+        # Brute-force oracle over the same family and samples, evaluated
         # through dense matrices instead of iterated application.
         from convexcyclic.spaces import membership_tolerance
         for pair, got in zip(pairs, report.per_pair):
@@ -273,7 +275,7 @@ class TestTransitivity:
             idx = pairs.index(pair)
             samples = sample_ball(pair.v_center, m, pair.radius, 5,
                                   13 + 1000003 * idx)
-            for P in family.members():
+            for P in family:
                 for v in samples:
                     w = dense_eval(P, op, v)
                     off = np.where(m.mask(), 0.0, w)

@@ -6,23 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexcyclic import (BackwardShift, CesaroMeans, ConvexPolynomial,
-                          DirectSum, ForwardShift, Identity, Monomials,
-                          NumericalOverflow, RandomSimplex, Scale, SimplexGrid,
-                          TruncationOverflow, TruncVector, apply, eval_poly,
-                          images, operators)
+from convexcyclic import (BackwardShift, ConvexPolynomial, DirectSum,
+                          ForwardShift, Identity, Monomials, NumericalOverflow,
+                          Scale, TruncationOverflow, TruncVector, apply,
+                          eval_poly, images, operators)
 from oracles import (OPERATOR_KINDS, backward_jumps, backward_windows, dense_eval,
-                     dense_poly_matrix, loop_apply, loop_images, random_operator,
-                     random_vector)
+                     dense_poly_matrix, loop_apply, loop_images, members_of,
+                     random_convex_poly, random_operator, random_vector)
+
+
+def _dense_rows(count):
+    """``count`` members, member k with the weight 1/(k+1) at every degree
+    0..k: a term at every degree, and a table whose degrees overlap."""
+    return [ConvexPolynomial((1.0 / (k + 1),) * (k + 1)) for k in range(count)]
+
 
 FAMILIES = {
     "monomials": lambda rng: Monomials(int(rng.integers(0, 6))),
-    "cesaro": lambda rng: CesaroMeans(int(rng.integers(0, 6))),
-    "simplex_grid": lambda rng: SimplexGrid(int(rng.integers(0, 4)),
-                                            int(rng.integers(1, 4))),
-    "random_simplex": lambda rng: RandomSimplex(int(rng.integers(0, 5)),
-                                                int(rng.integers(1, 6)),
-                                                seed=int(rng.integers(0, 100))),
+    "dense_rows": lambda rng: _dense_rows(int(rng.integers(1, 7))),
+    "random_convex": lambda rng: [random_convex_poly(rng, int(rng.integers(0, 5)))
+                                  for _ in range(int(rng.integers(1, 6)))],
 }
 
 
@@ -34,7 +37,7 @@ def test_images_match_loop_and_dense_oracle(seed, dim, complex_field, p, kind, b
     rng = np.random.default_rng(seed)
     op, blocks = random_operator(rng, dim, complex_field)
     family = FAMILIES[kind](rng)
-    members = family.members()
+    members = members_of(family)
     top = max(P.degree for P in members)
     vectors = [random_vector(rng, dim, blocks, top, p, complex_field)
                for _ in range(batch)]
@@ -57,7 +60,7 @@ def test_faults_are_the_loop_failures(seed, dim, kind, batch):
     # overflow the truncation, and exactly those must be reported.
     rng = np.random.default_rng(seed)
     op, _ = random_operator(rng, dim)
-    members = FAMILIES[kind](rng).members()
+    members = members_of(FAMILIES[kind](rng))
     X = rng.standard_normal((batch, dim))
     out, fault = operators._images(op, X, members)
     for r in range(batch):
@@ -113,7 +116,7 @@ def test_images_of_windowed_rows_match_loop_and_dense_oracle(
     rng = np.random.default_rng(seed)
     op, _ = random_operator(rng, dim, complex_field, kind=op_kind)
     _assert_loop_and_dense(op, _windowed_rows(rng, dim, windows, complex_field),
-                           FAMILIES[kind](rng).members())
+                           members_of(FAMILIES[kind](rng)))
 
 
 @pytest.mark.parametrize("op, windows", [
@@ -131,7 +134,7 @@ def test_windows_at_the_split_and_the_ends(op, windows):
     rng = np.random.default_rng(7)
     for complex_field in (False, True):
         _assert_loop_and_dense(op, _windowed_rows(rng, 10, windows, complex_field),
-                               Monomials(6).members() + CesaroMeans(4).members())
+                               Monomials(6).members() + tuple(_dense_rows(5)))
 
 
 @pytest.mark.parametrize("shift, need", [(BackwardShift((1.0, 2.0, 3.0)), 8),
@@ -386,7 +389,7 @@ def test_blocks_share_one_walk_with_the_same_bits_and_faults(
     # inside one block while later blocks still read them.
     rng = np.random.default_rng(seed)
     op, _ = random_operator(rng, dim, complex_field)
-    members = FAMILIES[kind](rng).members()
+    members = members_of(FAMILIES[kind](rng))
     X = rng.standard_normal((batch, dim))
     if complex_field:
         X = X + 1j * rng.standard_normal((batch, dim))
@@ -519,7 +522,7 @@ def test_real_rows_through_a_complex_operator(op, monkeypatch):
     # loop's (see the operators module).
     rng = np.random.default_rng(13)
     X = abs(_windowed_rows(rng, 12, [(3, 9), (5, 7), (0, 0)], False))
-    members = Monomials(6).members() + CesaroMeans(4).members()
+    members = Monomials(6).members() + tuple(_dense_rows(5))
     resolved = []
     calls = _record_acts(monkeypatch, resolved)
     out, fault = operators._images(op, X, members)

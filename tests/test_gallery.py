@@ -1,12 +1,14 @@
 """Named instances reproduce their expected verdicts end to end."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from convexcyclic import (BallPair, ConvexPolynomial, Identity, LambdaTooSmall,
-                          Monomials, TruncVector, Verdict, density_score,
+                          Monomials, TruncVector, Verdict, check_criterion_II,
+                          density_score,
                           eval_poly, images, materialize_subspace, norm,
                           screen_necessary_conditions,
                           transitivity_search, verify_entry)
@@ -16,6 +18,7 @@ from convexcyclic.gallery import (REGISTRY, build_entry, entry_direct_sum,
                                   entry_example_5_2, entry_example_5_4,
                                   entry_lemma_5_1, entry_lemma_5_2,
                                   entry_prop_4_8)
+from oracles import exact_recovery_norm_sq, rounded_sqrt
 
 
 class TestDirectSum:
@@ -202,3 +205,23 @@ class TestRegistry:
             a = dumps_config(entry_to_config(build_entry(name)))
             b = dumps_config(entry_to_config(build_entry(name)))
             assert a == b
+
+
+@pytest.mark.parametrize("name,k", [("lemma_5_1", k) for k in range(1, 5)] + [
+    ("prop_4_8", 1), ("prop_4_8", 2),
+    pytest.param("prop_4_8", 3, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 2: ||x_3|| (degree 583, about 3e-176) "
+                            "underflows to 0.0 in the norm")),
+])
+def test_recovery_norms_are_the_exact_dyadic_norms(name, k):
+    # x_k = 2^-d S^d y is exact in float64, so its norm is one rounding
+    # (at most an ulp more for the summation) off the exact value, and
+    # (2B)^d x_k recovers y bit for bit.
+    entry = build_entry(name)
+    inst = entry.instance
+    verdict = check_criterion_II(inst, entry.horizon, entry.tol)
+    degree = inst.poly(k).degree
+    for t, (y, (norms, errors)) in enumerate(zip(inst.Y, verdict.cond2.decay)):
+        want = rounded_sqrt(exact_recovery_norm_sq(y, degree))
+        assert abs(norms[k - 1] - want) <= math.ulp(want), (t, norms[k - 1], want)
+        assert errors[k - 1] == 0.0, t

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexcyclic import (BackwardShift, CesaroMeans, ConvexPolynomial,
-                          Dense, DimensionMismatch, DirectSum, ForwardShift,
-                          Identity, Monomials, NumericalOverflow,
-                          RandomSimplex, Scale, SimplexGrid, TruncVector,
+from convexcyclic import (BackwardShift, ConvexPolynomial, Dense,
+                          DimensionMismatch, DirectSum, ForwardShift, Identity,
+                          Monomials, NumericalOverflow, Scale, TruncVector,
                           TruncationOverflow, apply, eval_poly,
                           screen_necessary_conditions, to_dense)
 from convexcyclic.operators import TermTable, power_norm_estimates, term_table
-from oracles import dense_eval, random_triple
+from oracles import dense_eval, members_of, random_convex_poly, random_triple
 
 TWO_B = Scale(2.0, BackwardShift())
 HALF_S = Scale(0.5, ForwardShift())
@@ -318,27 +317,10 @@ class TestFamilies:
         assert members[0].coeffs == (1.0,)
         assert [P.degree for P in members] == [0, 1, 2, 3]
 
-    def test_cesaro(self):
-        members = CesaroMeans(2).members()
-        assert members[2].coeffs == (1 / 3, 1 / 3, 1 / 3)
-
-    def test_simplex_grid_counts(self):
-        members = SimplexGrid(2, 4).members()
-        assert len(members) == math.comb(2 + 4, 2)
-        for P in members:
-            assert math.isclose(math.fsum(P.coeffs), 1.0, abs_tol=1e-12)
-            assert all(c >= 0 for c in P.coeffs)
-
     def test_enumeration_deterministic(self):
-        for family in (Monomials(5), CesaroMeans(4), SimplexGrid(3, 3),
-                       RandomSimplex(4, 12, seed=9)):
-            a = [P.coeffs for P in family.members()]
-            b = [P.coeffs for P in family.members()]
-            assert a == b
-
-    def test_random_simplex_rejects_negative_seed(self):
-        with pytest.raises(ValueError, match="seed"):
-            RandomSimplex(3, 6, seed=-4)
+        a = [P.coeffs for P in Monomials(5).members()]
+        b = [P.coeffs for P in Monomials(5).members()]
+        assert a == b
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 17, 50])
     def test_monomial_terms_are_those_of_the_members(self, degree):
@@ -351,29 +333,17 @@ class TestFamilies:
         assert all(got[j0:].member(j) == want.member(j0 + j)
                    for j0 in (0, degree) for j in range(degree + 1 - j0))
 
-    @pytest.mark.parametrize("degree", [0, 1, 2, 17, 50])
-    def test_cesaro_terms_are_those_of_the_members(self, degree):
-        family = CesaroMeans(degree)
-        got, want = family.terms(), TermTable.of(family.members())
-        for name in ("degrees", "constants", "ptr", "powers", "coeffs"):
-            assert getattr(got, name).dtype == getattr(want, name).dtype
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        assert all(got[j0:].member(j) == want.member(j0 + j)
-                   for j0 in (0, degree) for j in range(degree + 1 - j0))
-
-    def test_cesaro_terms_build_no_polynomial(self):
-        with mock.patch.object(ConvexPolynomial, "__post_init__", autospec=True,
-                               side_effect=ConvexPolynomial.__post_init__) as built:
-            table = term_table(CesaroMeans(1000))
-            assert len(table) == 1001 and built.call_count == 0
-            assert table[1000:].member(0) == CesaroMeans(1000).members()[-1]
-
-    @pytest.mark.parametrize("family", [Monomials(6), CesaroMeans(5), SimplexGrid(3, 3),
-                                        RandomSimplex(4, 7, seed=2)])
+    @pytest.mark.parametrize("family", [
+        Monomials(6),
+        [ConvexPolynomial((1.0 / (k + 1),) * (k + 1)) for k in range(6)],
+        [ConvexPolynomial((0.5, 0.0, 0.5)), ConvexPolynomial((0.0, 0.0, 0.0, 1.0)),
+         ConvexPolynomial((1.0,)), ConvexPolynomial((0.25, 0.0, 0.0, 0.5, 0.25))],
+        [random_convex_poly(np.random.default_rng(seed), 4) for seed in range(7)]])
     def test_term_table_rebuilds_every_member(self, family):
-        # Coverage: a table read from members() holds their coefficients.
+        # Coverage: a table read from members() or from a plain sequence
+        # holds their coefficients, zero terms left out.
         table = term_table(family)
-        members = family.members()
+        members = members_of(family)
         assert len(table) == len(members)
         for j0 in range(len(members)):
             block = table[j0: j0 + 2]
@@ -394,11 +364,6 @@ class TestFamilies:
             table = term_table(Monomials(4095))
             assert len(table) == 4096 and built.call_count == 0
             assert table[4000:].member(95) == ConvexPolynomial.monomial(4095)
-
-    def test_random_simplex_seed_sensitivity(self):
-        a = [P.coeffs for P in RandomSimplex(3, 6, seed=1).members()]
-        b = [P.coeffs for P in RandomSimplex(3, 6, seed=2).members()]
-        assert a != b
 
 
 # ---------------------------------------------------------------------------
