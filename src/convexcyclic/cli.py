@@ -7,12 +7,17 @@ floating point, a builder result that fails its own post-verification).
 Report payloads are deterministic for a fixed config and seed; wall-clock
 metadata is segregated into ``meta.json`` so payload files are
 byte-reproducible.
+
+The argument parser is built once per process, on the first ``main``
+call, and every later call reuses it; an in-process loop over commands
+pays for it once.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -311,7 +316,10 @@ def run_gallery(args) -> int:
     raise AssertionError("unreachable gallery command")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: built on first use, then reused, as
+    ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="convexcyclic",
         description="Finite-truncation diagnostics for subspace convex-cyclic "

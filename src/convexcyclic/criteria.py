@@ -19,9 +19,14 @@ criterion I (``dynamics.invariance_checks``).  A walk is read from
 ``operators.image_stream`` one engine block at a time: the norms and
 off-span residuals of a block are taken at once by ``spaces.row_norms``,
 and the results go into one table that holds each image's value or the
-error its evaluation raised.  Real and complex rows of the instance's dim
-walk as one block (``spaces`` gives a promoted real row the same norm
-bits).  The verdicts are bit for bit those of one walk per vector, and so
+error its evaluation raised.  Condition 2 reads only the diagonal of its
+walk, row (y, k) at member k: a chunk's recovery norms are one
+``row_norms`` call, and each block's diagonal images are gathered at
+once and measured by one ``spaces.target_distances`` call per target.
+The builder builds the span's mask once and measures each candidate's
+norm once.  Real and complex rows of the instance's dim walk as one
+block (``spaces`` gives a promoted real row the same norm bits).  The
+verdicts are bit for bit those of one walk per vector, and so
 are the errors, raised in the order of the per-vector loops: the first
 failing row, then its first failing member; in condition 2 the recovery
 rule's errors, orbit faults and distance overflows interleave in (y, k)
@@ -47,9 +52,10 @@ from .dynamics import first_outside, invariance_checks
 from .operators import (ConvexPolynomial, OperatorSpec, block_rows,
                         image_stream)
 from .spaces import (MEMBERSHIP_RTOL, BasisIndexSet, SubspaceSpec,
-                     TruncVector, distance_to_subspace,
-                     materialize_subspace, norm,
-                     off_span_argmax, row_distance, row_norms)
+                     TruncVector, distance_overflow,
+                     materialize_subspace, norm, off_span_argmax,
+                     off_span_norms, row_distance, row_norms,
+                     target_distances)
 
 
 # ---------------------------------------------------------------------------
@@ -309,33 +315,48 @@ def _check_cond1(inst: CriterionInstance, norm_at, horizon: int,
 def _check_cond2(inst: CriterionInstance, horizon: int, tol: float) -> Cond2Result:
     """Every recovery vector x_k(y) in one engine walk, reading member k of
     row (y, k).  Row (y, k) needs member k only, so consecutive k are
-    walked in chunks of c, with |Y| c rows through c members held in one
-    block; every gallery instance needs a single chunk.  Errors come in
-    (y, k) order: the recovery rule's, then the orbit's, then the
-    distance's."""
+    walked in chunks of c, with |Y| c rows through the chunk's c members
+    (none past the horizon) held in one block; every gallery instance
+    needs a single chunk.  A chunk's recovery norms are one ``row_norms``
+    call.  Of each engine block only the diagonal images, row (y, k) at
+    member k, are gathered (by one fancy index) and measured, by one
+    ``target_distances`` call per target y on its rows; the faults of the
+    other images are never read.  Errors come in (y, k) order: the
+    recovery rule's, then the orbit's, then the distance's."""
     count = len(inst.Y)
     chunk = max(1, math.isqrt(block_rows(inst.dim) // max(1, count)))
     norms, distances = {}, {}
     for k0 in range(0, horizon, chunk):
-        vectors = {}
-        for k in range(k0, min(k0 + chunk, horizon)):
+        rows, vectors = [], []
+        stop = min(k0 + chunk, horizon)
+        for k in range(k0, stop):
             for y in range(count):
                 try:
-                    vectors[y, k] = inst.recovery_vector(y, k + 1)
-                    norms[y, k] = norm(vectors[y, k])
+                    vectors.append(inst.recovery_vector(y, k + 1))
+                    rows.append((y, k))
                 except Exception as err:  # raised in (y, k) order below
                     norms[y, k] = err
-        rows = list(vectors)
-
-        def measure(j0, r0, out):
-            return [[_distance(w, vectors[yk].p, inst.Y[yk[0]]) if k0 + j0 + j == yk[1]
-                     else None for w, yk in zip(ws, rows[r0:])]
-                    for j, ws in enumerate(out)]
-
-        table = _walk(inst.op, [vectors[yk].coords for yk in rows],
-                      inst.polys[k0: k0 + chunk], measure)
-        distances.update((rows[r], v) for (j, r), v in table.items()
-                         if k0 + j == rows[r][1])
+        if not rows:
+            continue
+        # The instance gives every recovery vector and target its dim and
+        # p, so no distance fails ``check_target``.
+        p = vectors[0].p
+        block = np.array([v.coords for v in vectors])
+        norms.update(zip(rows, row_norms(block, p).tolist()))
+        targets, members = np.array(rows).T
+        for j0, r0, out, fault in image_stream(inst.op, block, inst.polys[k0: stop]):
+            r = np.arange(out.shape[1])
+            j = members[r0 + r] - (k0 + j0)
+            on = (j >= 0) & (j < len(out))
+            j, r = j[on], r[on]
+            diagonal, ys = out[j, r], targets[r0 + r]
+            for y in sorted(set(ys.tolist())):
+                mine = ys == y
+                dists = target_distances(diagonal[mine], p, (inst.Y[y],))[0]
+                for jj, rr, dist in zip(j[mine].tolist(), r[mine].tolist(), dists.tolist()):
+                    if math.isnan(dist):
+                        dist = distance_overflow()
+                    distances[rows[r0 + rr]] = fault.get((jj, rr)) or dist
     worst_norm = 0.0
     worst_err = 0.0
     passed = True
@@ -446,12 +467,13 @@ class BuildResult:
     steps: tuple
 
 
-def _four_term_bound(inst: CriterionInstance, xc: TruncVector, y: TruncVector,
-                     P: ConvexPolynomial, chosen_k: list, chosen_x: list) -> float:
-    """||xc|| + ||P(T) xc - y|| plus the worst cross term ||P(T) x_i|| +
-    ||P_{k_i}(T) xc|| over the earlier steps i, from one engine walk of xc
-    and every earlier summand through P and every earlier P_{k_i}.  Errors
-    come in the order of the terms."""
+def _four_term_bound(inst: CriterionInstance, xc: TruncVector, xc_norm: float,
+                     y: TruncVector, P: ConvexPolynomial, chosen_k: list,
+                     chosen_x: list) -> float:
+    """``xc_norm`` (= ||xc||) + ||P(T) xc - y|| plus the worst cross term
+    ||P(T) x_i|| + ||P_{k_i}(T) xc|| over the earlier steps i, from one
+    engine walk of xc and every earlier summand through P and every
+    earlier P_{k_i}.  Errors come in the order of the terms."""
 
     def measure(j0, r0, out):
         values = _norms(out, xc.p)
@@ -461,7 +483,7 @@ def _four_term_bound(inst: CriterionInstance, xc: TruncVector, y: TruncVector,
 
     table = _walk(inst.op, [v.coords for v in [xc] + chosen_x],
                   [P] + [inst.poly(k) for k in chosen_k], measure)
-    base = norm(xc) + _value(table, (0, 0))
+    base = xc_norm + _value(table, (0, 0))
     worst_cross = 0.0
     for i in range(len(chosen_k)):
         cross = _value(table, (0, i + 1)) + _value(table, (i + 1, 0))
@@ -491,7 +513,7 @@ def build_cyclic_vector(inst: CriterionInstance, j_max: int, c: float = 1.0, *,
         raise ValueError("j_max must be >= 1")
     if not inst.Y:
         raise ValueError("the builder needs a nonempty target list")
-    m = inst.materialized()
+    mask = inst.materialized().mask()
     steps = min(j_max, len(inst.Y))
     xi = xi_schedule(steps, c)
 
@@ -515,9 +537,11 @@ def build_cyclic_vector(inst: CriterionInstance, j_max: int, c: float = 1.0, *,
             # is compared against the candidate's own norm, not the global
             # membership floor, so a structurally misaligned summand cannot
             # slip in just because it has decayed to numerical dust.
-            if distance_to_subspace(xc, m) > inst.membership_rtol * norm(xc) and norm(xc) > 0:
+            xc_norm = norm(xc)
+            residual = off_span_norms(xc.coords[None], mask, xc.p)[0]
+            if residual > inst.membership_rtol * xc_norm and xc_norm > 0:
                 continue
-            bound = _four_term_bound(inst, xc, y, P, chosen_k, chosen_x)
+            bound = _four_term_bound(inst, xc, xc_norm, y, P, chosen_k, chosen_x)
             if bound < best_bound:
                 best_bound = bound
                 best_k = k

@@ -40,8 +40,8 @@ from .operators import (ConvexPolynomial, Monomials, OperatorSpec,
                         block_rows, image_stream, images, term_table)
 from .spaces import (MEMBERSHIP_RTOL, BasisIndexSet, TruncVector,
                      check_target, distance_overflow, off_span_argmax,
-                     off_span_norms, row_distances, row_norms,
-                     row_tolerances, target_distances)
+                     outside_span, row_distances, row_norms,
+                     target_distances)
 
 
 class Verdict(enum.Enum):
@@ -126,10 +126,10 @@ def first_outside(vectors: Sequence[TruncVector], mask: np.ndarray,
     A vector v is outside when ``distance_to_subspace(v, m) >
     membership_tolerance(v, rtol)``.  The list is measured a block at a
     time, each block a run of at most ``block_rows`` vectors of one
-    exponent p, with one ``off_span_norms`` and one ``row_tolerances``
-    call that give every row the bits of its one-vector measure.  A vector
-    of another dim raises DimensionMismatch, as ``distance_to_subspace``
-    does, when no vector ahead of it is outside.
+    exponent p, with one ``spaces.outside_span`` call that gives every
+    row the verdict of its one-vector measure.  A vector of another dim
+    raises DimensionMismatch, as ``distance_to_subspace`` does, when no
+    vector ahead of it is outside.
     """
     dim = mask.size
     cap = block_rows(dim)
@@ -143,8 +143,7 @@ def first_outside(vectors: Sequence[TruncVector], mask: np.ndarray,
                and vectors[j].p == v.p):
             j += 1
         rows = np.stack([u.coords for u in vectors[i:j]])
-        outside = np.flatnonzero(off_span_norms(rows, mask, v.p)
-                                 > row_tolerances(rows, v.p, rtol))
+        outside = np.flatnonzero(outside_span(rows, mask, v.p, rtol)[1])
         if outside.size:
             return i + int(outside[0])
         i = j
@@ -223,8 +222,7 @@ def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
         if fault:
             raise next(iter(fault.values()))
         W = out[:, 0]
-        rows = np.flatnonzero(
-            ~(off_span_norms(W, mask, x.p) > row_tolerances(W, x.p, membership_rtol)))
+        rows = np.flatnonzero(~outside_span(W, mask, x.p, membership_rtol)[1])
         admissible += rows.size
         if not rows.size:
             continue
@@ -310,9 +308,8 @@ def invariance_checks(polys: Sequence[ConvexPolynomial], op: OperatorSpec,
                 (k, r), error = next(iter(fault.items()))
                 if first_fault is None or (k0 + k, r0 + s0 + r) < first_fault[:2]:
                     first_fault = (k0 + k, r0 + s0 + r, error)
-            W = out.reshape(-1, m.dim)
-            residuals = off_span_norms(W, mask, 2.0).reshape(out.shape[:2])
-            outside = residuals > row_tolerances(W, 2.0, membership_rtol).reshape(out.shape[:2])
+            residuals, outside = (a.reshape(out.shape[:2]) for a in outside_span(
+                out.reshape(-1, m.dim), mask, 2.0, membership_rtol))
             for k in range(len(out)):
                 worst[k0 + k] = max(worst[k0 + k], float(residuals[k].max()))
                 if violator[k0 + k] is None and outside[k].any():
@@ -395,8 +392,7 @@ def transitivity_search(op: OperatorSpec, m: BasisIndexSet,
             if fault:
                 j, r = next(iter(fault))
                 W = W[: j * out.shape[1] + r]
-            inside = np.flatnonzero(
-                ~(off_span_norms(W, mask, p) > row_tolerances(W, p, membership_rtol)))
+            inside = np.flatnonzero(~outside_span(W, mask, p, membership_rtol)[1])
             if inside.size:
                 dists = row_distances(W[inside], p, pair.u_center)
                 # The first image that lands in the U-ball or overflows.

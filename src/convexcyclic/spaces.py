@@ -465,3 +465,18 @@ def row_tolerances(rows: np.ndarray, p: float, rtol: float) -> np.ndarray:
         with np.errstate(over="ignore"):
             result[big[over]] = rtol * n[over] * s[over]
     return result
+
+
+def outside_span(rows: np.ndarray, mask: np.ndarray, p: float,
+                 rtol: float) -> tuple:
+    """``(residuals, outside)`` of a raw block: every row's
+    ``off_span_norms`` residual, and whether it exceeds the row's
+    ``row_tolerances`` tolerance.  Every tolerance is at least rtol, so
+    the tolerances are measured only on the rows whose residual exceeds
+    rtol; a NaN residual is never outside."""
+    residuals = off_span_norms(rows, mask, p)
+    outside = residuals > rtol
+    near = np.flatnonzero(outside)
+    if near.size:
+        outside[near] = residuals[near] > row_tolerances(rows[near], p, rtol)
+    return residuals, outside

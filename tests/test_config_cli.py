@@ -775,3 +775,53 @@ def test_unusable_out_exits_2(tmp_path, capsys, argv, out):
     assert code == 2, captured.err
     assert captured.err.startswith("error: cannot write") and captured.err.count("\n") == 1
     assert captured.out == ""  # it fails before any work is reported
+
+
+def test_the_parser_is_built_once_and_reused(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    cfg = gallery_config(tmp_path, "lemma_5_1")
+    with pytest.raises(SystemExit) as info:
+        main(["screen", "--seed", "3", "--config", cfg])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    payloads = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        # Condition 3 of criterion I fails on lemma_5_1's span.
+        assert main(["criterion", "--which", "I", "--config", cfg, "--out", str(out)]) == 1
+        payloads.append({path.name: path.read_bytes() for path in sorted(out.iterdir())
+                         if path.name != "meta.json"})
+    assert payloads[0] and payloads[0] == payloads[1]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out == cli.build_parser.__wrapped__().format_help()
+
+
+def test_no_run_imports_numpy_ma(tmp_path):
+    # numpy.ma, once imported (by np.unique, for one), holds about 1 MiB for
+    # the rest of the process.  pytest and hypothesis may import it here, so
+    # the runs go in a fresh interpreter.
+    import convexcyclic
+    src = str(Path(convexcyclic.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = f"""
+import contextlib, io, sys
+from convexcyclic import cli
+from convexcyclic.gallery import verify_all
+out = {str(tmp_path)!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    assert all(not problems for problems in verify_all().values())
+    assert cli.main(["gallery", "dump", "lemma_5_1", "--out", out + "/cfg.json"]) == 0
+    for argv, code in ((["criterion", "--which", "I"], 1),
+                       (["criterion", "--which", "II"], 0), (["build"], 0), (["screen"], 0)):
+        assert cli.main(argv + ["--config", out + "/cfg.json",
+                                "--out", out + "/" + argv[-1]]) == code
+print("numpy.ma" in sys.modules)
+"""
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]

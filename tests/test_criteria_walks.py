@@ -17,9 +17,9 @@ from convexcyclic import (BackwardShift, BallPair, ConvexPolynomial,
                           ShiftRecovery, TruncVector,
                           build_cyclic_vector, check_criterion_I,
                           check_criterion_II, criteria, density_score,
-                          materialize_subspace, operators,
+                          materialize_subspace, norm, operators,
                           transitivity_search)
-from convexcyclic.gallery import entry_lemma_5_1, entry_prop_4_8
+from convexcyclic.gallery import build_entry, entry_lemma_5_1, entry_prop_4_8
 from oracles import (OPERATOR_KINDS, backward_jumps, random_convex_poly,
                      random_operator, serial_build, serial_criterion_I,
                      serial_criterion_II, serial_density, serial_transitivity)
@@ -178,6 +178,64 @@ def test_criterion_II_walks_X_once_and_the_recovery_vectors_once(monkeypatch):
     assert jumps == backward_jumps(X, degrees) + backward_jumps(recovery, degrees)
     assert len(jumps) == 8 and jumps[3] == (115, 0, (12, 0))
     assert all(shape[1] < 512 for _, _, shape in jumps)
+
+
+def _record_cond2_kernels(monkeypatch) -> dict:
+    """The rows of every ``row_norms``, the (target, rows) of every
+    ``target_distances`` and the calls of ``row_distance`` made by
+    ``criteria``, and the images of every engine block it reads."""
+    seen = {"norms": [], "distances": [], "row_distance": 0, "images": 0}
+    row_norms, target_distances = criteria.row_norms, criteria.target_distances
+    row_distance, image_stream = criteria.row_distance, criteria.image_stream
+
+    def norms(rows, p):
+        seen["norms"].append(len(rows))
+        return row_norms(rows, p)
+
+    def distances(rows, p, targets):
+        seen["distances"].append((tuple(targets), len(rows)))
+        return target_distances(rows, p, targets)
+
+    def distance(*args):
+        seen["row_distance"] += 1
+        return row_distance(*args)
+
+    def stream(*args):
+        for block in image_stream(*args):
+            seen["images"] += block[2].shape[0] * block[2].shape[1]
+            yield block
+
+    monkeypatch.setattr(criteria, "row_norms", norms)
+    monkeypatch.setattr(criteria, "target_distances", distances)
+    monkeypatch.setattr(criteria, "row_distance", distance)
+    monkeypatch.setattr(criteria, "image_stream", stream)
+    return seen
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("name", ["lemma_5_1", "example_5_4"])
+def test_condition_2_measures_only_the_diagonal_images(monkeypatch, name, rows):
+    # Row (y, k) is read at member k only: |Y| * horizon images, each
+    # measured once against its own target, and no image one at a time.
+    entry = build_entry(name)
+    inst, horizon = entry.instance, entry.horizon
+    want = criteria._check_cond2(inst, horizon, entry.tol)
+    block = operators.BLOCK_BYTES if rows is None else rows * inst.dim * 16
+    monkeypatch.setattr(operators, "BLOCK_BYTES", block)
+    seen = _record_cond2_kernels(monkeypatch)
+    assert repr(criteria._check_cond2(inst, horizon, entry.tol)) == repr(want)
+    diagonal = len(inst.Y) * horizon
+    assert seen["row_distance"] == 0
+    assert sum(seen["norms"]) == diagonal
+    assert sum(count for _, count in seen["distances"]) == diagonal
+    for target in inst.Y:
+        assert sum(count for targets, count in seen["distances"]
+                   if targets == (target,)) == horizon
+    if rows is None and name == "lemma_5_1":
+        assert seen["norms"] == [16]
+        assert seen["distances"] == [((y,), 4) for y in inst.Y]
+    if rows is None and name == "example_5_4":
+        assert (diagonal, seen["images"]) == (48, 384)
 
 
 def _record_jumps(monkeypatch) -> list:
@@ -376,7 +434,8 @@ def test_a_builder_candidate_is_scored_in_one_walk(monkeypatch):
     xc, x1 = inst.recovery_vector(1, k2), inst.recovery_vector(0, k1)
     calls = _record_acts(monkeypatch)
     jumps = _record_jumps(monkeypatch)
-    bound = criteria._four_term_bound(inst, xc, inst.Y[1], inst.poly(k2), [k1], [x1])
+    bound = criteria._four_term_bound(inst, xc, norm(xc), inst.Y[1], inst.poly(k2),
+                                     [k1], [x1])
     assert bound == steps[1].four_term_bound
     assert inst.poly(k1).degree < inst.poly(k2).degree
     assert calls == []
