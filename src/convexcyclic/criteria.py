@@ -20,9 +20,12 @@ criterion I (``dynamics.invariance_checks``).  A walk is read from
 off-span residuals of a block are taken at once by ``spaces.row_norms``,
 and the results go into one table that holds each image's value or the
 error its evaluation raised.  Condition 2 reads only the diagonal of its
-walk, row (y, k) at member k: a chunk's recovery norms are one
-``row_norms`` call, and each block's diagonal images are gathered at
-once and measured by one ``spaces.target_distances`` call per target.
+walk, row (y, k) at member k: a shift rule's recovery rows for every y
+at one degree are one slice and one scaling of the targets' block
+(``ShiftRecovery.recover_rows``, no vector built per x_k(y)), a chunk's
+recovery norms are one ``row_norms`` call, and each block's diagonal
+images are gathered at once and measured by one
+``spaces.target_distances`` call per target.
 The builder builds the span's mask once and measures each candidate's
 norm once.  Real and complex rows of the instance's dim walk as one
 block (``spaces`` gives a promoted real row the same norm bits).  The
@@ -70,8 +73,10 @@ class ShiftRecovery:
 
     This is the exact right inverse of a scaled backward shift: applying
     (scale * B)^d recovers y bit for bit when scale is a power of two.
-    A factor scale^(-d) or an x_k outside the float range raises
-    NumericalOverflow at degree d.
+    A y with mass in its top d coordinates raises TruncationOverflow, and
+    a factor scale^(-d) or an x_k outside the float range raises
+    NumericalOverflow at degree d.  ``recover_rows`` recovers a block of
+    targets at once, and ``recover`` is its one-row case.
     """
 
     scale: complex
@@ -83,24 +88,39 @@ class ShiftRecovery:
         object.__setattr__(self, "scale", s.real if s.imag == 0 else s)
 
     def recover(self, y: TruncVector, poly: ConvexPolynomial) -> TruncVector:
-        d = poly.degree
+        """x_k for one target y: ``recover_rows`` of its row."""
+        rows, errors = self.recover_rows(y.coords[None], poly.degree)
+        if errors[0] is not None:
+            raise errors[0]
+        return y if poly.degree == 0 else y.with_coords(rows[0])
+
+    def recover_rows(self, rows: np.ndarray, d: int) -> tuple:
+        """x_k at degree d for every row y of a raw block, by one slice and
+        one scaling: ``(out, errors)``, where ``errors[i]`` is the error
+        recovering row i raises (TruncationOverflow, then NumericalOverflow
+        of the factor or of the row) or None.  Degree 0 returns ``rows``."""
+        errors = [None] * len(rows)
         if d == 0:
-            return y
-        kept = max(0, y.dim - d)
-        if np.any(y.coords[kept:] != 0):
-            raise TruncationOverflow(
-                f"shifting support by {d} leaves the truncation of size {y.dim}")
-        out = np.zeros_like(y.coords)
-        out[d:] = y.coords[:kept]
+            return rows, errors
+        kept = max(0, rows.shape[1] - d)
+        out = np.zeros_like(rows)
+        out[:, d:] = rows[:, :kept]
         try:
             factor = self.scale ** (-d)
         except OverflowError:
-            raise NumericalOverflow(d, "the recovery factor scale^(-d)") from None
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = out * factor
-        if not np.isfinite(out).all():
-            raise NumericalOverflow(d, "the recovery vector")
-        return y.with_coords(out)
+            failed = np.ones(len(rows), dtype=bool)
+            error = NumericalOverflow(d, "the recovery factor scale^(-d)")
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = out * factor
+            failed = ~np.isfinite(out).all(axis=1)
+            error = NumericalOverflow(d, "the recovery vector")
+        for i in np.flatnonzero(failed):
+            errors[i] = error
+        for i in np.flatnonzero(rows[:, kept:].any(axis=1)):
+            errors[i] = TruncationOverflow(
+                f"shifting support by {d} leaves the truncation of size {rows.shape[1]}")
+        return out, errors
 
 
 @dataclass(frozen=True)
@@ -312,36 +332,57 @@ def _check_cond1(inst: CriterionInstance, norm_at, horizon: int,
     return Cond1Result(passed=passed, worst_tail_norm=worst)
 
 
+def _recovery_rows(inst: CriterionInstance, Y: np.ndarray, k: int) -> tuple:
+    """``(rows, errors)``: the recovery vector x_{k+1}(y) of every target
+    row of ``Y``, or the error recovering it raises (its row then is
+    arbitrary).  A shift rule recovers them all at once (``recover_rows``)."""
+    rule = inst.recovery
+    if isinstance(rule, ShiftRecovery):
+        return rule.recover_rows(Y, inst.polys[k].degree)
+    rows, errors = [], []
+    for y in range(len(Y)):
+        try:
+            rows.append(inst.recovery_vector(y, k + 1).coords)
+            errors.append(None)
+        except RecoveryRuleMissing as err:
+            rows.append(np.zeros(inst.dim))
+            errors.append(err)
+    return np.array(rows).reshape(len(Y), inst.dim), errors
+
+
 def _check_cond2(inst: CriterionInstance, horizon: int, tol: float) -> Cond2Result:
     """Every recovery vector x_k(y) in one engine walk, reading member k of
     row (y, k).  Row (y, k) needs member k only, so consecutive k are
     walked in chunks of c, with |Y| c rows through the chunk's c members
     (none past the horizon) held in one block; every gallery instance
-    needs a single chunk.  A chunk's recovery norms are one ``row_norms``
-    call.  Of each engine block only the diagonal images, row (y, k) at
-    member k, are gathered (by one fancy index) and measured, by one
-    ``target_distances`` call per target y on its rows; the faults of the
-    other images are never read.  Errors come in (y, k) order: the
+    needs a single chunk.  The chunk's rows are built degree by degree,
+    every y at once (``_recovery_rows``), and its recovery norms are one
+    ``row_norms`` call.  Of each engine block only the diagonal images,
+    row (y, k) at member k, are gathered (by one fancy index) and
+    measured, by one ``target_distances`` call per target y on its rows;
+    the faults of the other images are never read.  Errors come in (y, k) order: the
     recovery rule's, then the orbit's, then the distance's."""
     count = len(inst.Y)
+    Y = np.array([y.coords for y in inst.Y]).reshape(count, inst.dim)
     chunk = max(1, math.isqrt(block_rows(inst.dim) // max(1, count)))
     norms, distances = {}, {}
     for k0 in range(0, horizon, chunk):
-        rows, vectors = [], []
+        rows, blocks = [], []
         stop = min(k0 + chunk, horizon)
         for k in range(k0, stop):
-            for y in range(count):
-                try:
-                    vectors.append(inst.recovery_vector(y, k + 1))
+            block, errors = _recovery_rows(inst, Y, k)
+            for y, err in enumerate(errors):
+                if err is None:
                     rows.append((y, k))
-                except Exception as err:  # raised in (y, k) order below
+                else:  # raised in (y, k) order below
                     norms[y, k] = err
+            blocks.append(block[[err is None for err in errors]])
         if not rows:
             continue
         # The instance gives every recovery vector and target its dim and
         # p, so no distance fails ``check_target``.
-        p = vectors[0].p
-        block = np.array([v.coords for v in vectors])
+        p = inst.Y[0].p
+        block = np.concatenate(blocks)
         norms.update(zip(rows, row_norms(block, p).tolist()))
         targets, members = np.array(rows).T
         for j0, r0, out, fault in image_stream(inst.op, block, inst.polys[k0: stop]):

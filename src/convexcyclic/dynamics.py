@@ -21,8 +21,12 @@ the error a loop over the vectors would raise first.  The results are
 then read in (member, row) order, so the first hit, the first error and
 every tie-break are those of a loop over single images: density scores
 the family's images in order, invariance applies every P(T) asked for to
-the span's identity rows in one walk, and transitivity scans each pair's
-(member, sample) images in enumeration order.
+the span's identity rows in one walk, and transitivity walks the ball
+samples of consecutive pairs together where every member's images of
+them fit one engine block, scans each pair's (member, sample) images in
+enumeration order, measures only the images whose norm gap to the
+U-center leaves them a chance to land in the U-ball, and checks the
+distinct witnesses' invariance in one walk.
 """
 
 from __future__ import annotations
@@ -150,29 +154,42 @@ def first_outside(vectors: Sequence[TruncVector], mask: np.ndarray,
     return None
 
 
+def _in_reach(norms, center_norms, reach, p: float, dim: int,
+              slack: float = 0.0) -> np.ndarray:
+    """False where the norm gap | ||w|| - ||c|| | <= ||w - c|| proves that
+    row w measures farther than ``reach`` from center c, True elsewhere
+    (the arrays broadcast).
+
+    w is ruled out when the gap exceeds reach + rel (||w|| + ||c|| +
+    reach) + 2 eta + slack.  rel = 1e-6 covers the relative rounding of
+    every measured norm and distance (at most about dim * 2^-53), and
+    eta = 4 (dim 2^-1074)^(1/p) the underflow of its terms, so a ruled-out
+    row's measured distance, had it been measured, would exceed reach by
+    more than slack.  A row or center of norm 2^1022 or more is never
+    ruled out, so every difference that can overflow is measured.
+    """
+    rel, eta = 1e-6, 4.0 * (dim * 2.0 ** -1074) ** (1.0 / p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (~(np.abs(norms - center_norms)
+                  > reach + rel * (norms + center_norms + reach) + 2 * eta + slack)
+                | ~(norms < 2.0 ** 1022) | ~(center_norms < 2.0 ** 1022))
+
+
 def _may_be_nearest(norms: np.ndarray, target_norms: np.ndarray,
                     best: np.ndarray, p: float, dim: int) -> np.ndarray:
     """(targets x rows): False where row w cannot measure within 1e-12 of
     the least distance to target y that density can report, True elsewhere.
 
     ``best[t]`` is at least that least distance; it is first lowered to
-    the rows' upper bounds (||w|| + ||y||)(1 + rel) + eta.  Then
-    | ||w|| - ||y|| | <= ||w - y|| rules a row out when it exceeds
-    best + rel (||w|| + ||y|| + best) + 2 eta + 2e-12.  rel = 1e-6 covers
-    the relative rounding of every measured norm and distance (at most
-    about dim * 2^-53), and eta = 4 (dim 2^-1074)^(1/p) the underflow of
-    its terms, so a ruled-out row's measured distance, had it been
-    measured, would exceed the least one by more than 1e-12 plus the
-    rounding of that sum.  A row or target of norm 2^1022 or more is never
-    ruled out, so every difference that can overflow is measured.
+    the rows' upper bounds (||w|| + ||y||)(1 + rel) + eta, with rel and
+    eta those of ``_in_reach``, which then rules a row out when it cannot
+    come within best + 2e-12 of y.
     """
     rel, eta = 1e-6, 4.0 * (dim * 2.0 ** -1074) ** (1.0 / p)
     w, y = norms[None, :], target_norms[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         best[:] = np.fmin(best, ((w + y) * (1 + rel) + eta).min(axis=1, initial=math.inf))
-        b = best[:, None]
-        return (~(np.abs(w - y) > b + rel * (w + y + b) + 2 * eta + 2e-12)
-                | ~(w < 2.0 ** 1022) | ~(y < 2.0 ** 1022))
+    return _in_reach(w, y, best[:, None], p, dim, slack=2e-12)
 
 
 def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
@@ -334,23 +351,28 @@ def sample_ball(center: TruncVector, m: BasisIndexSet, radius: float,
     coefficients are real, a subset of the ball that keeps sampling
     reproducible.
     """
-    block = _ball_block(center, m, radius, count, seed)
+    block = _ball_blocks([center], [radius], m, count, [seed])
     return [center] + [center.with_coords(row) for row in block[1:]]
 
 
-def _ball_block(center: TruncVector, m: BasisIndexSet, radius: float,
-                count: int, seed: int) -> np.ndarray:
-    """``sample_ball``'s samples as one raw block, with the arithmetic of
-    one sample at a time: center + offset * radius, where an offset of
-    norm s > 1 is first multiplied by 1 / s."""
+def _ball_blocks(centers: Sequence[TruncVector], radii: Sequence[float],
+                 m: BasisIndexSet, count: int, seeds: Sequence[int]) -> np.ndarray:
+    """``sample_ball``'s samples of every center (one dtype and p) as one
+    raw block, center by center, with the arithmetic of one sample at a
+    time: center + offset * radius, where an offset of norm s > 1 is first
+    multiplied by 1 / s."""
     extra = max(count - 1, 0) if len(m) else 0
-    cube = 2.0 * np.random.default_rng(seed).random((extra, len(m))) - 1.0
-    offsets = np.zeros((extra, center.dim), center.coords.dtype)
-    offsets[:, list(m.indices)] = cube
-    scale = row_norms(offsets, center.p)
+    rows = np.array([center.coords for center in centers])[:, None]
+    dim = rows.shape[2]
+    offsets = np.zeros((len(rows), extra, dim), rows.dtype)
+    offsets[:, :, m.indices] = [2.0 * np.random.default_rng(seed).random((extra, len(m))) - 1.0
+                                for seed in seeds]
+    flat = offsets.reshape(-1, dim)
+    scale = row_norms(flat, centers[0].p)
     clamp = scale > 1.0
-    offsets[clamp] *= (1.0 / scale[clamp])[:, None]
-    return np.concatenate([center.coords[None], center.coords + offsets * radius])
+    flat[clamp] *= (1.0 / scale[clamp])[:, None]
+    samples = rows + offsets * np.array(radii)[:, None, None]
+    return np.concatenate([rows, samples], axis=1).reshape(-1, dim)
 
 
 def transitivity_search(op: OperatorSpec, m: BasisIndexSet,
@@ -368,6 +390,14 @@ def transitivity_search(op: OperatorSpec, m: BasisIndexSet,
     per witness in a search.  ``found ==
     False`` means no witness in this family at this sampling resolution:
     evidence of non-transitivity, not proof.
+
+    Consecutive pairs of one dtype and p whose samples fit one engine
+    block with every member walk together (``_search_walk``); a pair
+    larger than that walks alone.  The walks stop at the first pair whose
+    scan raises, and the distinct witnesses of the pairs ahead of it are
+    checked in one ``invariance_checks`` walk.  Every result and error is
+    that of scanning the pairs one after another: the first pair's error
+    is raised, after the invariance error of any witness found ahead of it.
     """
     if len(m) == 0:
         raise ValueError("the zero subspace admits no transitivity search")
@@ -379,43 +409,102 @@ def transitivity_search(op: OperatorSpec, m: BasisIndexSet,
             f"pair {i // 2}: {'UV'[i % 2]} center lies outside the subspace span")
 
     table = term_table(family)
-    residuals = {}  # each witness's invariance residual, from its first hit
+    # Each pair's sample block has max(samples_per_ball, 1) rows.
+    per_walk = max(1, block_rows(m.dim) // max(1, len(table)) // max(samples_per_ball, 1))
+    outcomes = []  # each pair's witness member, None, or the error its scan raises
+    while len(outcomes) < len(pairs):
+        i = len(outcomes)
+        kind = (pairs[i].v_center.coords.dtype, pairs[i].v_center.p)
+        j = i + 1
+        while (j < len(pairs) and j - i < per_walk
+               and (pairs[j].v_center.coords.dtype, pairs[j].v_center.p) == kind):
+            j += 1
+        X = _ball_blocks([pair.v_center for pair in pairs[i:j]],
+                         [pair.radius for pair in pairs[i:j]], m, samples_per_ball,
+                         [seed + 1000003 * k for k in range(i, j)])
+        outcomes += _search_walk(op, mask, table, pairs[i:j], X, membership_rtol)
+        if any(isinstance(o, Exception) for o in outcomes[i:]):
+            break
 
-    def search_one(p_idx: int) -> PairResult:
-        pair = pairs[p_idx]
-        block = _ball_block(pair.v_center, m, pair.radius, samples_per_ball,
-                            seed + 1000003 * p_idx)
-        p = pair.v_center.p
-        for j0, _, out, fault in image_stream(op, block, table):
-            # Only the images before the block's first fault are read.
-            W = out.reshape(-1, m.dim)
-            if fault:
-                j, r = next(iter(fault))
-                W = W[: j * out.shape[1] + r]
-            inside = np.flatnonzero(~outside_span(W, mask, p, membership_rtol)[1])
-            if inside.size:
-                dists = row_distances(W[inside], p, pair.u_center)
-                # The first image that lands in the U-ball or overflows.
-                events = np.flatnonzero(~(dists > pair.radius))
-                if events.size:
-                    if np.isnan(dists[events[0]]):
-                        raise distance_overflow()
-                    j = j0 + int(inside[events[0]]) // out.shape[1]
-                    if j not in residuals:
-                        residuals[j] = invariance_check(
-                            table.member(j), op, m, membership_rtol=membership_rtol).max_residual
-                    return PairResult(True, table.member(j), j, residuals[j])
-            if fault:
-                raise next(iter(fault.values()))
-        return PairResult(False, None, None, 0.0)
-
+    stop = next((k for k, o in enumerate(outcomes) if isinstance(o, Exception)), len(pairs))
+    witnesses = list(dict.fromkeys(o for o in outcomes[:stop] if o is not None))
+    residuals = {}
+    if witnesses:
+        results = invariance_checks([table.member(j) for j in witnesses], op, m,
+                                    membership_rtol=membership_rtol)
+        residuals = {j: res.max_residual for j, res in zip(witnesses, results)}
+    if stop < len(pairs):
+        raise outcomes[stop]
     return TransitivityReport(
         pairs=tuple(pairs),
-        per_pair=tuple(search_one(p_idx) for p_idx in range(len(pairs))),
+        per_pair=tuple(PairResult(False, None, None, 0.0) if j is None else
+                       PairResult(True, table.member(j), j, residuals[j])
+                       for j in outcomes),
         family=family,
         samples_per_ball=samples_per_ball,
         seed=seed,
     )
+
+
+def _search_walk(op: OperatorSpec, mask: np.ndarray, table, pairs: Sequence[BallPair],
+                 X: np.ndarray, rtol: float) -> list:
+    """What scanning each pair's (member, sample) images in order finds:
+    the member of its first image that lands in the subspace and the
+    U-ball, None when no image does, or the error the scan raises first.
+
+    ``X`` holds the pairs' sample blocks (one dtype and p, equal sizes),
+    pair by pair, for one engine walk, which stops once every pair is
+    decided.  Each pair reads its images in enumeration order up to its
+    first fault, and an image is measured (membership, then distance) only
+    if the norm gap to the U-center leaves ||w - u|| <= radius possible
+    (``_in_reach``).  An image in the ball, or whose distance overflows
+    (NaN), ends the scan before a later fault.
+    """
+    p, dim = pairs[0].v_center.p, mask.size
+    size = len(X) // len(pairs)
+    owner = np.arange(len(X)) // size  # the pair of each row
+    radii = np.array([pair.radius for pair in pairs])
+    # A U-center of another exponent fails at the first inside image, so
+    # every image of its pair is measured.
+    center_norms = np.array([row_norms(pair.u_center.coords[None], p)[0]
+                             if pair.u_center.p == p else math.inf for pair in pairs])
+    decided = {}
+    cut = np.full(len(pairs), np.iinfo(np.intp).max)  # a pair reads the places below
+    for j0, r0, out, fault in image_stream(op, X, table):
+        count, rows = out.shape[:2]
+        mine = owner[r0: r0 + rows]
+        # Each image's place in its pair's (member, sample) scan, which the
+        # fault map follows within a block: a pair stops at its first fault.
+        place = np.add.outer((j0 + np.arange(count)) * size, (r0 + np.arange(rows)) % size)
+        faults = {}
+        for j, r in fault:
+            k = int(mine[r])
+            if k not in decided and k not in faults:
+                faults[k], cut[k] = fault[j, r], place[j, r]
+        W = out.reshape(-1, dim)
+        measured = np.flatnonzero((place < cut[mine]) & _in_reach(
+            row_norms(W, p).reshape(count, rows), center_norms[mine], radii[mine], p, dim))
+        inside = measured[~outside_span(W[measured], mask, p, rtol)[1]]
+        of_pair = mine[inside % rows]
+        for k in sorted(set(of_pair.tolist())):
+            own = inside[of_pair == k]
+            try:
+                dists = row_distances(W[own], p, pairs[k].u_center)
+            except (DimensionMismatch, ValueError) as err:
+                decided[k] = err
+                continue
+            # The first image that lands in the U-ball or overflows.
+            events = np.flatnonzero(~(dists > pairs[k].radius))
+            if events.size:
+                hit = events[0]
+                decided[k] = (distance_overflow() if np.isnan(dists[hit])
+                              else j0 + int(own[hit]) // rows)
+        for k, error in faults.items():
+            decided.setdefault(k, error)
+        if len(decided) == len(pairs):
+            break
+        cut[list(decided)] = -1
+    return [decided.get(k) for k in range(len(pairs))]
 
 
 def default_density_targets(m: BasisIndexSet, count: int = 32, seed: int = 0,

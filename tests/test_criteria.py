@@ -1,6 +1,8 @@
 """Criterion checkers, the xi schedule and the cyclic-vector builder."""
 
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from convexcyclic import (BackwardShift, ConvexPolynomial, CriterionInstance,
                           RecoveryRuleMissing,
                           Scale, ScheduleInfeasible, ShiftRecovery,
                           TruncationOverflow, TruncVector, build_cyclic_vector,
-                          check_criterion_I, check_criterion_II, eval_poly,
+                          check_criterion_I, check_criterion_II, criteria,
+                          eval_poly,
                           norm, xi_schedule)
 from convexcyclic.gallery import (entry_example_5_2, entry_example_5_4,
                                   entry_lemma_5_1, entry_prop_4_8)
@@ -153,6 +156,56 @@ class TestCriterionChecks:
             ShiftRecovery(2.0).recover(y, ConvexPolynomial.monomial(100))
         zero = ShiftRecovery(2.0).recover(TruncVector.zeros(64), ConvexPolynomial.monomial(100))
         assert zero.dim == 64 and not zero.coords.any()
+
+    def test_shift_recovery_rows_match_one_row_at_a_time(self):
+        # One block holds rows that shift cleanly, leave the truncation,
+        # leave the float range and vanish; each row gets the value or the
+        # error of shifting it alone, coordinate by coordinate.
+        dim = 12
+        Y = np.zeros((5, dim))
+        Y[0, :4] = [1.5, -2.0, 0.25, 3.0]
+        Y[1, 9] = 1.0
+        Y[2, 0] = 1e305
+        Y[3, :2] = [1e-300, -7.0]
+
+        def by_hand(scale, y, d):
+            if d == 0:
+                return y
+            if (y[max(0, dim - d):] != 0).any():
+                return TruncationOverflow
+            try:
+                factor = scale ** -d
+            except OverflowError:
+                return NumericalOverflow
+            x = np.zeros(dim, np.result_type(y, factor))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(d, dim):
+                    x[i] = y[i - d] * factor
+            return x if np.isfinite(x).all() else NumericalOverflow
+
+        for scale in (2.0, 0.5, -1.5, 0.5j):
+            rule = ShiftRecovery(scale)
+            for d in (0, 1, 3, 8, 11, 13, 30, 1100):
+                rows, errors = rule.recover_rows(Y, d)
+                for y, row, error in zip(Y, rows, errors):
+                    want = by_hand(rule.scale, y, d)
+                    if isinstance(want, type):
+                        assert type(error) is want
+                        with pytest.raises(want, match=re.escape(str(error))):
+                            rule.recover(TruncVector(y), ConvexPolynomial.monomial(d))
+                    else:
+                        assert error is None
+                        assert row.dtype == want.dtype and (row == want).all()
+                        x = rule.recover(TruncVector(y), ConvexPolynomial.monomial(d))
+                        assert (x.coords == want).all()
+
+    def test_condition_two_builds_no_vector_for_a_shift_rule(self):
+        entry = entry_lemma_5_1()
+        with mock.patch.object(TruncVector, "__post_init__", autospec=True,
+                               side_effect=TruncVector.__post_init__) as built:
+            cond2 = criteria._check_cond2(entry.instance, entry.horizon, entry.tol)
+        assert cond2.passed
+        assert built.call_count == 0
 
     def test_complex_X_past_the_float_range_fails_condition_one(self):
         # ||B^k x|| = |1.5e308 (1 + i)| is past the float range for k <= 4;

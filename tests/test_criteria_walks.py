@@ -335,6 +335,56 @@ def test_block_diagnostics_match_the_image_loops(rows, kind, seed, complex_field
     assert got == want
 
 
+def _pair_case(seed):
+    """1-6 ball pairs in one span with real and complex centers of
+    p in {1, 2, 3} (mostly one p, so that pairs share walks), radii up to
+    1e300, centers near 1e300, and centers whose differences overflow;
+    some U-centers equal their V-center or carry another p."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 10))
+    span = sorted(int(i) for i in rng.choice(dim, size=int(rng.integers(1, dim + 1)),
+                                             replace=False))
+    complex_field = bool(rng.random() < 0.5)
+    ps = [1.0, 2.0, 3.0]
+    p0 = float(rng.choice(ps))
+
+    def center(p):
+        field = complex_field and rng.random() < 0.7
+        if rng.random() < 0.2:
+            coords = np.zeros(dim, complex if field else float)
+            coords[span] = rng.uniform(-1.7, 1.7, len(span)) * 1e308
+            return TruncVector(coords, p=p)
+        return _span_vector(rng, dim, span, p, field)
+
+    pairs = []
+    for _ in range(int(rng.integers(1, 7))):
+        p = p0 if rng.random() < 0.8 else float(rng.choice(ps))
+        v = center(p)
+        u = (v if rng.random() < 0.3 else
+             center(p if rng.random() < 0.95 else float(rng.choice(ps))))
+        radius = float(rng.choice([0.5, 3.0, 1e300, 10.0 ** rng.uniform(-3, 300)]))
+        pairs.append(BallPair(u, v, radius))
+    count = int(rng.integers(1, 7))
+    family = (Monomials(count - 1) if rng.random() < 0.5 else
+              [random_convex_poly(rng, 3) for _ in range(count)])
+    op = _operator(rng, dim, complex_field, str(rng.choice(KINDS)))
+    return op, IndexSet(tuple(span)), pairs, family, int(rng.integers(1, 7))
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_pair_walks_match_the_pair_by_pair_search(rows, seed):
+    # Pairs of one dtype and p walk together where they fit one block.
+    op, spec, pairs, family, samples = _pair_case(seed)
+    m = materialize_subspace(spec, pairs[0].u_center.dim)
+    want = _outcome(serial_transitivity, op, m, pairs, family, samples, seed % 1000)
+    block = operators.BLOCK_BYTES if rows is None else rows * m.dim * 16
+    with mock.patch.object(operators, "BLOCK_BYTES", block):
+        got = _outcome(transitivity_search, op, m, pairs, family, samples, seed % 1000)
+    assert got == want
+
+
 @pytest.mark.parametrize("rows", [1, 3, None])
 @given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 100.0]),
        c=st.sampled_from([0.5, 0.999, 1.0, 1.0 + 2.0 ** -40, 1.001, 2.0, -1.0]),

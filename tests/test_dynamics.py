@@ -12,7 +12,8 @@ from convexcyclic import (BackwardShift, BallPair, BasisIndexSet,
                           ConvexPolynomial, CriterionInstance, Dense,
                           DimensionMismatch, DimensionTooSmall, DirectSum,
                           Identity,
-                          IndexSet, Monomials, ParityZero, Scale,
+                          IndexSet, Monomials, NumericalOverflow,
+                          ParityZero, Scale,
                           TargetOutsideSubspace, TruncVector, Verdict,
                           build_cyclic_vector, default_density_targets,
                           density_score,
@@ -22,8 +23,8 @@ from convexcyclic import (BackwardShift, BallPair, BasisIndexSet,
                           transitivity_search)
 from convexcyclic import dynamics
 from convexcyclic.dynamics import BallCenterOutsideSubspace, invariance_checks
-from convexcyclic.gallery import entry_example_5_4
-from convexcyclic.spaces import MEMBERSHIP_RTOL
+from convexcyclic.gallery import build_entry, entry_example_5_4
+from convexcyclic.spaces import MEMBERSHIP_RTOL, row_distance
 from oracles import dense_eval, random_convex_poly, serial_transitivity
 
 TWO_B = Scale(2.0, BackwardShift())
@@ -312,17 +313,140 @@ class TestTransitivity:
         args = (entry.op, m, list(entry.pairs), entry.family,
                 entry.samples_per_ball, entry.seed)
         checked = []
-        check = dynamics.invariance_check
+        checks = dynamics.invariance_checks
 
-        def counting(P, *rest, **kwargs):
-            checked.append(P.degree)
-            return check(P, *rest, **kwargs)
+        def counting(polys, *rest, **kwargs):
+            checked.extend(P.degree for P in polys)
+            return checks(polys, *rest, **kwargs)
 
-        with mock.patch.object(dynamics, "invariance_check", counting):
+        with mock.patch.object(dynamics, "invariance_checks", counting):
             report = transitivity_search(*args)
         assert [r.witness_index for r in report.per_pair] == [8, 8, 8]
         assert checked == [8]
         assert repr(report) == repr(serial_transitivity(*args))
+
+
+BLOCK_ROWS = pytest.mark.parametrize("rows", [1, 3, None])
+
+
+def _rows_per_block(rows, dim):
+    """``BLOCK_BYTES`` patched to engine blocks of ``rows`` rows, or left
+    at the default for None."""
+    block = operators.BLOCK_BYTES if rows is None else rows * dim * 16
+    return mock.patch.object(operators, "BLOCK_BYTES", block)
+
+
+class TestPairWalks:
+    """Consecutive pairs walk together; every result and error is that of
+    the pair-by-pair scan of ``serial_transitivity``."""
+
+    # T = 1e10 I on R^2: a center 1e300 e_0 overflows at degree 1, and
+    # T^31 carries 1e-300 e_0 onto 1e10 e_0 but overflows on the basis.
+    op = Scale(1e10, Identity())
+    m = materialize_subspace(IndexSet((0, 1)), 2)
+    search_fault = BallPair(TruncVector([0.0, 1.0]), TruncVector([1e300, 0.0]), 0.5)
+    witness_fault = BallPair(TruncVector([1e10, 0.0]), TruncVector([1e-300, 0.0]), 1.0)
+    # Member 0 leaves the center inside, 3e308 from the U-center.
+    overflowing = BallPair(TruncVector([1.5e308, 0.0]), TruncVector([-1.5e308, 0.0]), 1.0)
+
+    def search(self, pairs, rows):
+        args = (self.op, self.m, pairs, Monomials(31), 1, 0)
+        with _rows_per_block(rows, 2):
+            with pytest.raises(NumericalOverflow) as got:
+                transitivity_search(*args)
+        with pytest.raises(NumericalOverflow) as want:
+            serial_transitivity(*args)
+        assert str(got.value) == str(want.value)
+        return str(got.value)
+
+    @BLOCK_ROWS
+    def test_an_earlier_search_fault_beats_a_later_witness_error(self, rows):
+        assert self.search([self.search_fault, self.witness_fault], rows).endswith(
+            "the orbit overflowed at degree 1")
+        assert self.search([self.witness_fault, self.search_fault], rows).endswith(
+            "the orbit overflowed at degree 31")
+
+    @BLOCK_ROWS
+    def test_a_distance_overflow_beats_a_later_fault(self, rows):
+        assert self.search([self.overflowing, self.search_fault], rows).endswith(
+            "the distance ||w - y|| overflowed")
+        assert self.search([self.search_fault, self.overflowing], rows).endswith(
+            "the orbit overflowed at degree 1")
+
+    @BLOCK_ROWS
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -1000, 2.0 ** 1000])
+    def test_the_norm_screen_keeps_an_image_whose_norm_gap_is_the_radius(self, rows, p,
+                                                                         scale):
+        # ||v|| - ||u|| = ||v - u|| = radius exactly: member 0 hits.
+        pair = BallPair(TruncVector([scale, 0.0], p=p), TruncVector([3 * scale, 0.0], p=p),
+                        2 * scale)
+        with _rows_per_block(rows, 2):
+            report = transitivity_search(Identity(), self.m, [pair], Monomials(0), 1, 0)
+        assert [r.witness_index for r in report.per_pair] == [0]
+
+    @BLOCK_ROWS
+    def test_the_norm_screen_keeps_a_hit_whose_norm_gap_rounds_past_the_radius(self, rows):
+        # w = 1.1 u: the measured distance is the radius, and the measured
+        # norm gap exceeds it by an ulp; the screen's margins keep w.
+        u, w = TruncVector([3.0, 3.0]), TruncVector([3.0 * 1.1, 3.0 * 1.1])
+        radius = row_distance(w.coords, 2.0, u)
+        assert norm(w) - norm(u) > radius
+        with _rows_per_block(rows, 2):
+            report = transitivity_search(Identity(), self.m, [BallPair(u, w, radius)],
+                                         Monomials(0), 1, 0)
+        assert [r.witness_index for r in report.per_pair] == [0]
+
+    @staticmethod
+    def walks(entry):
+        """The rows of each engine walk of the search, and the witness
+        degrees of each ``invariance_checks`` call."""
+        m = materialize_subspace(entry.subspace, entry.dim)
+        walks, checks = [], []
+        stream, check = dynamics.image_stream, dynamics.invariance_checks
+
+        def recording_stream(op, X, polys):
+            walks.append(len(X))
+            return stream(op, X, polys)
+
+        def recording_checks(polys, *args, **kwargs):
+            checks.append([P.degree for P in polys])
+            with mock.patch.object(dynamics, "image_stream", stream):
+                return check(polys, *args, **kwargs)
+
+        with mock.patch.object(dynamics, "image_stream", recording_stream), \
+                mock.patch.object(dynamics, "invariance_checks", recording_checks):
+            transitivity_search(entry.op, m, list(entry.pairs), entry.family,
+                                entry.samples_per_ball, entry.seed)
+        return walks, checks
+
+    @BLOCK_ROWS
+    def test_pairs_that_fit_one_engine_block_walk_together(self, rows):
+        entry = build_entry("lemma_5_2")
+        assert (len(entry.pairs), entry.samples_per_ball) == (9, 8)
+        with _rows_per_block(rows, entry.dim):
+            walks, checks = self.walks(entry)
+        # 72 rows through 9 members fit a default block of 1,024 rows.
+        assert walks == ([72] if rows is None else [8] * 9)
+        assert checks == []
+
+    @BLOCK_ROWS
+    def test_distinct_witnesses_share_one_invariance_walk(self, rows):
+        entry = build_entry("lemma_5_2_narrow_gap")
+        with _rows_per_block(rows, entry.dim):
+            walks, checks = self.walks(entry)
+        assert len(checks) == 1
+        assert len(checks[0]) == len(set(checks[0])) == 7
+
+    @BLOCK_ROWS
+    def test_a_pair_too_large_to_share_a_block_walks_alone(self, rows):
+        # At dim 1024 a block holds 128 rows: 14 per member of Monomials(8),
+        # fewer than two pairs of 8 samples.
+        entry = build_entry("prop_4_8")
+        with _rows_per_block(rows, entry.dim):
+            walks, checks = self.walks(entry)
+        assert walks == [8] * len(entry.pairs)
+        assert checks == [[2]]
 
 
 # ---------------------------------------------------------------------------

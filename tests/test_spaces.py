@@ -1,12 +1,11 @@
 """Vectors, norms, subspace materialization, projection and distances."""
 
 import math
-import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convexcyclic import (BasisIndexSet, ConvexPolynomial, CriterionInstance,
@@ -407,23 +406,31 @@ def test_pythagoras(pair):
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, lhs)
 
 
-@given(st.data(), st.sampled_from([1.0, 2.0, 3.0]))
-@settings(max_examples=200, deadline=None)
-def test_membership_verdict_survives_scaling_toward_float_max(data, p):
-    # In-span entries have magnitude >= 1, so the tolerance is rtol * ||w||;
-    # off-span entries are either far below it or far above it.  Rows are
-    # scaled up to the largest power of two at which ||w|| is still finite.
-    dim = data.draw(st.integers(2, 12), label="dim")
-    indices = data.draw(st.sets(st.integers(0, dim - 1), min_size=1,
-                                max_size=dim - 1), label="span")
+@st.composite
+def span_row_and_depth(draw):
+    """A span, a row whose in-span entries have magnitude >= 1 and whose
+    off-span entries are either far below the tolerance or far above it,
+    and how many powers of two below the top scaling to test."""
+    dim = draw(st.integers(2, 12))
+    indices = draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 1))
     m = BasisIndexSet(tuple(indices), dim)
     inside = st.floats(1.0, 1e6) | st.floats(-1e6, -1.0)
     outside = st.just(0.0) | st.floats(1e-20, 1e-13) | st.floats(0.1, 1e3)
-    row = np.array([data.draw(inside if i in m.indices else outside)
-                    for i in range(dim)])
-    top = int(math.log2(sys.float_info.max / np.linalg.norm(row, ord=p)))
-    k = data.draw(st.integers(max(0, top - 60), top) | st.integers(0, top),
-                  label="k")
+    row = np.array([draw(inside if i in m.indices else outside) for i in range(dim)])
+    return m, row, draw(st.integers(0, 60) | st.integers(0, 1100))
+
+
+@given(span_row_and_depth(), st.sampled_from([1.0, 2.0, 3.0]))
+@example((BasisIndexSet((1,), 2), np.array([0.0, 16.0]), 0), 1.0)
+@settings(max_examples=200, deadline=None)
+def test_membership_verdict_survives_scaling_toward_float_max(case, p):
+    # In-span entries have magnitude >= 1, so the tolerance is rtol * ||w||;
+    # off-span entries are either far below it or far above it.  Rows are
+    # scaled up to the largest power of two at which ||w|| is still finite:
+    # 2^top ||w|| < 2^1024 where ||w|| < 2^e, its frexp exponent.
+    m, row, depth = case
+    top = 1024 - math.frexp(np.linalg.norm(row, ord=p))[1]
+    k = max(0, top - depth)
     scaled = np.ldexp(row, k)
 
     def verdicts(w):
