@@ -17,25 +17,26 @@ Each condition is one engine walk over a block of rows: X for conditions
 x_k(y) for condition 2, and the span's identity rows for condition 3 of
 criterion I (``dynamics.invariance_checks``).  A walk is read from
 ``operators.image_stream`` one engine block at a time: the norms and
-off-span residuals of a block are taken at once by ``spaces.row_norms``,
-and the results go into one table that holds each image's value or the
-error its evaluation raised.  Condition 2 reads only the diagonal of its
-walk, row (y, k) at member k: a shift rule's recovery rows for every y
-at one degree are one slice and one scaling of the targets' block
-(``ShiftRecovery.recover_rows``, no vector built per x_k(y)), a chunk's
-recovery norms are one ``row_norms`` call, and each block's diagonal
-images are gathered at once and measured by one
-``spaces.target_distances`` call per target.
-The builder builds the span's mask once and measures each candidate's
-norm once.  Real and complex rows of the instance's dim walk as one
-block (``spaces`` gives a promoted real row the same norm bits).  The
-verdicts are bit for bit those of one walk per vector, and so
-are the errors, raised in the order of the per-vector loops: the first
-failing row, then its first failing member; in condition 2 the recovery
-rule's errors, orbit faults and distance overflows interleave in (y, k)
-order.  The builder's step loop is inherently sequential (each step
-depends on the previous selections); each candidate is scored in one
-walk.
+off-span residuals of a block are taken at once by ``spaces.row_norms``
+and written into float arrays (members x rows), and the error of each
+image whose evaluation raises, or whose distance overflows, goes into one
+map keyed by its place.  Each reader raises the error its per-vector
+loop would have met first, and then reads plain arrays.  Condition 2
+reads only the diagonal of its walk, row (y, k) at member k: a shift
+rule's recovery rows for every y at one degree are one slice and one
+scaling of the targets' block (``ShiftRecovery.recover_rows``, no vector
+built per x_k(y)), a chunk's recovery norms are one ``row_norms`` call,
+and each block's diagonal images are gathered at once and measured by
+one ``spaces.target_distances`` call per target.  The builder builds
+the span's mask once and measures each candidate's norm once.  Real and
+complex rows of the instance's dim walk as one block (``spaces`` gives
+a promoted real row the same norm bits).  The verdicts are bit for bit
+those of one walk per vector, and so are the errors, raised in the
+order of the per-vector loops: the first failing row, then its first
+failing member; in condition 2 the recovery rule's errors, orbit faults
+and distance overflows interleave in (y, k) order.  The builder's step
+loop is inherently sequential (each step depends on the previous
+selections); each candidate is scored in one walk.
 """
 
 from __future__ import annotations
@@ -47,18 +48,16 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (BuildVerificationFailed, DimensionMismatch,
-                     DimensionTooSmall, NumericalOverflow,
-                     RecoveryRuleMissing, ScheduleInfeasible,
-                     TruncationOverflow)
+from .errors import (BuildVerificationFailed, DimensionTooSmall,
+                     NumericalOverflow, RecoveryRuleMissing,
+                     ScheduleInfeasible, TruncationOverflow)
 from .dynamics import first_outside, invariance_checks
 from .operators import (ConvexPolynomial, OperatorSpec, block_rows,
                         image_stream)
 from .spaces import (MEMBERSHIP_RTOL, BasisIndexSet, SubspaceSpec,
                      TruncVector, distance_overflow,
-                     materialize_subspace, norm, off_span_argmax,
-                     off_span_norms, row_distance, row_norms,
-                     target_distances)
+                     materialize_subspace, norm, off_span_norms,
+                     row_norms, target_distances)
 
 
 # ---------------------------------------------------------------------------
@@ -278,54 +277,50 @@ def _settles(seq: Sequence[float], tol: float) -> bool:
     return True
 
 
-def _walk(op, rows: Sequence[np.ndarray], polys, measure) -> dict:
+def _walk(op, rows: Sequence[np.ndarray], polys, measure) -> tuple:
     """What ``measure`` makes of every image P_j(T) rows[r] that evaluates.
 
     ``measure(j0, r0, out)`` gets each engine block, ``out[j, r]`` the
-    image of member j0 + j on row r0 + r, and returns one value per image,
-    indexed [j][r].  Returns a table keyed by (j, r) holding that value,
-    or the error the image's single-vector evaluation would raise; read it
-    with ``_value``.  The rows walk as one block: a real row among complex
-    ones is promoted, which keeps its norm bits (``spaces.row_norms``).
+    image of member j0 + j on row r0 + r, and returns one float per image,
+    a (j, r) array.  Returns ``(values, faults)``: the float array
+    (members x rows) of those values, and a dict keyed (j, r) with the
+    error of each image whose single-vector evaluation raises, or whose
+    value is NaN (a distance that overflowed).  The rows walk as one
+    block: a real row among complex ones is promoted, which keeps its
+    norm bits (``spaces.row_norms``).
     """
+    values, faults = np.zeros((len(polys), len(rows))), {}
     if not rows:
-        return {}
-    table = {}
+        return values, faults
     for j0, r0, out, fault in image_stream(op, np.array(rows), polys):
-        values = measure(j0, r0, out)
-        for j, r in np.ndindex(out.shape[:2]):
-            table[j0 + j, r0 + r] = fault.get((j, r)) or values[j][r]
-    return table
+        block = values[j0: j0 + len(out), r0: r0 + out.shape[1]]
+        block[...] = measure(j0, r0, out)
+        faults.update(((j0 + j, r0 + r), err) for (j, r), err in fault.items())
+        for j, r in np.argwhere(np.isnan(block)).tolist():
+            faults.setdefault((j0 + j, r0 + r), distance_overflow())
+    return values, faults
 
 
-def _norms(out: np.ndarray, p: float) -> list:
-    """The l^p norm of every image in a block: [j][r]."""
-    return row_norms(out.reshape(-1, out.shape[2]), p).reshape(out.shape[:2]).tolist()
+def _raise_first(faults: dict, key=None):
+    """Raise the error of the least key of ``faults`` under ``key``, if any."""
+    if faults:
+        raise faults[min(faults, key=key)]
 
 
-def _distance(w: np.ndarray, p: float, y: TruncVector):
-    """``row_distance``, or the error it raises, to be raised in loop order."""
-    try:
-        return row_distance(w, p, y)
-    except (DimensionMismatch, ValueError) as err:
-        return err
+def _norms(out: np.ndarray, p: float) -> np.ndarray:
+    """The l^p norm of every image in a block: a (j, r) array."""
+    return row_norms(out.reshape(-1, out.shape[2]), p).reshape(out.shape[:2])
 
 
-def _value(table: dict, key):
-    """``table[key]``, or raise the error its evaluation raised."""
-    if isinstance(table[key], Exception):
-        raise table[key]
-    return table[key]
-
-
-def _check_cond1(inst: CriterionInstance, norm_at, horizon: int,
+def _check_cond1(inst: CriterionInstance, norms: np.ndarray, faults: dict,
                   tol: float) -> Cond1Result:
-    """Reads ``norm_at(k, r)`` = ||P_k(T) X[r]|| x by x, so the first
-    failing x's first failing member raises first."""
+    """Reads ``norms[k, r]`` = ||P_k(T) X[r]|| x by x, after raising the
+    first failing x's first failing member."""
+    _raise_first(faults, key=lambda kr: kr[::-1])
     worst = 0.0
     passed = True
     for r in range(len(inst.X)):
-        seq = [norm_at(k, r) for k in range(horizon)]
+        seq = norms[:, r].tolist()
         worst = max(worst, seq[-1])
         if not _settles(seq, tol):
             passed = False
@@ -360,31 +355,32 @@ def _check_cond2(inst: CriterionInstance, horizon: int, tol: float) -> Cond2Resu
     ``row_norms`` call.  Of each engine block only the diagonal images,
     row (y, k) at member k, are gathered (by one fancy index) and
     measured, by one ``target_distances`` call per target y on its rows;
-    the faults of the other images are never read.  Errors come in (y, k) order: the
-    recovery rule's, then the orbit's, then the distance's."""
+    the faults of the other images are never read.  The norms and
+    distances go into (y, k) arrays, and the recovery rule's errors, the
+    diagonal's faults and its NaN distances into one map keyed (y, k),
+    which raises its least key: a row has at most one error, since a row
+    whose recovery fails is not walked."""
     count = len(inst.Y)
     Y = np.array([y.coords for y in inst.Y]).reshape(count, inst.dim)
     chunk = max(1, math.isqrt(block_rows(inst.dim) // max(1, count)))
-    norms, distances = {}, {}
+    norms, distances = np.zeros((2, count, horizon))
+    errors = {}
     for k0 in range(0, horizon, chunk):
         rows, blocks = [], []
         stop = min(k0 + chunk, horizon)
         for k in range(k0, stop):
-            block, errors = _recovery_rows(inst, Y, k)
-            for y, err in enumerate(errors):
-                if err is None:
-                    rows.append((y, k))
-                else:  # raised in (y, k) order below
-                    norms[y, k] = err
-            blocks.append(block[[err is None for err in errors]])
+            block, failed = _recovery_rows(inst, Y, k)
+            errors.update(((y, k), err) for y, err in enumerate(failed) if err is not None)
+            rows += [(y, k) for y, err in enumerate(failed) if err is None]
+            blocks.append(block[[err is None for err in failed]])
         if not rows:
             continue
         # The instance gives every recovery vector and target its dim and
         # p, so no distance fails ``check_target``.
         p = inst.Y[0].p
         block = np.concatenate(blocks)
-        norms.update(zip(rows, row_norms(block, p).tolist()))
         targets, members = np.array(rows).T
+        norms[targets, members] = row_norms(block, p)
         for j0, r0, out, fault in image_stream(inst.op, block, inst.polys[k0: stop]):
             r = np.arange(out.shape[1])
             j = members[r0 + r] - (k0 + j0)
@@ -393,25 +389,22 @@ def _check_cond2(inst: CriterionInstance, horizon: int, tol: float) -> Cond2Resu
             diagonal, ys = out[j, r], targets[r0 + r]
             for y in sorted(set(ys.tolist())):
                 mine = ys == y
-                dists = target_distances(diagonal[mine], p, (inst.Y[y],))[0]
-                for jj, rr, dist in zip(j[mine].tolist(), r[mine].tolist(), dists.tolist()):
-                    if math.isnan(dist):
-                        dist = distance_overflow()
-                    distances[rows[r0 + rr]] = fault.get((jj, rr)) or dist
+                distances[y, members[r0 + r[mine]]] = target_distances(
+                    diagonal[mine], p, (inst.Y[y],))[0]
+            errors.update((rows[r0 + rr], err) for (jj, rr), err in fault.items()
+                          if k0 + j0 + jj == members[r0 + rr])
+    for y, k in np.argwhere(np.isnan(distances)).tolist():
+        errors.setdefault((y, k), distance_overflow())
+    _raise_first(errors)
     worst_norm = 0.0
     worst_err = 0.0
     passed = True
     decay = []
-    for y in range(count):
-        seq = []
-        errors = []
-        for k in range(horizon):
-            seq.append(_value(norms, (y, k)))
-            errors.append(_value(distances, (y, k)))
-        decay.append((tuple(seq), tuple(errors)))
+    for seq, errs in zip(norms.tolist(), distances.tolist()):
+        decay.append((tuple(seq), tuple(errs)))
         worst_norm = max(worst_norm, seq[-1])
-        worst_err = max(worst_err, errors[-1])
-        if not (_settles(seq, tol) and _settles(errors, tol)):
+        worst_err = max(worst_err, errs[-1])
+        if not (_settles(seq, tol) and _settles(errs, tol)):
             passed = False
     return Cond2Result(passed=passed, worst_tail_norm=worst_norm,
                        worst_recovery_error=worst_err, decay=tuple(decay))
@@ -428,9 +421,9 @@ def check_criterion_I(inst: CriterionInstance, horizon: int,
     of the subspace under every P_k(T)."""
     if not 1 <= horizon <= len(inst.polys):
         raise ValueError(f"horizon must lie in 1..{len(inst.polys)}")
-    table = _walk(inst.op, [x.coords for x in inst.X], inst.polys[:horizon],
-                  lambda k0, r0, out: _norms(out, inst.X[0].p))
-    cond1 = _check_cond1(inst, lambda k, r: _value(table, (k, r)), horizon, tol)
+    cond1 = _check_cond1(inst, *_walk(inst.op, [x.coords for x in inst.X],
+                                      inst.polys[:horizon],
+                                      lambda k0, r0, out: _norms(out, inst.X[0].p)), tol)
     cond2 = _check_cond2(inst, horizon, tol)
     results = invariance_checks(inst.polys[:horizon], inst.op, inst.materialized(),
                                 membership_rtol=inst.membership_rtol)
@@ -450,26 +443,29 @@ def check_criterion_II(inst: CriterionInstance, horizon: int,
     if not 1 <= horizon <= len(inst.polys):
         raise ValueError(f"horizon must lie in 1..{len(inst.polys)}")
     mask = inst.materialized().mask()
+    # Each image's off-span residual, and the index of its largest
+    # off-span |entry| (that of ``spaces.off_span_argmax``).
+    residuals = np.zeros((horizon, len(inst.X)))
+    landing = np.zeros((horizon, len(inst.X)), dtype=int)
 
     def measure(k0, r0, out):
-        residuals = _norms(np.where(mask, 0.0, out), inst.X[0].p)
-        return [[(size, residual, off_span_argmax(w, mask) if residual > tol else None)
-                 for w, size, residual in zip(ws, sizes, res)]
-                for ws, sizes, res in zip(out, _norms(out, inst.X[0].p), residuals)]
+        off = np.where(mask, 0.0, out)
+        at = np.s_[k0: k0 + len(out), r0: r0 + out.shape[1]]
+        residuals[at] = _norms(off, inst.X[0].p)
+        landing[at] = np.abs(off).argmax(axis=2)
+        return _norms(out, inst.X[0].p)
 
-    table = _walk(inst.op, [x.coords for x in inst.X], inst.polys[:horizon], measure)
-    cond1 = _check_cond1(inst, lambda k, r: _value(table, (k, r))[0], horizon, tol)
+    cond1 = _check_cond1(inst, *_walk(inst.op, [x.coords for x in inst.X],
+                                      inst.polys[:horizon], measure), tol)
     cond2 = _check_cond2(inst, horizon, tol)
     details = []
-    for k in range(horizon):
-        worst, source, landing = 0.0, None, None
-        for r in range(len(inst.X)):
-            _, residual, land = table[k, r]
-            worst = max(worst, residual)
-            if source is None and residual > tol:
-                source, landing = r, land
-        details.append(Cond3Detail(k=k + 1, passed=source is None, max_residual=worst,
-                                   source_index=source, landing_index=landing))
+    for k, res in enumerate(residuals):
+        over = np.flatnonzero(res > tol)
+        source = int(over[0]) if over.size else None
+        details.append(Cond3Detail(
+            k=k + 1, passed=source is None, max_residual=float(res.max(initial=0.0)),
+            source_index=source,
+            landing_index=None if source is None else int(landing[k, source])))
     cond3 = _cond3(details)
     return CriterionVerdict("II", cond1, cond2, cond3, horizon)
 
@@ -514,22 +510,21 @@ def _four_term_bound(inst: CriterionInstance, xc: TruncVector, xc_norm: float,
     """``xc_norm`` (= ||xc||) + ||P(T) xc - y|| plus the worst cross term
     ||P(T) x_i|| + ||P_{k_i}(T) xc|| over the earlier steps i, from one
     engine walk of xc and every earlier summand through P and every
-    earlier P_{k_i}.  Errors come in the order of the terms."""
+    earlier P_{k_i}.  Errors come in the order of the terms: (0, 0), then
+    (0, i) and (i, 0) for each i."""
 
     def measure(j0, r0, out):
         values = _norms(out, xc.p)
         if j0 == r0 == 0:
-            values[0][0] = _distance(out[0, 0], xc.p, y)
+            values[0, 0] = target_distances(out[0, :1], xc.p, (y,))[0, 0]
         return values
 
-    table = _walk(inst.op, [v.coords for v in [xc] + chosen_x],
-                  [P] + [inst.poly(k) for k in chosen_k], measure)
-    base = xc_norm + _value(table, (0, 0))
-    worst_cross = 0.0
-    for i in range(len(chosen_k)):
-        cross = _value(table, (0, i + 1)) + _value(table, (i + 1, 0))
-        worst_cross = max(worst_cross, cross)
-    return base + worst_cross
+    values, faults = _walk(inst.op, [v.coords for v in [xc] + chosen_x],
+                           [P] + [inst.poly(k) for k in chosen_k], measure)
+    _raise_first({jr: err for jr, err in faults.items() if 0 in jr},
+                 key=lambda jr: (max(jr), jr[1] == 0))
+    cross = values[0, 1:] + values[1:, 0]
+    return float(xc_norm + values[0, 0] + cross.max(initial=0.0))
 
 
 def build_cyclic_vector(inst: CriterionInstance, j_max: int, c: float = 1.0, *,
@@ -603,13 +598,16 @@ def build_cyclic_vector(inst: CriterionInstance, j_max: int, c: float = 1.0, *,
         x = x + xc
 
     tail = [math.fsum(xi[j:]) for j in range(1, steps + 1)]
-    table = _walk(inst.op, [x.coords], [inst.poly(k) for _, k, _, _ in records],
-                  lambda j0, r0, out: [[_distance(ws[0], x.p, inst.Y[j0 + j])]
-                                       for j, ws in enumerate(out)])
+    # Member i's image is measured against target i: the diagonal of its
+    # block's distances to the block's targets.
+    errors, faults = _walk(inst.op, [x.coords], [inst.poly(k) for _, k, _, _ in records],
+                           lambda j0, r0, out: np.diagonal(target_distances(
+                               out[:, 0], x.p, inst.Y[j0: j0 + len(out)]))[:, None])
     out = []
-    for i, (j, k, xi_j, bound) in enumerate(records):
+    for i, ((j, k, xi_j, bound), err) in enumerate(zip(records, errors[:, 0].tolist())):
+        if (i, 0) in faults:
+            raise faults[i, 0]
         limit = j * xi_j + tail[j - 1]
-        err = _value(table, (i, 0))
         if err > limit * (1 + 1e-9) + 1e-15:
             raise BuildVerificationFailed(step=j, error=err, limit=limit)
         out.append(BuildStep(j=j, k=k, xi=xi_j, four_term_bound=bound,

@@ -206,8 +206,12 @@ def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
     the minimum.  The orbit is streamed and never held whole.  An
     admissible image is measured against a target only where its norm
     leaves it a chance to come within 1e-12 of the least distance
-    (``_may_be_nearest``), and only those distances are kept; the result
-    is that of measuring every admissible image.
+    (``_may_be_nearest``).  Every target of x's exponent is measured on
+    the same images, so what is kept is one array of the measured members
+    and, per engine block, one distance block (those targets x the
+    block's measured images); the result is that of measuring every
+    admissible image.  A distance that overflows (NaN) is raised after the
+    walk, for the first such target in order.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -229,12 +233,12 @@ def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
     target_norms = np.array([row_norms(y.coords[None], x.p)[0] for y in live_targets])
     best = np.full(len(live), math.inf)  # bounds each target's best distance
     admissible = 0
-    # The members each target was measured against, and their distances.
-    measured = [[] for _ in targets]
-    distances = [[] for _ in targets]
+    # The members measured, and each block's distances (live targets x
+    # measured images): every live target is measured on the same rows.
+    measured, blocks = [], []
     # A distance error is raised only after the whole orbit is evaluated,
     # and for the first target in order, as when the orbit was held.
-    errors = [None] * len(targets)
+    overflowed = np.zeros(len(targets), dtype=bool)
     for j0, _, out, fault in image_stream(op, x.coords[None], table):
         if fault:
             raise next(iter(fault.values()))
@@ -248,30 +252,25 @@ def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
         if not rows.size:
             continue
         # W[rows] is a private copy, which target_distances patches in place.
-        members = j0 + rows
-        for k, (t_idx, dists) in enumerate(
-                zip(live, target_distances(W[rows], x.p, live_targets))):
-            if np.isnan(dists).any():
-                errors[t_idx] = errors[t_idx] or distance_overflow()
-            else:
-                best[k] = min(best[k], dists.min())
-            measured[t_idx].append(members)
-            distances[t_idx].append(dists)
-    for t_idx, err in enumerate(errors):
-        if err is not None:
-            raise err
+        dists = target_distances(W[rows], x.p, live_targets)
+        nan = np.isnan(dists).any(axis=1)
+        overflowed[live] |= nan
+        best[~nan] = np.minimum(best[~nan], dists[~nan].min(axis=1))
+        measured.append(j0 + rows)
+        blocks.append(dists)
+    for t_idx, y in enumerate(targets):
+        if overflowed[t_idx]:
+            raise distance_overflow()
         if admissible:  # a target of another exponent fails at any image
-            check_target(x.dim, x.p, targets[t_idx])
+            check_target(x.dim, x.p, y)
 
-    scores = []
-    for members, dists in zip(measured, distances):
-        if not dists:
-            scores.append(TargetScore(math.inf, None, None))
-            continue
-        dists = np.concatenate(dists)
-        pos = int(np.flatnonzero(dists <= dists.min() + 1e-12)[0])
-        idx = int(np.concatenate(members)[pos])
-        scores.append(TargetScore(float(dists[pos]), table.member(idx), idx))
+    scores = [TargetScore(math.inf, None, None)] * len(targets)
+    if measured:
+        members = np.concatenate(measured)
+        for t_idx, dists in zip(live, np.concatenate(blocks, axis=1)):
+            pos = int(np.flatnonzero(dists <= dists.min() + 1e-12)[0])
+            idx = int(members[pos])
+            scores[t_idx] = TargetScore(float(dists[pos]), table.member(idx), idx)
     verdict = (Verdict.DENSE_AT_SCALE
                if all(s.best_distance <= epsilon for s in scores)
                else Verdict.NOT_COVERED_AT_SCALE)
@@ -307,8 +306,10 @@ def invariance_checks(polys: Sequence[ConvexPolynomial], op: OperatorSpec,
     block_rows // len(polys) rows at a time, and each engine block is
     measured at once and folded into the running results before the next
     one is made.  Raises the error of the first failing row of the first
-    failing P.
+    failing P.  No polys walk no rows.
     """
+    if not polys:
+        return ()
     table = term_table(polys)
     mask = m.mask()
     worst = [0.0] * len(polys)
@@ -428,11 +429,9 @@ def transitivity_search(op: OperatorSpec, m: BasisIndexSet,
 
     stop = next((k for k, o in enumerate(outcomes) if isinstance(o, Exception)), len(pairs))
     witnesses = list(dict.fromkeys(o for o in outcomes[:stop] if o is not None))
-    residuals = {}
-    if witnesses:
-        results = invariance_checks([table.member(j) for j in witnesses], op, m,
-                                    membership_rtol=membership_rtol)
-        residuals = {j: res.max_residual for j, res in zip(witnesses, results)}
+    results = invariance_checks([table.member(j) for j in witnesses], op, m,
+                                membership_rtol=membership_rtol)
+    residuals = {j: res.max_residual for j, res in zip(witnesses, results)}
     if stop < len(pairs):
         raise outcomes[stop]
     return TransitivityReport(

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from convexcyclic import (BackwardShift, BallPair, ConvexPolynomial,
                           CriterionInstance, DirectSum, ExplicitRecovery,
-                          ForwardShift, IndexSet, Monomials, Scale,
-                          ShiftRecovery, TruncVector,
+                          ForwardShift, Identity, IndexSet, Monomials,
+                          NumericalOverflow, Scale, ShiftRecovery, TruncVector,
                           build_cyclic_vector, check_criterion_I,
                           check_criterion_II, criteria, density_score,
                           materialize_subspace, norm, operators,
@@ -181,12 +181,12 @@ def test_criterion_II_walks_X_once_and_the_recovery_vectors_once(monkeypatch):
 
 
 def _record_cond2_kernels(monkeypatch) -> dict:
-    """The rows of every ``row_norms``, the (target, rows) of every
-    ``target_distances`` and the calls of ``row_distance`` made by
-    ``criteria``, and the images of every engine block it reads."""
-    seen = {"norms": [], "distances": [], "row_distance": 0, "images": 0}
+    """The rows of every ``row_norms`` and the (target, rows) of every
+    ``target_distances`` made by ``criteria``, and the images of every
+    engine block it reads."""
+    seen = {"norms": [], "distances": [], "images": 0}
     row_norms, target_distances = criteria.row_norms, criteria.target_distances
-    row_distance, image_stream = criteria.row_distance, criteria.image_stream
+    image_stream = criteria.image_stream
 
     def norms(rows, p):
         seen["norms"].append(len(rows))
@@ -196,10 +196,6 @@ def _record_cond2_kernels(monkeypatch) -> dict:
         seen["distances"].append((tuple(targets), len(rows)))
         return target_distances(rows, p, targets)
 
-    def distance(*args):
-        seen["row_distance"] += 1
-        return row_distance(*args)
-
     def stream(*args):
         for block in image_stream(*args):
             seen["images"] += block[2].shape[0] * block[2].shape[1]
@@ -207,7 +203,6 @@ def _record_cond2_kernels(monkeypatch) -> dict:
 
     monkeypatch.setattr(criteria, "row_norms", norms)
     monkeypatch.setattr(criteria, "target_distances", distances)
-    monkeypatch.setattr(criteria, "row_distance", distance)
     monkeypatch.setattr(criteria, "image_stream", stream)
     return seen
 
@@ -225,7 +220,6 @@ def test_condition_2_measures_only_the_diagonal_images(monkeypatch, name, rows):
     seen = _record_cond2_kernels(monkeypatch)
     assert repr(criteria._check_cond2(inst, horizon, entry.tol)) == repr(want)
     diagonal = len(inst.Y) * horizon
-    assert seen["row_distance"] == 0
     assert sum(seen["norms"]) == diagonal
     assert sum(count for _, count in seen["distances"]) == diagonal
     for target in inst.Y:
@@ -268,6 +262,25 @@ def test_rows_walked_past_their_degree_overflow_without_warnings():
         verdict = check_criterion_II(inst, 2, 1e-9)
     norms, errors = verdict.cond2.decay[0]
     assert errors[1] == 0.0 and errors[0] > 1e307
+
+
+def test_condition_2_raises_a_target_distance_before_its_later_recovery_error():
+    # Under the identity, ||x_1 - y|| = 3e308 overflows at k = 1, ahead of
+    # the missing x_2 at k = 2: a reader that took the target's recovery
+    # norms before its distances would raise RecoveryRuleMissing.
+    e0 = TruncVector.basis(0, 2)
+    inst = CriterionInstance(
+        op=Identity(), subspace=IndexSet((0, 1)), dim=2, X=(), Y=(e0 * 1.5e308,),
+        polys=(ConvexPolynomial.monomial(1), ConvexPolynomial.monomial(2)),
+        recovery=ExplicitRecovery((e0 * -1.5e308, None)))
+    for check, serial in ((check_criterion_I, serial_criterion_I),
+                          (check_criterion_II, serial_criterion_II)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(check, inst, 2, 1e-9)
+        assert got == _outcome(serial, inst, 2, 1e-9)
+        assert got[1] is NumericalOverflow
+        assert "the distance ||w - y|| overflowed" in got[2]
 
 
 def test_invariance_raises_the_first_failing_row_of_the_first_failing_k():

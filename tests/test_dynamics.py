@@ -219,6 +219,10 @@ class TestInvariance:
         assert got == want
         assert [r.invariant for r in got] == [True, False] * 3 + [True, False]
         assert got[1].violating_basis_index == 1 and got[1].landing_index == 0
+        # No polys: no results, and the span's rows are not walked.
+        with mock.patch.object(dynamics, "image_stream") as stream:
+            assert invariance_checks((), TWO_B, m) == ()
+        stream.assert_not_called()
 
 
 class TestTransitivity:
@@ -428,7 +432,7 @@ class TestPairWalks:
             walks, checks = self.walks(entry)
         # 72 rows through 9 members fit a default block of 1,024 rows.
         assert walks == ([72] if rows is None else [8] * 9)
-        assert checks == []
+        assert checks == [[]]  # no witness to check
 
     @BLOCK_ROWS
     def test_distinct_witnesses_share_one_invariance_walk(self, rows):
