@@ -102,7 +102,9 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 def _build(cfg: ExperimentConfig, block: BuildBlock):
     """The builder on the config's criterion instance, with its tolerances."""
-    inst = cfg.criterion_instance()
+    inst = cfg.criterion
+    if inst is None:
+        raise ConfigError("this run needs a 'criterion' block")
     if not inst.Y:
         raise ConfigError("config.criterion.Y: the builder needs at least one target")
     return build_cyclic_vector(inst, block.j_max, block.c, k_step=block.k_step)
@@ -167,7 +169,9 @@ def run_density(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def run_criterion(cfg: ExperimentConfig, which: str, out: Path) -> int:
-    inst = cfg.criterion_instance()
+    inst = cfg.criterion
+    if inst is None:
+        raise ConfigError("this run needs a 'criterion' block")
     horizon = cfg.horizon if cfg.horizon is not None else len(inst.polys)
     if horizon > len(inst.polys):
         raise ConfigError(f"config.horizon {horizon} exceeds the "

@@ -3,7 +3,10 @@
 One human-readable JSON document describes a full experiment: scalar
 field, truncation size, operator, subspace, polynomial family, tolerances
 and per-command blocks.  Parsing is strict: unknown fields are errors, so
-a typo in a tolerance name cannot silently change a run.  Every object
+a typo in a tolerance name cannot silently change a run.  The criterion
+block is parsed into the ``CriterionInstance`` it describes, on the
+config's operator, subspace, dim and membership tolerance, so a block
+that fails the instance's checks fails every command.  Every object
 the CLI emits re-parses to an identical in-memory experiment, and payloads
 are deterministic (sorted keys, no timestamps), so identical configs and
 seeds produce byte-identical reports.
@@ -155,8 +158,10 @@ def vector_from_dict(data: dict, context: str, p: float = 2.0,
         elif isinstance(entry, list) and len(entry) == 3:
             i, re, im = entry
             value = complex(_real(re, context), _real(im, context))
-            if not complex_field and im != 0:
-                raise ConfigError(f"{context}: complex entry in a real experiment")
+            if not complex_field:
+                if value.imag != 0:
+                    raise ConfigError(f"{context}: complex entry in a real experiment")
+                value = value.real
         else:
             raise ConfigError(f"{context}: vector entries are [index, value] "
                               "or [index, re, im]")
@@ -429,14 +434,6 @@ class DensityBlock:
 
 
 @dataclass
-class CriterionBlock:
-    X: Tuple[TruncVector, ...]
-    Y: Tuple[TruncVector, ...]
-    polys: Tuple[ConvexPolynomial, ...]
-    recovery: Optional[object] = None
-
-
-@dataclass
 class TransitivityBlock:
     pairs: Tuple[BallPair, ...]
     samples_per_ball: int = 8
@@ -462,32 +459,14 @@ class ExperimentConfig:
     family: Optional[Monomials] = None
     label: Optional[str] = None
     density: Optional[DensityBlock] = None
-    criterion: Optional[CriterionBlock] = None
+    #: The validated instance of the criterion block.
+    criterion: Optional[CriterionInstance] = None
     transitivity: Optional[TransitivityBlock] = None
     build: Optional[BuildBlock] = None
 
     @property
     def complex_field(self) -> bool:
         return self.scalar_field == "complex"
-
-    def criterion_instance(self) -> CriterionInstance:
-        if self.criterion is None:
-            raise ConfigError("this run needs a 'criterion' block")
-        if self.subspace is None:
-            raise ConfigError("this run needs a 'subspace' block")
-        try:
-            return CriterionInstance(
-                op=self.operator,
-                subspace=self.subspace,
-                dim=self.dim,
-                X=self.criterion.X,
-                Y=self.criterion.Y,
-                polys=self.criterion.polys,
-                recovery=self.criterion.recovery,
-                membership_rtol=self.tolerances.membership,
-            )
-        except ValueError as err:
-            raise ConfigError(f"config.criterion: {err}") from err
 
 
 _TOP_KEYS = {"version", "scalar_field", "dim", "p", "seed", "horizon",
@@ -578,16 +557,22 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if data.get("criterion") is not None:
         block = data["criterion"]
         _check_keys(block, {"X", "Y", "polys", "recovery"}, "config.criterion")
-        criterion = CriterionBlock(
-            X=tuple(_vec(v, f"config.criterion.X[{i}]")
-                    for i, v in enumerate(_list(block, "X", "config.criterion", most_vectors))),
-            Y=tuple(_vec(v, f"config.criterion.Y[{i}]")
-                    for i, v in enumerate(_list(block, "Y", "config.criterion", most_vectors))),
-            polys=polys_from_dict(_req(block, "polys", "config.criterion"),
-                                  "config.criterion.polys"),
-            recovery=recovery_from_dict(block.get("recovery"),
-                                        "config.criterion.recovery", _vec, most_vectors),
-        )
+        X = tuple(_vec(v, f"config.criterion.X[{i}]")
+                  for i, v in enumerate(_list(block, "X", "config.criterion", most_vectors)))
+        Y = tuple(_vec(v, f"config.criterion.Y[{i}]")
+                  for i, v in enumerate(_list(block, "Y", "config.criterion", most_vectors)))
+        polys = polys_from_dict(_req(block, "polys", "config.criterion"),
+                                "config.criterion.polys")
+        recovery = recovery_from_dict(block.get("recovery"), "config.criterion.recovery",
+                                      _vec, most_vectors)
+        if subspace is None:
+            raise ConfigError("config.criterion: needs a 'subspace' block")
+        try:
+            criterion = CriterionInstance(
+                op=operator, subspace=subspace, dim=dim, X=X, Y=Y, polys=polys,
+                recovery=recovery, membership_rtol=tolerances.membership)
+        except ValueError as err:
+            raise ConfigError(f"config.criterion: {err}") from err
     transitivity = None
     if data.get("transitivity") is not None:
         block = data["transitivity"]
@@ -711,16 +696,12 @@ def load_config(path) -> ExperimentConfig:
 
 def entry_to_config(entry) -> ExperimentConfig:
     """Runnable config equivalent of a gallery entry."""
-    complex_field = any(
-        np.iscomplexobj(v.coords)
-        for v in (entry.instance.Y if entry.instance is not None else ()))
-    criterion = None
+    inst = entry.instance
+    complex_field = any(np.iscomplexobj(v.coords)
+                        for v in (inst.Y if inst is not None else ()))
     build = None
     density = None
-    if entry.instance is not None:
-        inst = entry.instance
-        criterion = CriterionBlock(X=inst.X, Y=inst.Y, polys=inst.polys,
-                                   recovery=inst.recovery)
+    if inst is not None:
         if entry.j_max > 0:
             build = BuildBlock(j_max=entry.j_max, c=entry.c)
         if entry.expected.density is not None:
@@ -746,7 +727,7 @@ def entry_to_config(entry) -> ExperimentConfig:
         family=entry.family,
         label=entry.name,
         density=density,
-        criterion=criterion,
+        criterion=inst,
         transitivity=transitivity,
         build=build,
     )

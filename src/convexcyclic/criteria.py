@@ -415,12 +415,20 @@ def _cond3(details) -> Cond3Result:
     return Cond3Result(passed=all(d.passed for d in details), details=details)
 
 
+def _check_run(inst: CriterionInstance, horizon: int, tol: float):
+    """The arguments both criteria take: a horizon within the polys and a
+    tolerance > 0 (NaN is not)."""
+    if not 1 <= horizon <= len(inst.polys):
+        raise ValueError(f"horizon must lie in 1..{len(inst.polys)}")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+
+
 def check_criterion_I(inst: CriterionInstance, horizon: int,
                       tol: float) -> CriterionVerdict:
     """First criterion: decay on X, recovery toward Y, and full invariance
     of the subspace under every P_k(T)."""
-    if not 1 <= horizon <= len(inst.polys):
-        raise ValueError(f"horizon must lie in 1..{len(inst.polys)}")
+    _check_run(inst, horizon, tol)
     cond1 = _check_cond1(inst, *_walk(inst.op, [x.coords for x in inst.X],
                                       inst.polys[:horizon],
                                       lambda k0, r0, out: _norms(out, inst.X[0].p)), tol)
@@ -440,8 +448,7 @@ def check_criterion_II(inst: CriterionInstance, horizon: int,
     """Second criterion: as the first, but condition 3 only asks that every
     P_k(T)x for x in X stays inside the subspace (a preimage condition,
     weaker than invariance).  Conditions 1 and 3 read one walk of X."""
-    if not 1 <= horizon <= len(inst.polys):
-        raise ValueError(f"horizon must lie in 1..{len(inst.polys)}")
+    _check_run(inst, horizon, tol)
     mask = inst.materialized().mask()
     # Each image's off-span residual, and the index of its largest
     # off-span |entry| (that of ``spaces.off_span_argmax``).

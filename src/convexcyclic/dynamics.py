@@ -44,8 +44,7 @@ from .operators import (ConvexPolynomial, Monomials, OperatorSpec,
                         block_rows, image_stream, images, term_table)
 from .spaces import (MEMBERSHIP_RTOL, BasisIndexSet, TruncVector,
                      check_target, distance_overflow, off_span_argmax,
-                     outside_span, row_distances, row_norms,
-                     target_distances)
+                     outside_span, row_norms, target_distances)
 
 
 class Verdict(enum.Enum):
@@ -85,7 +84,7 @@ class BallPair:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("ball radius must be positive")
 
 
@@ -213,7 +212,7 @@ def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
     admissible image.  A distance that overflows (NaN) is raised after the
     walk, for the first such target in order.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not targets:
         raise ValueError("at least one target is required")
@@ -488,7 +487,7 @@ def _search_walk(op: OperatorSpec, mask: np.ndarray, table, pairs: Sequence[Ball
         for k in sorted(set(of_pair.tolist())):
             own = inside[of_pair == k]
             try:
-                dists = row_distances(W[own], p, pairs[k].u_center)
+                dists = target_distances(W[own], p, (pairs[k].u_center,))[0]
             except (DimensionMismatch, ValueError) as err:
                 decided[k] = err
                 continue

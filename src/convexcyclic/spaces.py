@@ -377,26 +377,10 @@ def distance_to_subspace(v: TruncVector, m: BasisIndexSet) -> float:
     return float(off_span_norms(v.coords[None], m.mask(), v.p)[0])
 
 
-def row_distance(row: np.ndarray, p: float, y: TruncVector) -> float:
-    """``norm(w - y)`` for a raw row w of exponent ``p``, with the checks
-    ``TruncVector`` subtraction makes: same dim, same p, finite result.
-    A difference that overflows raises NumericalOverflow (a ValueError)."""
-    dist = row_distances(row[None], p, y)[0]
-    if math.isnan(dist):
-        raise distance_overflow()
-    return float(dist)
-
-
 def distance_overflow() -> NumericalOverflow:
-    """The error ``row_distance`` raises for a difference that overflows."""
+    """The error raised for a distance ||w - y|| whose difference
+    overflows, where ``target_distances`` reads NaN."""
     return NumericalOverflow(None, "the distance ||w - y||")
-
-
-def row_distances(rows: np.ndarray, p: float, y: TruncVector) -> np.ndarray:
-    """``row_distance`` of every row of a raw block to y, with its checks;
-    NaN marks a row whose difference overflows, where ``row_distance``
-    raises.  The one-target case of ``target_distances``."""
-    return target_distances(rows, p, (y,))[0]
 
 
 def check_target(dim: int, p: float, y: TruncVector):
@@ -410,8 +394,9 @@ def check_target(dim: int, p: float, y: TruncVector):
 
 def target_distances(rows: np.ndarray, p: float,
                      targets: Sequence[TruncVector]) -> np.ndarray:
-    """``row_distances`` of a raw block to every target (targets x rows),
-    with the checks of ``check_target``, first failing target first.
+    """``norm(w - y)`` of every row w of a raw block to every target y
+    (targets x rows), with the checks of ``check_target``, first failing
+    target first; NaN marks a row whose difference overflows.
 
     ``rows - y`` differs from ``rows`` only on y's ``support_window``
     [a, b), found once per vector: outside it w - 0.0 is w, and a signed

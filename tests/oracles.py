@@ -11,9 +11,10 @@ time, one engine walk per (vector, polynomial list), as the checkers did
 before they batched their walks.  The serial diagnostics score density
 and search transitivity one image at a time, with the block kernels of
 ``spaces`` applied to one row, as the diagnostics did before they
-measured engine blocks.  The exact recovery norms hold, in Fractions, the
-l^2 norm of each recovery vector 2^-d S^d y of the T = 2B gallery, with
-its correctly rounded float.
+measured engine blocks; ``row_distance`` is ``target_distances`` on one
+row and one target, raising where the block reads NaN.  The exact
+recovery norms hold, in Fractions, the l^2 norm of each recovery vector
+2^-d S^d y of the T = 2B gallery, with its correctly rounded float.
 """
 
 import math
@@ -32,9 +33,9 @@ from convexcyclic import (BackwardShift, BuildVerificationFailed,
 from convexcyclic.criteria import (BuildResult, BuildStep, Cond1Result,
                                    Cond2Result, Cond3Detail, Cond3Result,
                                    CriterionVerdict, _settles)
-from convexcyclic.spaces import (MEMBERSHIP_RTOL, off_span_argmax,
-                                 off_span_norms, row_distance, row_norms,
-                                 row_tolerances)
+from convexcyclic.spaces import (MEMBERSHIP_RTOL, distance_overflow,
+                                 off_span_argmax, off_span_norms, row_norms,
+                                 row_tolerances, target_distances)
 
 
 def dense_poly_matrix(P, op, dim):
@@ -231,6 +232,16 @@ def rounded_sqrt(q):
 # ---------------------------------------------------------------------------
 # Serial criterion reference: one vector at a time
 # ---------------------------------------------------------------------------
+
+
+def row_distance(row, p, y):
+    """``norm(w - y)`` for a raw row w of exponent ``p``, with the checks
+    ``TruncVector`` subtraction makes: same dim, same p, finite result.
+    A difference that overflows raises NumericalOverflow (a ValueError)."""
+    dist = target_distances(row[None], p, (y,))[0, 0]
+    if math.isnan(dist):
+        raise distance_overflow()
+    return float(dist)
 
 
 def _orbit(op, x, polys):

@@ -534,6 +534,50 @@ def test_operator_that_does_not_fit_dim_exits_2(tmp_path, capsys, operator, argv
     assert "config error: config.operator: " in err
 
 
+@pytest.mark.parametrize("argv", [["density"], ["criterion", "--which", "I"],
+                                  ["criterion", "--which", "II"], ["transitivity"],
+                                  ["build"], ["screen"]])
+def test_criterion_block_is_checked_when_parsed(tmp_path, capsys, argv):
+    # e_0 lies outside example_5_4's even-zero span: the criterion block
+    # fails as the instance it describes, whichever subcommand runs.
+    data = json.loads(dumps_config(entry_to_config(build_entry("example_5_4"))))
+    data["criterion"]["X"][0] = {"dim": 64, "entries": [[0, 1.0]]}
+    err = _run_invalid(tmp_path, capsys, data, argv)
+    assert err == ("config error: config.criterion: X[0] lies outside the "
+                   "subspace span\n")
+
+
+def test_criterion_block_without_a_subspace_exits_2(tmp_path, capsys):
+    data = json.loads(dumps_config(entry_to_config(build_entry("example_5_4"))))
+    del data["subspace"]
+    err = _run_invalid(tmp_path, capsys, data, ["screen"])
+    assert err == "config error: config.criterion: needs a 'subspace' block\n"
+
+
+def _with_zero_imaginary_parts(node):
+    """Rewrite every vector entry [i, v] under ``node`` as [i, v, 0.0]."""
+    if isinstance(node, dict):
+        if set(node) == {"dim", "entries"}:
+            node["entries"] = [[i, v, 0.0] for i, v in node["entries"]]
+        for value in node.values():
+            _with_zero_imaginary_parts(value)
+    elif isinstance(node, list):
+        for value in node:
+            _with_zero_imaginary_parts(value)
+
+
+def test_zero_imaginary_parts_in_a_real_config_load_as_reals(tmp_path, capsys):
+    # [i, re, 0] is a real entry; a nonzero imaginary part is not.
+    text = dumps_config(entry_to_config(build_entry("example_5_4")))
+    data = json.loads(text)
+    _with_zero_imaginary_parts(data)
+    assert data["criterion"]["X"][0]["entries"][0][2] == 0.0
+    assert dumps_config(config_from_dict(data)) == text
+    data["criterion"]["X"][0]["entries"][0][2] = 1e-300
+    err = _run_invalid(tmp_path, capsys, data, ["screen"])
+    assert err == "config error: config.criterion.X[0]: complex entry in a real experiment\n"
+
+
 #: The overrides each subcommand reads.
 READS = {"density": {"--seed", "--epsilon"}, "criterion": {"--horizon"},
          "transitivity": {"--seed"}, "build": set(), "screen": {"--horizon"}}

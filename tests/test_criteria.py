@@ -224,6 +224,15 @@ class TestCriterionChecks:
         with pytest.raises(ValueError):
             check_criterion_I(zero_instance(), horizon=99, tol=1e-6)
 
+    @pytest.mark.parametrize("check", [check_criterion_I, check_criterion_II])
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    def test_tolerance_must_be_positive(self, check, tol):
+        # Every comparison with a NaN tolerance is False, so example_5_2's
+        # condition 3 of criterion II would read passed, against the gallery.
+        entry = entry_example_5_2()
+        with pytest.raises(ValueError, match="tol must be positive"):
+            check(entry.instance, entry.horizon, tol)
+
     def test_verdict_monotone_in_tolerance(self):
         entry = entry_example_5_4()
         tols = (1e-8, 1e-6, 1e-3, 1e-1)

@@ -24,8 +24,8 @@ from convexcyclic import (BackwardShift, BallPair, BasisIndexSet,
 from convexcyclic import dynamics
 from convexcyclic.dynamics import BallCenterOutsideSubspace, invariance_checks
 from convexcyclic.gallery import build_entry, entry_example_5_4
-from convexcyclic.spaces import MEMBERSHIP_RTOL, row_distance
-from oracles import dense_eval, random_convex_poly, serial_transitivity
+from convexcyclic.spaces import MEMBERSHIP_RTOL
+from oracles import dense_eval, random_convex_poly, row_distance, serial_transitivity
 
 TWO_B = Scale(2.0, BackwardShift())
 
@@ -75,6 +75,15 @@ class TestDensity:
         assert math.isclose(report.per_target[0].best_distance, math.sqrt(2),
                             rel_tol=1e-12)
         assert report.verdict == Verdict.NOT_COVERED_AT_SCALE
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
+    def test_epsilon_must_be_positive(self, epsilon):
+        # The orbit hits x exactly, which a NaN epsilon would report as
+        # not covered.
+        m = materialize_subspace(ParityZero("even"), 8)
+        x = TruncVector.basis(1, 8)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            density_score(TWO_B, x, m, Monomials(2), [x], epsilon=epsilon)
 
     def test_target_outside_subspace_rejected(self):
         m = materialize_subspace(ParityZero("even"), 8)
@@ -235,6 +244,13 @@ class TestTransitivity:
         assert report.per_pair[0].found
         assert report.per_pair[0].witness.degree == 0
         assert report.per_pair[0].invariance_residual >= 0.0
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    def test_radius_must_be_positive(self, radius):
+        # Under the identity, e_0 never comes near 5 e_1; a NaN radius
+        # would read that pair as found.
+        with pytest.raises(ValueError, match="ball radius must be positive"):
+            BallPair(TruncVector.basis(0, 4), 5.0 * TruncVector.basis(1, 4), radius)
 
     def test_hit_needs_a_sample_beyond_the_center(self):
         # P(T)0 = 0 is 1 away from e_1, outside U; only a V-ball sample other

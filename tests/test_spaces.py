@@ -14,9 +14,9 @@ from convexcyclic import (BasisIndexSet, ConvexPolynomial, CriterionInstance,
                           NumericalOverflow, ParityZero, RecursiveSpan,
                           TruncVector, distance_to_subspace,
                           materialize_subspace, membership_tolerance, norm)
-from convexcyclic.spaces import (MEMBERSHIP_RTOL, off_span_norms, row_distance,
-                               row_distances, row_norms, row_tolerances,
-                               target_distances)
+from convexcyclic.spaces import (MEMBERSHIP_RTOL, off_span_norms, row_norms,
+                               row_tolerances, target_distances)
+from oracles import row_distance
 
 
 def scalar_loop_norm(coords, p):
@@ -289,7 +289,8 @@ class TestRowNorms:
         y = TruncVector(rng.standard_normal(33), p=p)
         with np.errstate(over="ignore"):
             off, tol, dist = (off_span_norms(W, mask, p),
-                              row_tolerances(W, p, MEMBERSHIP_RTOL), row_distances(W, p, y))
+                              row_tolerances(W, p, MEMBERSHIP_RTOL),
+                              target_distances(W, p, (y,))[0])
         for r, row in enumerate(W):
             assert off[r].hex() == off_span_norms(row[None], mask, p)[0].hex()
             assert tol[r].hex() == row_tolerances(row[None], p, MEMBERSHIP_RTOL)[0].hex()
@@ -297,10 +298,10 @@ class TestRowNorms:
 
     def test_a_difference_that_overflows_reads_nan(self):
         y = TruncVector(np.array([0.0, -1.7e308]))
-        dists = row_distances(np.array([[0.0, 1.0], [0.0, 1.7e308]]), 2.0, y)
+        dists = target_distances(np.array([[0.0, 1.0], [0.0, 1.7e308]]), 2.0, (y,))[0]
         assert dists[0] == 1.7e308 and math.isnan(dists[1])
         with pytest.raises(ValueError, match="exponents differ"):
-            row_distances(np.zeros((2, 2)), 1.0, y)
+            target_distances(np.zeros((2, 2)), 1.0, (y,))
 
 
 # ---------------------------------------------------------------------------
