@@ -27,11 +27,12 @@ that is a change of offset, not a copy; a non-unit weight multiplies the
 window by its slice of the global weight array.  ``Scale`` multiplies
 the window, ``Identity`` keeps it, and ``DirectSum`` and ``Dense`` widen
 it to the full row.  Each degree adds its terms into the window's columns
-of the accumulators only, and once the window is empty every later power
-is zero and the walk stops.  So no signed zero is added outside the
-window: a zero there can differ in sign from the loop's (+0.0 for the
-power where a negative weight or factor gave -0.0), which no norm,
-distance or argmax reads.
+of the accumulators only (a run, below, adds -0.0 elsewhere, which changes
+no bit), and once the window is empty every later power is zero and the
+walk stops.  So the accumulators keep their bits outside the window: a
+zero there can differ in sign from the loop's (+0.0 for the power where
+a negative weight or factor gave -0.0), which no norm, distance or
+argmax reads.
 
 A walk resolves its step once (``_stepper``): every choice that depends
 only on the op, ``dim`` and the rows' dtype (unit shift or weighted, the
@@ -46,11 +47,16 @@ weight is each a real +-2^k with k >= 0 (``_dyadic_shift``), T^n X is
 (-1)^n 2^(n e) S^n X bit for bit while it is finite, since no factor
 rounds.  Such a walk jumps from its power straight to the next degree that
 carries a term: the power there is a column slice of the window, scaled
-by ``np.ldexp``.  A jump stops where the window's largest entry would
-leave the float range (its frexp exponent + n e <= 1024) or a forward
-window would reach past the top index, and the walk steps from there; so
-every overflow, truncation failure and error still comes from a step.
-Any other op, and complex rows, step every degree.
+by ``np.ldexp``.  A run of members, each with the single term 1 * T^i
+at consecutive degrees d + 1..d + n above the degree d reached (every
+``Monomials`` block), is added in one go (``_add_run``): one strided view
+of the padded window over the run's accumulators, scaled in place by
+2^(k e), and the window is made once, at the run's end.  A jump or a run
+stops where the window's largest entry would leave the float range (its
+frexp exponent + n e <= 1024, bounded by the walk between reads) or a
+forward window would reach past the top index, and the walk steps from
+there; so every overflow, truncation failure and error still comes from
+a step.  Any other op, and complex rows, step every degree.
 
 A step reports the rows it fails, with the error each row's single-vector
 application raises; a failed row is zeroed and fails every member of at
@@ -62,7 +68,7 @@ read: it splits large member x row products into blocks of at most
 BLOCK_BYTES, carries each row slice's walk from one member block to the
 next wherever the next block's terms all lie above the degree reached (so
 ``Monomials(D)`` costs at most D steps or jumps per slice, and a walk
-under +-2^e S one jump per degree that carries a term), and
+under +-2^e S one run, and one window, per member block), and
 yields each block once, with its member and row offsets and the errors
 its images' single-vector evaluations would raise.  ``TruncVector`` wraps
 results only at the public boundary (``apply``, ``eval_poly``); ``apply``
@@ -78,6 +84,7 @@ from itertools import repeat, zip_longest
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionMismatch, NumericalOverflow, TruncationOverflow
 from .spaces import TruncVector
@@ -588,7 +595,9 @@ class _Walk:
     columns, and is emptied once every row has failed.  ``failed_at[r]``
     is the degree at which row r failed (past every degree while it has
     not) and ``errors[r]`` the first error its single-vector evaluation
-    raised there.
+    raised there.  ``exponent``, once a closed-form walk has read it,
+    bounds the frexp exponent of the power's largest |entry| (None until
+    then, and again after each step).
     """
 
     def __init__(self, X: np.ndarray):
@@ -598,7 +607,7 @@ class _Walk:
     def restart(self):
         cols = np.flatnonzero(self.X.any(axis=0))
         self.lo, hi = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
-        self.power, self.degree = self.X[:, self.lo: hi], 0
+        self.power, self.degree, self.exponent = self.X[:, self.lo: hi], 0, None
         self.failed_at = np.full(len(self.X), np.iinfo(np.int64).max)
         self.errors = [None] * len(self.X)
 
@@ -656,6 +665,61 @@ def _dyadic_power(power: np.ndarray, lo: int, n: int, dyadic) -> Tuple[np.ndarra
     return power, lo
 
 
+def _run_ends(table: TermTable, powers, members, coeffs) -> list:
+    """The end of the run that starts at each term s of the degree-sorted
+    terms: terms s..end-1 are each alone at their degree, of coefficient
+    1.0 and the only term of a member with a zero constant, at consecutive
+    degrees of consecutive members (end == s when term s is not such a
+    term)."""
+    sole = ((coeffs == 1.0) & (table.constants[members] == 0)
+            & (table.ptr[members + 1] - table.ptr[members] == 1))
+    apart = powers[1:] != powers[:-1]  # terms s and s + 1 lie at two degrees
+    sole[1:] &= apart
+    sole[:-1] &= apart
+    link = sole[1:] & (powers[1:] - powers[:-1] == 1) & (members[1:] - members[:-1] == 1)
+    breaks = np.append(np.flatnonzero(~link) + 1, len(powers))
+    terms = np.arange(len(powers))
+    return np.where(sole, breaks[np.searchsorted(breaks, terms, side="right")],
+                    terms).tolist()
+
+
+def _add_run(out: np.ndarray, power: np.ndarray, lo: int, dyadic):
+    """Add T^k of the window ``power`` at column ``lo`` into ``out[k - 1]``
+    for k = 1..len(out), for a ``_dyadic_shift`` op: the bits of a jump to
+    each degree and an add, on accumulators that hold +-0 only.  The
+    caller keeps every T^k finite, 2^(k e) too, and a forward window
+    below the top index.
+
+    S^k X is X offset by k columns, so the S^k of the window are one
+    strided view of a copy of it padded with -0.0 (x + -0.0 == x for
+    every x), added at once over whole rows; the sums are then scaled in
+    place by 2^(k e), since (a + v) 2^m == a + v 2^m bit for bit for
+    a = +-0.  The odd k under -2^e S read a negated copy: negating the sum
+    instead would turn +0 + +0 into -0 where the jump gives +0 + -0 = +0.
+    """
+    back, negate, e = dyadic
+    n, (rows, w), dim = len(out), power.shape, out.shape[2]
+    step = power.itemsize
+
+    def offsets(window):
+        """S^k of the window, its full rows, for k = 1..n."""
+        buf = np.full((rows, dim + 2 * n), -0.0)  # buf[:, n + c] is column c
+        buf[:, n + lo: n + lo + w] = window
+        if back:  # column c of S^k X is X[c + k]
+            return as_strided(buf[:, n + 1:], out.shape, (step, buf.strides[0], step),
+                              writeable=False)
+        return as_strided(buf[:, n - 1:], out.shape, (-step, buf.strides[0], step),
+                          writeable=False)
+
+    if negate:
+        out[0::2] += offsets(np.negative(power))[0::2]
+        out[1::2] += offsets(power)[1::2]
+    else:
+        out += offsets(power)
+    if e:
+        out *= np.ldexp(1.0, e * np.arange(1, n + 1))[:, None, None]
+
+
 # Overflow is detected and reported as NumericalOverflow; numpy's warnings
 # would only repeat it (here and in ``apply``).
 @np.errstate(over="ignore", invalid="ignore")
@@ -681,8 +745,8 @@ def _images(op: OperatorSpec, X: np.ndarray, polys, walk: Optional[_Walk] = None
     # The terms degree by degree, each degree's in member order.
     order = np.argsort(table.powers, kind="stable")
     powers = table.powers[order]
-    members = np.repeat(np.arange(len(table)), np.diff(table.ptr))[order].tolist()
-    coeffs = table.coeffs[order].tolist()
+    members = np.repeat(np.arange(len(table)), np.diff(table.ptr))[order]
+    coeffs = table.coeffs[order]
     bounds = np.searchsorted(powers, np.arange(top + 2))
     if walk is None:
         walk = _Walk(X)
@@ -695,26 +759,36 @@ def _images(op: OperatorSpec, X: np.ndarray, polys, walk: Optional[_Walk] = None
     back, _, e = dyadic or (None, None, 0)
     # Where a closed-form jump stops: every degree carrying a term, and the top.
     stops = np.flatnonzero(np.diff(bounds)).tolist() + [top]
-    bounds = bounds.tolist()
-    exponent = None  # bounds the frexp exponent of the power's largest |entry|
+    ends = None  # of the runs (``_run_ends``), read where one can start
+    bounds, member_at, coeff_at = bounds.tolist(), members.tolist(), coeffs.tolist()
     while degree < top:
-        n = 0
+        n = run = 0
         if dyadic and power.shape[1] and power.dtype == np.float64:
-            n = stops[bisect.bisect_right(stops, degree)] - degree
+            s = bounds[degree + 1]  # the first term above the degree reached
+            if bounds[degree + 2: degree + 4] == [s + 1, s + 2]:  # one term at each of 2 degrees
+                if ends is None:
+                    ends = _run_ends(table, powers, members, coeffs)
+                run = ends[s] - s
+            n = run or stops[bisect.bisect_right(stops, degree)] - degree
             if not back:  # no mass reaches the top index on the way
                 n = min(n, dim - lo - power.shape[1])
-            if exponent is None or exponent + n * e > _MAX_EXPONENT:
-                exponent = _peak_exponent(power)
-            if exponent > _MAX_EXPONENT:
+            if run and e:  # every scale factor 2^(k e) of the run is finite
+                n = min(n, (_MAX_EXPONENT - 1) // e)
+            if walk.exponent is None or walk.exponent + n * e > _MAX_EXPONENT:
+                walk.exponent = _peak_exponent(power)
+            if walk.exponent > _MAX_EXPONENT:
                 n = 0
             elif e:
-                n = min(n, (_MAX_EXPONENT - exponent) // e)
+                n = min(n, (_MAX_EXPONENT - walk.exponent) // e)
+        run = run and n > 1  # a run of one degree is a jump
         if n > 0:
+            if run:
+                _add_run(out[member_at[s]: member_at[s] + n], power, lo, dyadic)
             power, lo = _dyadic_power(power, lo, n, dyadic)
             degree += n
-            exponent += n * e
+            walk.exponent += n * e
         else:
-            exponent = None
+            walk.exponent = None
             i = degree + 1
             # An empty window stays empty.  The first step still acts, for
             # the power's dtype and the errors the op raises.
@@ -741,9 +815,10 @@ def _images(op: OperatorSpec, X: np.ndarray, polys, walk: Optional[_Walk] = None
         if not power.shape[1]:
             degree = top  # every later power is zero
             break
-        hi = lo + power.shape[1]
-        for s in range(bounds[degree], bounds[degree + 1]):
-            out[members[s], :, lo:hi] += coeffs[s] * power
+        if not run:  # a run has added its terms
+            hi = lo + power.shape[1]
+            for s in range(bounds[degree], bounds[degree + 1]):
+                out[member_at[s], :, lo:hi] += coeff_at[s] * power
     walk.power, walk.lo, walk.degree = power, lo, degree
     nonfinite = ~np.isfinite(out).all(axis=2)
     faulted = nonfinite | (walk.failed_at[None, :] <= degrees[:, None])
@@ -761,8 +836,9 @@ def images(op: OperatorSpec, X: np.ndarray, polys) -> np.ndarray:
     ``X`` is a raw float64 or complex128 block with one row per vector, and
     ``polys`` a polynomial sequence, a family or a term table.  At most one
     block application per degree up to the largest member degree, or until
-    the live window is empty (one jump per term degree under +-2^e S);
-    raises the error the first failing (member, row) evaluation raises.
+    the live window is empty (under +-2^e S one jump per term degree, and
+    one per run of consecutive monomials); raises the error the first
+    failing (member, row) evaluation raises.
     """
     out, fault = _images(op, X, polys)
     if fault:
@@ -788,9 +864,9 @@ def image_stream(op: OperatorSpec, X: np.ndarray, polys):
     next: a block whose terms of positive degree all lie above the degree
     reached so far resumes from the running power there (every later
     ``Monomials`` block does, so ``Monomials(D)`` costs at most D steps or
-    jumps per slice in any number of blocks, and a walk under +-2^e S one
-    jump per degree that carries a term); any other block walks again from
-    the slice's rows.
+    jumps per slice in any number of blocks, and a walk under +-2^e S adds
+    each block as one run and makes its window once, short of the float
+    range); any other block walks again from the slice's rows.
     """
     table = term_table(polys)
     batch, dim = X.shape

@@ -504,3 +504,24 @@ def test_a_builder_candidate_is_scored_in_one_walk(monkeypatch):
     assert calls == []
     assert jumps == backward_jumps(np.array([xc.coords, x1.coords]),
                                    [inst.poly(k1).degree, inst.poly(k2).degree])
+
+
+@pytest.mark.parametrize("call, want", [("I", 31), ("II", 8), ("build", 9)])
+def test_sparse_polys_keep_one_jump_per_term_degree(monkeypatch, call, want):
+    # lemma_5_1's polys (degrees 15, 56, 97 and 212) hold no run of
+    # consecutive monomials: under 2B every walk jumps once to each degree
+    # it reaches, and steps nowhere.
+    entry = entry_lemma_5_1()
+    inst = entry.instance
+    runs = []
+    add_run = operators._add_run
+    monkeypatch.setattr(operators, "_add_run",
+                        lambda out, *args: runs.append(len(out)) or add_run(out, *args))
+    calls = _record_acts(monkeypatch)
+    jumps = _record_jumps(monkeypatch)
+    if call == "build":
+        build_cyclic_vector(inst, entry.j_max, entry.c)
+    else:
+        (check_criterion_I if call == "I" else check_criterion_II)(inst, entry.horizon, entry.tol)
+    assert len(jumps) == want
+    assert calls == runs == []

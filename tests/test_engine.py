@@ -256,10 +256,27 @@ def test_monomials_cost_one_block_application_per_degree_across_blocks(monkeypat
     assert len(calls) == 400
 
 
+def test_monomials_under_2B_make_the_window_once_per_block(monkeypatch):
+    # Under 2B each of the 7 blocks of Monomials(400) at dim 2048 adds its
+    # members as one run and makes the window once, at the run's end:
+    # no step, and 7 jumps where one per degree made 400.
+    calls = _record_acts(monkeypatch)
+    jumps = _record_jumps(monkeypatch)
+    x = np.zeros((1, 2048))
+    x[0, 1600:] = np.linspace(0.5, 1.5, 448)
+    op = Scale(2.0, BackwardShift())
+    got = np.concatenate([out for _, _, out, _ in operators.image_stream(op, x, Monomials(400))])
+    assert calls == []
+    assert jumps == backward_jumps(x, [63, 127, 191, 255, 319, 383, 400])
+    want, _ = _stepped(op, x, Monomials(400).members(), None)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_the_walk_stops_when_the_window_empties(monkeypatch):
     # Rows e_2 and e_5 leave a window [2, 6) that is empty after degree 6;
     # the later blocks of Monomials(40) resume the empty walk and apply
-    # nothing.  -2B walks in closed form, one jump to each degree.
+    # nothing.  -2B walks in closed form: blocks of 4 members add degrees
+    # 1..3 and 4..7 as runs, with one jump to the end of each.
     calls = _record_acts(monkeypatch)
     jumps = _record_jumps(monkeypatch)
     X = np.zeros((2, 64))
@@ -269,8 +286,8 @@ def test_the_walk_stops_when_the_window_empties(monkeypatch):
         stream = list(_flat(operators.image_stream(Scale(-2.0, BackwardShift()), X,
                                                    Monomials(40))))
     assert calls == []
-    assert jumps == backward_jumps(X, range(1, 41))
-    assert len(jumps) == 6 and jumps[-1] == (1, 0, (2, 0))
+    assert jumps == backward_jumps(X, [3, 7])
+    assert jumps[-1] == (4, 0, (2, 0))
     want = [loop_images(Scale(-2.0, BackwardShift()), x, Monomials(40).members())
             for x in X]
     assert all(np.array_equal(w, want[r][j]) for j, r, w, _ in stream)
@@ -695,3 +712,68 @@ def test_a_walk_within_the_bound_resolves_no_step(monkeypatch):
     assert resolved == calls == []
     assert jumps == [(300, 800, (1, 1)), (723, 77, (1, 1))]
     assert got[1, 0, 77] == 2.0 ** 1023
+
+
+def _walked(op, X, members, rows, stepped=False):
+    """``_streamed`` (``_stepped`` if ``stepped``), and the walk after each
+    engine block as (degree, first column, window shape and bytes)."""
+    walks = []
+    engine = operators._images
+
+    def recording(op, X, polys, walk=None):
+        got = engine(op, X, polys, walk)
+        walks.append((walk.degree, walk.lo, walk.power.shape, walk.power.tobytes()))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_images", recording)
+        got = (_stepped if stepped else _streamed)(op, X, members, rows)
+    return got, walks
+
+
+EDGE_WINDOWS = st.sampled_from([(0, 3), (21, 24), (0, 24)])
+
+
+@given(st.integers(0, 2 ** 30), st.sampled_from([0, 1, 2, 7]), st.booleans(),
+       st.sampled_from([BackwardShift, ForwardShift]), st.sampled_from([1, 3, None]),
+       st.integers(1, 30), st.integers(-3, 3),
+       st.lists(st.one_of(st.tuples(st.integers(0, 24), st.integers(0, 24)), EDGE_WINDOWS),
+                min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_runs_keep_the_stepped_bits(seed, e, negative, shift, rows, degree, slack, windows):
+    # A walk under +-2^e S adds each run of Monomials(30) in one strided
+    # view.  Its images, faults and window after every block are the
+    # stepped walk's byte for byte, -0.0 entries and windows at both edges
+    # included.  One row's peak lies within a few units of the bound at a
+    # degree inside the family, so for e > 0 a run stops mid-block there.
+    rng = np.random.default_rng(seed)
+    X = _windowed_rows(rng, 24, windows, False)
+    X[rng.random(X.shape) < 0.2] = -0.0
+    r = int(rng.integers(len(X)))
+    if e and X[r].any():
+        peak = np.frexp(abs(X[r]).max())[1]
+        X[r] = np.ldexp(X[r], min(1024, 1024 - e * degree + slack) - peak)
+    split = int(rng.integers(e + 1))  # 2^e as a factor times a weight
+    op = Scale((-1.0 if negative else 1.0) * 2.0 ** (e - split), shift(2.0 ** split))
+    assert operators._dyadic_shift(op) == (shift is BackwardShift, negative, e)
+    members = Monomials(30).members()
+    (got, faults), walks = _walked(op, X, members, rows)
+    (want, want_faults), want_walks = _walked(op, X, members, rows, stepped=True)
+    assert got.tobytes() == want.tobytes()
+    assert faults == want_faults
+    assert walks == want_walks
+
+
+def test_a_run_stops_where_its_scale_factor_would_leave_the_float_range(monkeypatch):
+    # Under 2^7 B the subnormal 5e-324 (frexp exponent -1073) stays finite
+    # to degree 299, but 2^(7k) is finite only for k <= 146: the run of
+    # Monomials(200) stops there and a second run goes on to 200.
+    x = np.zeros((1, 256))
+    x[0, 250] = 5e-324
+    op = Scale(128.0, BackwardShift())
+    jumps = _record_jumps(monkeypatch)
+    got, faults = _streamed(op, x, Monomials(200).members(), None)
+    assert jumps == [(146, 104, (1, 1)), (54, 50, (1, 1))]
+    want, want_faults = _stepped(op, x, Monomials(200).members(), None)
+    assert got.tobytes() == want.tobytes() and faults == want_faults == {}
+    assert got[200, 0, 50] == 2.0 ** (7 * 200 - 1074)
