@@ -10,9 +10,10 @@ result is evidence, never proof.
 Every diagnostic reads its orbit points from ``operators.image_stream``,
 one engine block at a time, from the family's term table: no polynomial
 is built except a witness.  Each block is measured at once, with the
-batched row kernels of ``spaces`` (off-span residuals, tolerances and,
-from one ``target_distances`` call, the distances to every target, each
-taken on the block patched over that target's support window), which
+batched row kernels of ``spaces`` (row norms, taken once for the norm
+screens and the tolerances, off-span residuals and, from one
+``target_distances`` call, the distances to every target, each taken on
+the block patched over that target's support window), which
 give every row the bits of its one-row norm; density measures only the
 images whose norms leave them a chance to be nearest a target.  The
 vector lists a caller passes in (density targets, ball centers) are
@@ -242,11 +243,12 @@ def density_score(op: OperatorSpec, x: TruncVector, m: BasisIndexSet,
         if fault:
             raise next(iter(fault.values()))
         W = out[:, 0]
-        rows = np.flatnonzero(~outside_span(W, mask, x.p, membership_rtol)[1])
+        norms = row_norms(W, x.p)
+        rows = np.flatnonzero(~outside_span(W, mask, x.p, membership_rtol, norms)[1])
         admissible += rows.size
         if not rows.size:
             continue
-        rows = rows[_may_be_nearest(row_norms(W, x.p)[rows], target_norms, best,
+        rows = rows[_may_be_nearest(norms[rows], target_norms, best,
                                     x.p, x.dim).any(axis=0)]
         if not rows.size:
             continue
@@ -480,9 +482,10 @@ def _search_walk(op: OperatorSpec, mask: np.ndarray, table, pairs: Sequence[Ball
             if k not in decided and k not in faults:
                 faults[k], cut[k] = fault[j, r], place[j, r]
         W = out.reshape(-1, dim)
+        norms = row_norms(W, p)
         measured = np.flatnonzero((place < cut[mine]) & _in_reach(
-            row_norms(W, p).reshape(count, rows), center_norms[mine], radii[mine], p, dim))
-        inside = measured[~outside_span(W[measured], mask, p, rtol)[1]]
+            norms.reshape(count, rows), center_norms[mine], radii[mine], p, dim))
+        inside = measured[~outside_span(W[measured], mask, p, rtol, norms[measured])[1]]
         of_pair = mine[inside % rows]
         for k in sorted(set(of_pair.tolist())):
             own = inside[of_pair == k]

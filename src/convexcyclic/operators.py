@@ -15,9 +15,13 @@ with ``members()``, is read once per diagnostic call, and a
 The engine walks the degrees once in ascending order with a single
 running power block T^i X, adding a_i T^i X into each member's
 accumulator where a_i is nonzero: at most one block application per
-degree, no stored power table.  The arithmetic is the elementwise axpy
-of the single-vector recurrence, so each image is bit for bit what a
-per-member ascending-degree loop gives, up to the sign of a zero (below).
+degree, no stored power table.  The accumulators start as a_0 X with one
+product per run of members whose constants have equal bits, copied down
+the run (``_accumulators``): the bits of the outer product, zero signs
+included, at one or two products for a ``Monomials`` block.  The
+arithmetic is the elementwise axpy of the single-vector recurrence, so
+each image is bit for bit what a per-member ascending-degree loop gives,
+up to the sign of a zero (below).
 
 The power block holds only its live column window [lo, hi), taken from
 X's nonzero columns when a walk starts; outside it T^i X is exactly zero.
@@ -720,6 +724,27 @@ def _add_run(out: np.ndarray, power: np.ndarray, lo: int, dyadic):
         out *= np.ldexp(1.0, e * np.arange(1, n + 1))[:, None, None]
 
 
+def _accumulators(constants: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The accumulators' start, c_j X for every constant c_j, with the bits
+    of ``np.multiply.outer(constants, X)``.  Each run of consecutive
+    constants with equal bits (-0.0 and +0.0 differ) costs one product,
+    copied down the run, so every zero keeps the sign of its c_j x.  Where
+    the runs average under two members (one member, say), the outer
+    product writes them in one call instead of one call per run."""
+    bits = constants.view(np.int64)
+    # The last member of every run but the last.
+    ends = (bits[1:] != bits[:-1]).nonzero()[0].tolist()
+    if len(bits) < 2 * (len(ends) + 1):
+        return np.multiply.outer(constants, X)
+    out = np.empty((len(bits),) + X.shape, np.result_type(constants, X))
+    j0 = 0
+    for j1 in ends + [len(bits) - 1]:
+        np.multiply(constants[j0], X, out=out[j0])
+        out[j0 + 1: j1 + 1] = out[j0]
+        j0 = j1 + 1
+    return out
+
+
 # Overflow is detected and reported as NumericalOverflow; numpy's warnings
 # would only repeat it (here and in ``apply``).
 @np.errstate(over="ignore", invalid="ignore")
@@ -741,7 +766,7 @@ def _images(op: OperatorSpec, X: np.ndarray, polys, walk: Optional[_Walk] = None
     table = term_table(polys)
     degrees = table.degrees
     top = int(degrees.max(initial=0))
-    out = np.multiply.outer(table.constants, X)
+    out = _accumulators(table.constants, X)
     # The terms degree by degree, each degree's in member order.
     order = np.argsort(table.powers, kind="stable")
     powers = table.powers[order]

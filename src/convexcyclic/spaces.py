@@ -453,15 +453,28 @@ def row_tolerances(rows: np.ndarray, p: float, rtol: float) -> np.ndarray:
 
 
 def outside_span(rows: np.ndarray, mask: np.ndarray, p: float,
-                 rtol: float) -> tuple:
+                 rtol: float, norms: Optional[np.ndarray] = None) -> tuple:
     """``(residuals, outside)`` of a raw block: every row's
     ``off_span_norms`` residual, and whether it exceeds the row's
     ``row_tolerances`` tolerance.  Every tolerance is at least rtol, so
     the tolerances are measured only on the rows whose residual exceeds
-    rtol; a NaN residual is never outside."""
+    rtol; a NaN residual is never outside.
+
+    A caller that has measured the rows already passes their ``row_norms``
+    as ``norms``: the tolerances are then rtol * max(1, norms), and only a
+    row whose norm reads inf is measured again, for its finite tolerance
+    in units of s.  A row's norm has the same bits in any block, so the
+    verdicts are those of measuring the rows here."""
     residuals = off_span_norms(rows, mask, p)
     outside = residuals > rtol
     near = np.flatnonzero(outside)
     if near.size:
-        outside[near] = residuals[near] > row_tolerances(rows[near], p, rtol)
+        if norms is None:
+            tolerances = row_tolerances(rows[near], p, rtol)
+        else:
+            tolerances = rtol * np.fmax(1.0, norms[near])
+            over = np.isinf(norms[near])
+            if over.any():
+                tolerances[over] = row_tolerances(rows[near[over]], p, rtol)
+        outside[near] = residuals[near] > tolerances
     return residuals, outside

@@ -5,7 +5,9 @@ application: it materializes the operator matrix, forms the polynomial
 matrix with explicit matrix powers and multiplies.  The loop oracle is
 the per-vector reference the engine must match bit for bit: each member
 evaluated on its own, one single-vector application per degree, every
-coefficient added in ascending order.  The serial criterion reference
+coefficient added in ascending order; ``outer_accumulators`` is the
+engine's accumulator set-up as first written, one outer product of the
+constant terms with the rows.  The serial criterion reference
 checks the criterion conditions and runs the builder one vector at a
 time, one engine walk per (vector, polynomial list), as the checkers did
 before they batched their walks.  The serial diagnostics score density
@@ -95,6 +97,13 @@ def loop_images(op, x, polys):
             acc = acc + a * power
         out.append(acc)
     return out
+
+
+def outer_accumulators(constants, X):
+    """The engine's accumulators at the start of a walk, as first written:
+    the outer product of the constant terms with the rows, c_j X[r] for
+    every member j and row r."""
+    return np.multiply.outer(constants, X)
 
 
 def backward_windows(X, degree):

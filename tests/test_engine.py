@@ -12,7 +12,8 @@ from convexcyclic import (BackwardShift, ConvexPolynomial, DirectSum,
                           eval_poly, images, operators)
 from oracles import (OPERATOR_KINDS, backward_jumps, backward_windows, dense_eval,
                      dense_poly_matrix, loop_apply, loop_images, members_of,
-                     random_convex_poly, random_operator, random_vector)
+                     outer_accumulators, random_convex_poly, random_operator,
+                     random_vector)
 
 
 def _dense_rows(count):
@@ -777,3 +778,62 @@ def test_a_run_stops_where_its_scale_factor_would_leave_the_float_range(monkeypa
     want, want_faults = _stepped(op, x, Monomials(200).members(), None)
     assert got.tobytes() == want.tobytes() and faults == want_faults == {}
     assert got[200, 0, 50] == 2.0 ** (7 * 200 - 1074)
+
+
+#: Constant terms of tables whose accumulators start from runs of equal
+#: bits: +0.0 only, both zero signs, nonzero runs, runs of one member and
+#: one member with c != 0 (the last two written by the outer product).
+SETUP_CONSTANTS = {
+    "all_plus_zero": (0.0,) * 6,
+    "mixed_zeros": (0.0, 0.0, -0.0, -0.0, -0.0, 0.0),
+    "nonzero_runs": (0.25, 0.25, 0.25, 0.5, 0.5, 0.0),
+    "alternating": (0.0, 0.5) * 3,
+    "distinct": (0.0, -0.0, 0.125, 0.25, 0.5, 0.75),
+    "one_member": (0.75,),
+}
+
+
+def _setup_table(constants):
+    """Member j: the constant c_j plus (1 - c_j) T^(j + 1), so each later
+    member block resumes its row slice's walk."""
+    n = len(constants)
+    return operators.TermTable(np.arange(1, n + 1), constants, np.arange(n + 1),
+                               np.arange(1, n + 1), [1.0 - c for c in constants], None)
+
+
+def _setup_rows(complex_field):
+    """Rows with negative and -0.0 entries, and a row of -0.0 only."""
+    X = np.full((3, 12), -0.0)
+    X[0, 2:9] = [1.5, -0.0, -2.0, 0.0, 3.0, -0.25, 7.0]
+    X[1, 4:7] = [-0.0, -1.0, 0.5]
+    if complex_field:
+        X = X.astype(np.complex128)
+        X.imag[0, 3:7] = [-0.0, 2.0, -3.5, 0.0]
+        X.imag[2] = -0.0
+    return X
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("op", [Scale(2.0, BackwardShift()), Scale(-1.5, ForwardShift())])
+@pytest.mark.parametrize("kind", sorted(SETUP_CONSTANTS))
+def test_accumulators_start_with_the_bits_of_the_outer_product(
+        kind, op, complex_field, rows, monkeypatch):
+    # One product per run of equal constants, copied down the run, gives
+    # the zero signs of c_j X; so do the images of a fresh walk and of a
+    # resumed one, where every member block starts its accumulators anew.
+    constants = np.array(SETUP_CONSTANTS[kind])
+    X = _setup_rows(complex_field)
+    got = operators._accumulators(constants, X)
+    want = outer_accumulators(constants, X)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    table = _setup_table(constants)
+    fresh, fresh_fault = operators._images(op, X, table)
+    streamed, streamed_faults = _streamed(op, X, table, rows)
+    monkeypatch.setattr(operators, "_accumulators", outer_accumulators)
+    want, want_fault = operators._images(op, X, table)
+    assert fresh.dtype == want.dtype and fresh.tobytes() == want.tobytes()
+    assert _describe(fresh_fault) == _describe(want_fault)
+    want, want_faults = _streamed(op, X, table, rows)
+    assert streamed.dtype == want.dtype and streamed.tobytes() == want.tobytes()
+    assert streamed_faults == want_faults

@@ -167,6 +167,24 @@ class TestExample54:
         assert verify_entry(build_entry("example_5_4")) == [
             "recovery identity off by 1.00e-09 at k=4", "recovery norm decay off at k=8"]
 
+    def test_a_horizon_below_eight_reads_only_its_decay_rows(self, monkeypatch):
+        # At horizon 4 the decay table holds k = 1..4, so k = 8 is not read.
+        entry = dataclasses.replace(build_entry("example_5_4"), horizon=4)
+        problems = verify_entry(entry)
+        assert isinstance(problems, list)
+        assert not any("recovery" in problem for problem in problems)
+        check = gallery.check_criterion_I
+
+        def corrupted(inst, horizon, tol):
+            verdict = check(inst, horizon, tol)
+            norms, errors = verdict.cond2.decay[0]
+            decay = ((norms, errors[:3] + (1e-9,)),) + verdict.cond2.decay[1:]
+            return dataclasses.replace(
+                verdict, cond2=dataclasses.replace(verdict.cond2, decay=decay))
+
+        monkeypatch.setattr(gallery, "check_criterion_I", corrupted)
+        assert "recovery identity off by 1.00e-09 at k=4" in verify_entry(entry)
+
     def test_lambda_boundary_rejected(self):
         with pytest.raises(LambdaTooSmall):
             entry_example_5_4(lam=1.0)

@@ -14,8 +14,8 @@ from convexcyclic import (BasisIndexSet, ConvexPolynomial, CriterionInstance,
                           NumericalOverflow, ParityZero, RecursiveSpan,
                           TruncVector, distance_to_subspace,
                           materialize_subspace, membership_tolerance, norm)
-from convexcyclic.spaces import (MEMBERSHIP_RTOL, off_span_norms, row_norms,
-                               row_tolerances, target_distances)
+from convexcyclic.spaces import (MEMBERSHIP_RTOL, off_span_norms, outside_span,
+                                 row_norms, row_tolerances, target_distances)
 from oracles import row_distance
 
 
@@ -302,6 +302,70 @@ class TestRowNorms:
         assert dists[0] == 1.7e308 and math.isnan(dists[1])
         with pytest.raises(ValueError, match="exponents differ"):
             target_distances(np.zeros((2, 2)), 1.0, (y,))
+
+
+def _at_the_tolerance(W, r, col, mask, p, rtol):
+    """Set W[r, col], off the span, to the value nearest the row's
+    tolerance at which its residual equals its tolerance."""
+    tol = row_tolerances(W[r][None], p, rtol)[0]
+    below = above = tol
+    for _ in range(32):
+        for value in (below, above):
+            W[r, col] = value
+            if off_span_norms(W[r][None], mask, p)[0] == row_tolerances(W[r][None], p, rtol)[0]:
+                return
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+    raise AssertionError("no entry puts the residual at the tolerance")
+
+
+class TestOutsideSpan:
+    """Norms a caller passes in give the verdicts of measuring the rows."""
+
+    MASK = np.array([True, False, True, False])
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_passed_norms_keep_every_residual_and_verdict(self, p, complex_field):
+        # Rows: inside the span, well outside, a residual equal to its
+        # tolerance, a plain norm that overflows but fits after rescaling
+        # (residual under and over its tolerance), and a norm past the
+        # float range, whose tolerance rtol * n * s is finite (residual
+        # over and under it).
+        W = np.array([[3.0, 0.0, -2.0, 0.0],
+                      [1.0, 0.5, -2.0, -0.25],
+                      [4.0, 0.0, -1.25, -0.0],
+                      [1e200, 1e190, -1e200, 0.0],
+                      [1e200, 1e192, -1e200, -0.0],
+                      [1.5e308, 1e300, -1.5e308, 0.0],
+                      [1.5e308, 1e299, -1.5e308, -0.0]])
+        if complex_field:  # columns 1 and 2 turned imaginary, magnitudes kept
+            W = W.astype(np.complex128)
+            W[:, 1:3] = 1j * W[:, 1:3].real
+        rtol = MEMBERSHIP_RTOL
+        _at_the_tolerance(W, 2, 3, self.MASK, p, rtol)
+        norms = row_norms(W, p)
+        assert math.isfinite(norms[3]) and math.isinf(norms[5])
+        residuals, outside = outside_span(W, self.MASK, p, rtol)
+        got_residuals, got_outside = outside_span(W, self.MASK, p, rtol, norms)
+        assert got_residuals.tobytes() == residuals.tobytes()
+        assert got_outside.tolist() == outside.tolist()
+        assert outside.tolist() == [False, True, False, False, True, True, False]
+        assert residuals[2] == row_tolerances(W[2][None], p, rtol)[0] > rtol
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("width", [4, 129])
+    def test_passed_norms_of_every_block_kind(self, width, p, complex_field):
+        # Blocks of zero rows, rows near 1e200 and strided views, against a
+        # tolerance small enough that most rows are measured.
+        rng = np.random.default_rng(width)
+        mask = rng.random(width) < 0.5
+        for W in _blocks(rng, width, complex_field):
+            for rtol in (MEMBERSHIP_RTOL, 1.0):
+                want = outside_span(W, mask, p, rtol)
+                got = outside_span(W, mask, p, rtol, row_norms(W, p))
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tolist() == want[1].tolist()
 
 
 # ---------------------------------------------------------------------------
